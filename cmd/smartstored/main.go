@@ -37,8 +37,8 @@
 // durability design):
 //
 //	curl -s localhost:7070/v1/stats
-//	curl -s -X POST localhost:7070/v1/query/range \
-//	  -d '{"attrs":["mtime","read_bytes"],"lo":[36000,3e7],"hi":[59000,5e7]}'
+//	curl -s -X POST localhost:7070/v1/query \
+//	  -d '{"kind":"range","attrs":["mtime","read_bytes"],"lo":[36000,3e7],"hi":[59000,5e7]}'
 package main
 
 import (

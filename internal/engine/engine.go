@@ -37,6 +37,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -398,8 +399,14 @@ func (e *Engine) FileByID(id uint64) (metadata.File, bool) {
 	return e.shards[idx].fileByID(id)
 }
 
+// ErrInvalidBatch tags InsertBatch's validation failures — a zero or
+// duplicate id — so callers can tell a batch that was the caller's
+// fault from a WAL failure.
+var ErrInvalidBatch = errors.New("invalid batch")
+
 // InsertBatch validates and inserts files: ids must be nonzero, unique
-// within the batch and absent from the store. The routing phase —
+// within the batch and absent from the store (a violation wraps
+// ErrInvalidBatch). The routing phase —
 // validation plus id reservation in the assignment index — is
 // serialized under placeMu so the uniqueness check cannot race another
 // insert; the commit phase then runs outside it, so batches bound for
@@ -422,12 +429,12 @@ func (e *Engine) InsertBatch(files []*metadata.File) (Report, error) {
 		if f.ID == 0 {
 			e.assignMu.RUnlock()
 			e.placeMu.Unlock()
-			return Report{}, fmt.Errorf("engine: insert without id (path %q)", f.Path)
+			return Report{}, fmt.Errorf("engine: %w: insert without id (path %q)", ErrInvalidBatch, f.Path)
 		}
 		if _, stored := e.assign[f.ID]; stored || seen[f.ID] {
 			e.assignMu.RUnlock()
 			e.placeMu.Unlock()
-			return Report{}, fmt.Errorf("engine: duplicate file id %d", f.ID)
+			return Report{}, fmt.Errorf("engine: %w: duplicate file id %d", ErrInvalidBatch, f.ID)
 		}
 		seen[f.ID] = true
 	}

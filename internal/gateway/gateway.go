@@ -40,7 +40,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/metadata"
 	"repro/internal/server"
-	"repro/internal/version"
 )
 
 // Options parameterizes a Gateway. Backends is required; every other
@@ -170,11 +169,11 @@ func (b *backend) swapTo(addr string, cl, tcl *client.Client) {
 }
 
 // Gateway federates N smartstored backends behind the single-store
-// wire API. It implements http.Handler.
+// wire API: the shared serving core (server.Core) in front of a
+// server.Backend that fans out. It implements http.Handler.
 type Gateway struct {
-	opts  Options
-	mux   *http.ServeMux
-	start time.Time
+	opts Options
+	core *server.Core
 
 	backends []*backend
 	// attrs is the placement predicate shared by every backend; lo/hi
@@ -182,16 +181,8 @@ type Gateway struct {
 	attrs  []metadata.Attr
 	lo, hi []float64
 
-	sem      chan struct{}
-	inflight atomic.Int64
-	requests atomic.Uint64
-	rejected atomic.Uint64
-
-	// insMu makes gateway-side id allocation atomic with the insert
-	// fan-out, exactly like the single store's allocator: nextID starts
-	// above every backend's bootstrap maximum.
-	insMu  sync.Mutex
-	nextID uint64
+	// ids allocates above every backend's bootstrap maximum.
+	ids *server.IDAllocator
 
 	// assign is the lazily learned id → backend index: inserts record
 	// their placement, deletes/modifies learn from fan-out answers.
@@ -204,9 +195,12 @@ type Gateway struct {
 	// identically.
 	clOpts client.Options
 
+	// metrics is nil when Options.DisableMetrics is set.
 	metrics *gatewayMetrics
-	build   version.BuildInfo
 }
+
+// ServeHTTP makes the gateway an http.Handler over the §5 routes.
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.core.ServeHTTP(w, r) }
 
 // New builds a gateway over the given membership, reading every
 // backend's placement summary (retrying unreachable backends up to
@@ -217,16 +211,15 @@ func New(opts Options) (*Gateway, error) {
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
-	g := &Gateway{
-		opts:   opts,
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		sem:    make(chan struct{}, opts.Workers),
-		assign: make(map[uint64]int),
-		build:  version.Build(),
-	}
-	if !opts.DisableMetrics {
-		g.metrics = newGatewayMetrics(g, opts.Backends)
+	g := &Gateway{opts: opts, assign: make(map[uint64]int)}
+	g.core = server.NewCore(g, server.CoreConfig{
+		Prefix:         "smartgate",
+		Workers:        opts.Workers,
+		MaxQueue:       opts.MaxQueue,
+		DisableMetrics: opts.DisableMetrics,
+	})
+	if reg := g.core.Registry(); reg != nil {
+		g.metrics = newGatewayMetrics(reg, opts.Backends)
 	}
 	clOpts := client.Options{
 		Timeout:      opts.Timeout,
@@ -276,9 +269,8 @@ func New(opts Options) (*Gateway, error) {
 		return nil, err
 	}
 	if g.metrics != nil {
-		g.registerBackendGauges()
+		g.registerBackendGauges(g.core.Registry())
 	}
-	g.routes()
 	return g, nil
 }
 
@@ -317,12 +309,12 @@ func (g *Gateway) composePlacement(placements []*server.PlacementWire) error {
 			}
 		}
 	}
+	var maxID uint64
 	for i, p := range placements {
 		g.backends[i].centroid = g.normalize(p.Centroid)
-		if p.MaxFileID > g.nextID {
-			g.nextID = p.MaxFileID
-		}
+		maxID = max(maxID, p.MaxFileID)
 	}
+	g.ids = server.NewIDAllocator(maxID)
 	return nil
 }
 

@@ -2,387 +2,83 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
-	smartstore "repro"
 	"repro/internal/client"
-	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
-// routes installs the single-store wire API over the federation.
-func (g *Gateway) routes() {
-	if g.metrics != nil {
-		g.mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
-	}
-	g.mux.HandleFunc("POST /v1/query", g.admitted("query", g.handleQuery))
-	g.mux.HandleFunc("POST /v1/query/point", g.admitted("point", g.handlePoint))
-	g.mux.HandleFunc("POST /v1/query/range", g.admitted("range", g.handleRange))
-	g.mux.HandleFunc("POST /v1/query/topk", g.admitted("topk", g.handleTopK))
-	g.mux.HandleFunc("POST /v1/insert", g.admitted("insert", g.handleInsert))
-	g.mux.HandleFunc("POST /v1/delete", g.admitted("delete", g.handleDelete))
-	g.mux.HandleFunc("POST /v1/modify", g.admitted("modify", g.handleModify))
-	g.mux.HandleFunc("POST /v1/flush", g.admitted("flush", g.handleFlush))
-	g.mux.HandleFunc("GET /v1/stats", g.admitted("stats", g.handleStats))
-	g.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// The gateway is healthy while it can answer anything at all;
-		// with every backend down it fails its own probe, so a load
-		// balancer in front of several gateways routes around it.
-		if len(g.healthy()) == 0 {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]bool{"ok": false})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-}
+// The gateway's failure cases extend the core's status table through
+// typed errors: an unservable federation answers 503 and a backend
+// failure 502 — never a bare 500, which would read as a gateway bug
+// instead of a membership problem.
 
-// ServeHTTP makes the gateway an http.Handler over its §5 mux.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
-
-// errBusy is returned by admission when the wait queue is full.
-var errBusy = errors.New("gateway at capacity")
+// errAllDown is returned when no backend can serve a request; 503
+// tells clients to retry.
+var errAllDown = server.WithStatus(http.StatusServiceUnavailable,
+	errors.New("gateway: no healthy backends"))
 
 // errIndeterminate marks a mutation whose target id was not found on
 // any healthy backend while part of the membership was unreachable —
 // the id may live on a down member, so "not found" would be a lie.
-var errIndeterminate = errors.New("gateway: id not found on healthy backends and part of the membership is down")
+var errIndeterminate = server.WithStatus(http.StatusServiceUnavailable,
+	errors.New("gateway: id not found on healthy backends and part of the membership is down"))
 
-// admit blocks until a worker slot frees, the request is cancelled, or
-// the wait queue overflows. On success the caller must invoke release.
-func (g *Gateway) admit(r *http.Request) (release func(), err error) {
-	if g.inflight.Add(1) > int64(g.opts.Workers+g.opts.MaxQueue) {
-		g.inflight.Add(-1)
-		return nil, errBusy
-	}
-	select {
-	case g.sem <- struct{}{}:
-		return func() { <-g.sem; g.inflight.Add(-1) }, nil
-	case <-r.Context().Done():
-		g.inflight.Add(-1)
-		return nil, r.Context().Err()
-	}
+// isClientError reports a 4xx reply — the request itself is at fault,
+// so the whole gateway request fails instead of degrading.
+func isClientError(err error) bool {
+	var se *client.StatusError
+	return errors.As(err, &se) && se.Code >= 400 && se.Code < 500
 }
 
-// admitted wraps a handler with admission control, instrumentation and
-// error mapping. The gateway's mapping adds two federation cases to
-// the store's: an unservable federation answers 503, and a backend
-// failure answers 502 — never a bare 500, which would read as a
-// gateway bug instead of a membership problem.
-func (g *Gateway) admitted(endpoint string, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		g.requests.Add(1)
-		g.metrics.observeEndpoint(endpoint)
-		start := time.Now()
-		release, err := g.admit(r)
-		if err != nil {
-			g.rejected.Add(1)
-			if errors.Is(err, errBusy) {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, err)
-			} else {
-				// Client went away while queued.
-				writeError(w, 499, err)
-			}
-			return
-		}
-		wait := time.Since(start)
-		g.metrics.observeAdmissionWait(wait)
-		if r.Header.Get(server.TraceHeader) != "" {
-			var ctx context.Context
-			var tr *obs.QueryTrace
-			ctx, tr = obs.WithTrace(r.Context())
-			tr.AddPhase("admission_wait", wait)
-			r = r.WithContext(ctx)
-		}
-		defer func() {
-			release()
-			g.metrics.observeDuration(endpoint, time.Since(start))
-		}()
-		if err := h(w, r); err != nil {
-			var bad badRequestError
-			var se *client.StatusError
-			switch {
-			case errors.Is(err, errAllDown), errors.Is(err, errIndeterminate):
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, err)
-			case errors.As(err, &bad) || isClientError(err):
-				writeError(w, http.StatusBadRequest, err)
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				// Client went away mid-request.
-				writeError(w, 499, err)
-			case errors.As(err, &se):
-				// A backend answered with server-side pressure or failure.
-				writeError(w, http.StatusBadGateway, err)
-			default:
-				// Transport-level failure toward a backend.
-				writeError(w, http.StatusBadGateway, err)
-			}
-		}
+// rejected passes a backend's 4xx verdict on as the gateway's 400.
+func rejected(err error) error { return server.WithStatus(http.StatusBadRequest, err) }
+
+// backendFailed reports backend b failing an operation: 400 when b
+// blamed the request, otherwise b is marked down and the answer is 502
+// — for a mutation fanned out in groups that names the member to
+// reconcile against.
+func (g *Gateway) backendFailed(b *backend, op string, err error) error {
+	err = fmt.Errorf("%s: backend %s failed: %w", op, b.name, err)
+	if isClientError(err) {
+		return rejected(err)
 	}
+	g.markDown(b)
+	return server.WithStatus(http.StatusBadGateway, err)
 }
 
-// maxBodyBytes bounds request bodies (batch inserts dominate sizing).
-const maxBodyBytes = 16 << 20
+// Healthy: the gateway is healthy while it can answer anything at all;
+// with every backend down it fails its own probe.
+func (g *Gateway) Healthy() bool { return len(g.healthy()) > 0 }
 
-// maxBatchQueries bounds one /v1/query batch, matching the store.
-const maxBatchQueries = 256
-
-func decode(r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err := dec.Decode(into); err != nil {
-		return badRequestf("decoding request: %v", err)
-	}
-	return nil
-}
-
-// decodeQueryRequest decodes a /v1/query body in whichever codec the
-// request's Content-Type names, mirroring the single store's server:
-// the binary frame format when it is wire.ContentType, JSON otherwise.
-func decodeQueryRequest(r *http.Request, req *server.QueryRequest) error {
-	if !wire.IsBinary(r.Header.Get("Content-Type")) {
-		return decode(r, req)
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return badRequestf("reading request: %v", err)
-	}
-	decoded, err := wire.DecodeRequest(body)
-	if err != nil {
-		return badRequestf("decoding request: %v", err)
-	}
-	*req = *decoded
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
-}
-
-// handleQuery serves the unified POST /v1/query endpoint: one query
-// inline, or a batch under "queries", each member fanning out to its
-// own backend set concurrently under the one admission ticket.
-func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	tr := obs.TraceFrom(r.Context())
-	traced := tr != nil
-	decodeStart := time.Now()
-	var req server.QueryRequest
-	if err := decodeQueryRequest(r, &req); err != nil {
-		return err
-	}
-	tr.AddPhase("decode", time.Since(decodeStart))
-	if len(req.Queries) == 0 {
-		q, err := req.WireQuery.Query()
-		if err != nil {
-			return badRequestf("%v", err)
-		}
-		execStart := time.Now()
-		resp, backends, err := g.execQuery(r.Context(), q, traced)
-		if err != nil {
-			return err
-		}
-		tr.AddPhase("execute", time.Since(execStart))
-		g.writeQueryResponse(w, r, resp, backends)
-		return nil
-	}
-
-	if len(req.Queries) > maxBatchQueries {
-		return badRequestf("batch of %d queries exceeds the %d limit", len(req.Queries), maxBatchQueries)
-	}
-	queries := make([]smartstore.Query, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := wq.Query()
-		if err != nil {
-			return badRequestf("queries[%d]: %v", i, err)
-		}
-		queries[i] = q
-	}
-	results := make([]server.QueryResponse, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q smartstore.Query) {
-			defer wg.Done()
-			resp, _, err := g.execQuery(r.Context(), q, false)
-			if err != nil {
-				resp = server.QueryResponse{Kind: q.Kind.String(), Error: err.Error()}
-			}
-			results[i] = resp
-		}(i, q)
-	}
-	wg.Wait()
-	writeBatchResponse(w, r, server.BatchQueryResponse{Results: results})
-	return nil
-}
-
-// writeBatchResponse writes a batch answer in whichever codec the
-// request's Accept header negotiated.
-func writeBatchResponse(w http.ResponseWriter, r *http.Request, batch server.BatchQueryResponse) {
-	if !wire.Accepts(r.Header.Get("Accept")) {
-		writeJSON(w, http.StatusOK, batch)
-		return
-	}
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	wire.EncodeBatchResponse(w, &batch)
-}
-
-// The legacy one-endpoint-per-kind shims mirror the store's.
-
-func (g *Gateway) handlePoint(w http.ResponseWriter, r *http.Request) error {
-	var req server.PointRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	return g.serveShim(w, r, server.WireQuery{Kind: "point", Path: req.Path})
-}
-
-func (g *Gateway) handleRange(w http.ResponseWriter, r *http.Request) error {
-	var req server.RangeRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	return g.serveShim(w, r, server.WireQuery{Kind: "range", Attrs: req.Attrs, Lo: req.Lo, Hi: req.Hi})
-}
-
-func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) error {
-	var req server.TopKRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	return g.serveShim(w, r, server.WireQuery{Kind: "topk", Attrs: req.Attrs, Point: req.Point, K: req.K})
-}
-
-func (g *Gateway) serveShim(w http.ResponseWriter, r *http.Request, wq server.WireQuery) error {
-	q, err := wq.Query()
-	if err != nil {
-		return badRequestf("%v", err)
-	}
-	tr := obs.TraceFrom(r.Context())
-	execStart := time.Now()
-	resp, backends, err := g.execQuery(r.Context(), q, tr != nil)
-	if err != nil {
-		return err
-	}
-	tr.AddPhase("execute", time.Since(execStart))
-	g.writeQueryResponse(w, r, resp, backends)
-	return nil
-}
-
-// writeQueryResponse attaches the gateway-level trace (phases plus the
-// per-backend breakdown, each nesting the backend's own trace) when
-// the request carried the trace header, and writes the response in
-// whichever codec the Accept header negotiated — the same streamed
-// binary frame sequence the single store emits.
-func (g *Gateway) writeQueryResponse(w http.ResponseWriter, r *http.Request, resp server.QueryResponse, backends []server.BackendTraceWire) {
-	tr := obs.TraceFrom(r.Context())
-	traced := tr != nil && r.Header.Get(server.TraceHeader) != ""
-	if wire.Accepts(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.WriteHeader(http.StatusOK)
-		enc := wire.NewResponseEncoder(w)
-		encStart := time.Now()
-		enc.WriteHeader(resp.Kind)
-		enc.WriteIDs(resp.IDs, resp.Dists)
-		enc.WriteRecords(resp.Records)
-		if traced {
-			tr.AddPhase("encode", time.Since(encStart))
-			resp.Trace = gatewayTrace(tr, backends)
-		}
-		enc.WriteTrailer(&resp)
-		return
-	}
-	if traced {
-		encStart := time.Now()
-		if _, err := json.Marshal(resp); err == nil {
-			tr.AddPhase("encode", time.Since(encStart))
-		}
-		resp.Trace = gatewayTrace(tr, backends)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// gatewayTrace shapes the gateway's trace for the wire: phases in
-// recording order with a derived "merge" phase after "execute" (the
-// execute wall time minus the slowest contributing backend — the
-// fan-out's collect-and-merge overhead), and the backend breakdown
-// alongside.
-func gatewayTrace(tr *obs.QueryTrace, backends []server.BackendTraceWire) *server.TraceWire {
-	phases := tr.Phases()
-	total := time.Since(tr.Start)
-	for _, p := range phases {
-		if p.Name == "admission_wait" {
-			total += p.Dur
-		}
-	}
-	var slowest float64
-	for _, b := range backends {
-		if !b.Down && b.Ms > slowest {
-			slowest = b.Ms
-		}
-	}
-	out := &server.TraceWire{TotalMs: ms(total), Backends: backends}
-	for _, p := range phases {
-		out.Phases = append(out.Phases, server.PhaseWire{Name: p.Name, Ms: ms(p.Dur)})
-		if p.Name == "execute" && len(backends) > 0 {
-			m := ms(p.Dur) - slowest
-			if m < 0 {
-				m = 0
-			}
-			out.Phases = append(out.Phases, server.PhaseWire{Name: "merge", Ms: m})
-		}
-	}
-	return out
-}
-
-// handleInsert validates and allocates ids exactly like the store's
-// server, then routes each record to the nearest healthy centroid and
-// fans the per-target batches out concurrently. The id→backend index
-// learns every placed record, so later deletes and modifies go direct.
-func (g *Gateway) handleInsert(w http.ResponseWriter, r *http.Request) error {
-	var req server.InsertRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if len(req.Files) == 0 {
-		return badRequestf("insert: empty batch")
-	}
+// Insert allocates ids exactly like the store's server, then routes
+// each record to the nearest healthy centroid and fans the per-target
+// batches out concurrently. The id→backend index learns every placed
+// record, so later deletes and modifies go direct.
+func (g *Gateway) Insert(ctx context.Context, recs []server.FileRecord) (server.InsertResponse, error) {
 	healthy := g.healthy()
 	if len(healthy) == 0 {
-		return errAllDown
+		return server.InsertResponse{}, errAllDown
 	}
-	ids := make([]uint64, len(req.Files))
+	// The members commit concurrently, so allocation order cannot be
+	// commit order here: the allocator is held for the assignment only,
+	// not across the network round trips.
+	g.ids.Lock()
+	_, err := g.ids.Assign(recs)
+	g.ids.Unlock()
+	if err != nil {
+		return server.InsertResponse{}, err
+	}
+	out := server.InsertResponse{Inserted: len(recs), IDs: make([]uint64, len(recs))}
 	groups := make(map[*backend][]server.FileRecord)
-	g.insMu.Lock()
-	for i, rec := range req.Files {
-		if _, err := rec.File(); err != nil {
-			g.insMu.Unlock()
-			return badRequestf("insert[%d]: %v", i, err)
-		}
-		if rec.ID == 0 {
-			g.nextID++
-			rec.ID = g.nextID
-		} else if rec.ID > g.nextID {
-			// Keep the allocator above explicit ids so later
-			// auto-assigned ones cannot collide with them.
-			g.nextID = rec.ID
-		}
-		ids[i] = rec.ID
+	for i, rec := range recs {
+		out.IDs[i] = rec.ID
 		b := g.placeInsert(rec, healthy)
 		groups[b] = append(groups[b], rec)
 	}
-	g.insMu.Unlock()
 
 	type placed struct {
 		b    *backend
@@ -396,7 +92,7 @@ func (g *Gateway) handleInsert(w http.ResponseWriter, r *http.Request) error {
 		wg.Add(1)
 		go func(b *backend, recs []server.FileRecord) {
 			defer wg.Done()
-			resp, err := b.client().InsertRecords(r.Context(), recs)
+			resp, err := b.client().InsertRecords(ctx, recs)
 			if err == nil {
 				// Learn placements as soon as they are durable on the
 				// backend — even if a sibling group fails, these landed.
@@ -411,16 +107,11 @@ func (g *Gateway) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	}
 	wg.Wait()
 
-	out := server.InsertResponse{Inserted: len(req.Files), IDs: ids}
 	contributing := 0
 	for _, p := range results {
 		if p.err != nil {
-			if !isClientError(p.err) {
-				g.markDown(p.b)
-			}
-			// A failed group means the batch is partially applied; the
-			// 502 tells the client which member to reconcile against.
-			return badGatewayf(p.err, "insert: backend %s failed", p.b.name)
+			// A failed group means the batch is partially applied.
+			return server.InsertResponse{}, g.backendFailed(p.b, "insert", p.err)
 		}
 		out.Epoch += p.resp.Epoch
 		composeReport(&out.Report, p.resp.Report, contributing == 0)
@@ -429,23 +120,8 @@ func (g *Gateway) handleInsert(w http.ResponseWriter, r *http.Request) error {
 	if contributing > 1 {
 		out.Report.Hops += contributing - 1
 	}
-	writeJSON(w, http.StatusOK, out)
-	return nil
+	return out, nil
 }
-
-// badGatewayf keeps the backend's error in the chain so the admitted
-// wrapper still classifies it, while prefixing the gateway's context.
-func badGatewayf(err error, format string, args ...any) error {
-	return &wrappedError{msg: badRequestf(format, args...).Error(), err: err}
-}
-
-type wrappedError struct {
-	msg string
-	err error
-}
-
-func (e *wrappedError) Error() string { return e.msg + ": " + e.err.Error() }
-func (e *wrappedError) Unwrap() error { return e.err }
 
 // composeReport folds one backend's virtual-time report into the
 // composed one: wall times max (members ran in parallel), counters sum.
@@ -470,43 +146,32 @@ func composeReport(into *server.Report, r server.Report, first bool) {
 // when known, otherwise fanned out to every healthy backend (at most
 // one holds the id — id spaces are disjoint). A not-found verdict with
 // part of the membership down is indeterminate, not authoritative.
-func (g *Gateway) mutate(ctx context.Context, id uint64, op func(ctx context.Context, b *backend) (*server.MutateResponse, bool, error)) (server.MutateResponse, error) {
+func (g *Gateway) mutate(ctx context.Context, id uint64, op func(ctx context.Context, b *backend) (*server.MutateResponse, error)) (server.MutateResponse, error) {
 	if b, ok := g.owner(id); ok && b.up.Load() {
-		resp, found, err := op(ctx, b)
-		if err == nil {
-			if !found {
-				// Stale learned placement; forget it and fall through to
-				// the fan-out below.
-				g.learn(id, -1)
-			} else {
-				return *resp, nil
-			}
-		} else if isClientError(err) {
-			return server.MutateResponse{}, err
-		} else {
-			g.markDown(b)
-			return server.MutateResponse{}, badGatewayf(err, "mutation: backend %s failed", b.name)
+		resp, err := op(ctx, b)
+		if err != nil {
+			return server.MutateResponse{}, g.backendFailed(b, "mutation", err)
 		}
+		if resp.Found {
+			return *resp, nil
+		}
+		// Stale learned placement; forget it and fall through to the
+		// fan-out below.
+		g.learn(id, -1)
 	}
 
 	healthy := g.healthy()
 	if len(healthy) == 0 {
 		return server.MutateResponse{}, errAllDown
 	}
-	type verdict struct {
-		b     *backend
-		resp  *server.MutateResponse
-		found bool
-		err   error
-	}
-	verdicts := make([]verdict, len(healthy))
+	resps := make([]*server.MutateResponse, len(healthy))
+	errs := make([]error, len(healthy))
 	var wg sync.WaitGroup
 	for i, b := range healthy {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			resp, found, err := op(ctx, b)
-			verdicts[i] = verdict{b: b, resp: resp, found: found, err: err}
+			resps[i], errs[i] = op(ctx, b)
 		}(i, b)
 	}
 	wg.Wait()
@@ -514,22 +179,22 @@ func (g *Gateway) mutate(ctx context.Context, id uint64, op func(ctx context.Con
 	failed := 0
 	var out server.MutateResponse
 	contributing := 0
-	for _, v := range verdicts {
-		switch {
-		case v.err == nil && v.found:
+	for i, b := range healthy {
+		switch err := errs[i]; {
+		case err == nil && resps[i].Found:
 			out.Found = true
-			out.Report = v.resp.Report
-			g.learn(id, v.b.idx)
-		case v.err == nil:
+			out.Report = resps[i].Report
+			g.learn(id, b.idx)
+		case err == nil:
 			// Not found here; the epoch still composes below.
-		case isClientError(v.err):
-			return server.MutateResponse{}, v.err
+		case isClientError(err):
+			return server.MutateResponse{}, rejected(err)
 		default:
 			failed++
-			g.markDown(v.b)
+			g.markDown(b)
 			continue
 		}
-		out.Epoch += v.resp.Epoch
+		out.Epoch += resps[i].Epoch
 		contributing++
 	}
 	if !out.Found && (failed > 0 || len(healthy) < len(g.backends)) {
@@ -541,59 +206,28 @@ func (g *Gateway) mutate(ctx context.Context, id uint64, op func(ctx context.Con
 	return out, nil
 }
 
-func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) error {
-	var req server.DeleteRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if req.ID == 0 {
-		return badRequestf("delete: missing id")
-	}
-	resp, err := g.mutate(r.Context(), req.ID, func(ctx context.Context, b *backend) (*server.MutateResponse, bool, error) {
-		mr, err := b.client().DeleteCtx(ctx, req.ID)
-		if err != nil {
-			return nil, false, err
-		}
-		return mr, mr.Found, nil
+func (g *Gateway) Delete(ctx context.Context, id uint64) (server.MutateResponse, error) {
+	resp, err := g.mutate(ctx, id, func(ctx context.Context, b *backend) (*server.MutateResponse, error) {
+		return b.client().DeleteCtx(ctx, id)
 	})
-	if err != nil {
-		return err
+	if err == nil && resp.Found {
+		g.learn(id, -1)
 	}
-	if resp.Found {
-		g.learn(req.ID, -1)
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return nil
+	return resp, err
 }
 
-func (g *Gateway) handleModify(w http.ResponseWriter, r *http.Request) error {
-	var req server.ModifyRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if req.File.ID == 0 {
-		return badRequestf("modify: missing id")
-	}
-	// The wire record forwards as-is: the owning backend applies the
-	// partial-attribute merge against its stored vector.
-	resp, err := g.mutate(r.Context(), req.File.ID, func(ctx context.Context, b *backend) (*server.MutateResponse, bool, error) {
-		mr, err := b.client().ModifyRecord(ctx, req.File)
-		if err != nil {
-			return nil, false, err
-		}
-		return mr, mr.Found, nil
+// Modify forwards the wire record as-is: the owning backend applies
+// the partial-attribute merge against its stored vector.
+func (g *Gateway) Modify(ctx context.Context, rec server.FileRecord) (server.MutateResponse, error) {
+	return g.mutate(ctx, rec.ID, func(ctx context.Context, b *backend) (*server.MutateResponse, error) {
+		return b.client().ModifyRecord(ctx, rec)
 	})
-	if err != nil {
-		return err
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return nil
 }
 
-func (g *Gateway) handleFlush(w http.ResponseWriter, r *http.Request) error {
+func (g *Gateway) Flush(ctx context.Context) (server.FlushResponse, error) {
 	healthy := g.healthy()
 	if len(healthy) == 0 {
-		return errAllDown
+		return server.FlushResponse{}, errAllDown
 	}
 	resps := make([]*server.FlushResponse, len(healthy))
 	errs := make([]error, len(healthy))
@@ -602,29 +236,25 @@ func (g *Gateway) handleFlush(w http.ResponseWriter, r *http.Request) error {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			resps[i], errs[i] = b.client().FlushCtx(r.Context())
+			resps[i], errs[i] = b.client().FlushCtx(ctx)
 		}(i, b)
 	}
 	wg.Wait()
 	var out server.FlushResponse
 	for i, err := range errs {
 		if err != nil {
-			if !isClientError(err) {
-				g.markDown(healthy[i])
-			}
-			return badGatewayf(err, "flush: backend %s failed", healthy[i].name)
+			return server.FlushResponse{}, g.backendFailed(healthy[i], "flush", err)
 		}
 		out.Epoch += resps[i].Epoch
 	}
-	writeJSON(w, http.StatusOK, out)
-	return nil
+	return out, nil
 }
 
-// handleStats aggregates the healthy backends' store stats (sums for
-// sizes and the composed epoch, max for heights) and adds the gateway's
-// own membership and serving sections. Down members appear in the
-// membership rows with zeroed stats — the gap is visible, not elided.
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) error {
+// Stats aggregates the healthy backends' store stats (sums for sizes
+// and the composed epoch, max for heights) and adds the gateway's own
+// membership section. Down members appear in the membership rows with
+// zeroed stats — the gap is visible, not elided.
+func (g *Gateway) Stats(context.Context) (server.StatsResponse, error) {
 	stats := make([]*server.StatsResponse, len(g.backends))
 	var wg sync.WaitGroup
 	for i, b := range g.backends {
@@ -644,23 +274,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) error {
 	}
 	wg.Wait()
 
-	out := server.StatsResponse{
-		Gateway: &server.GatewayWire{},
-		Build: server.BuildWire{
-			GoVersion: g.build.GoVersion,
-			Module:    g.build.Module,
-			Version:   g.build.Version,
-			Revision:  g.build.Revision,
-			Dirty:     g.build.Dirty,
-		},
-		Server: server.ServerStats{
-			UptimeSec: time.Since(g.start).Seconds(),
-			Requests:  g.requests.Load(),
-			Rejected:  g.rejected.Load(),
-			Workers:   g.opts.Workers,
-			MaxQueue:  g.opts.MaxQueue,
-		},
-	}
+	out := server.StatsResponse{Gateway: &server.GatewayWire{}}
 	for i, b := range g.backends {
 		row := server.BackendWire{
 			Backend:    b.name,
@@ -679,15 +293,10 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) error {
 			out.Store.IndexBytesTotal += st.Store.IndexBytesTotal
 			out.Store.Epoch += st.Store.Epoch
 			out.Store.Shards += st.Store.Shards
-			if st.Store.TreeHeight > out.Store.TreeHeight {
-				out.Store.TreeHeight = st.Store.TreeHeight
-			}
-			if st.Store.IndexBytesPerNode > out.Store.IndexBytesPerNode {
-				out.Store.IndexBytesPerNode = st.Store.IndexBytesPerNode
-			}
+			out.Store.TreeHeight = max(out.Store.TreeHeight, st.Store.TreeHeight)
+			out.Store.IndexBytesPerNode = max(out.Store.IndexBytesPerNode, st.Store.IndexBytesPerNode)
 		}
 		out.Gateway.Backends = append(out.Gateway.Backends, row)
 	}
-	writeJSON(w, http.StatusOK, out)
-	return nil
+	return out, nil
 }

@@ -1,31 +1,15 @@
 package gateway
 
 import (
-	"net/http"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// endpointNames fixes the label set of the per-endpoint families, like
-// the store's server does: every series exists from the first scrape.
-var endpointNames = []string{
-	"query", "point", "range", "topk",
-	"insert", "delete", "modify", "flush", "stats",
-}
-
-// endpointMetrics is one endpoint's counter + latency histogram.
-type endpointMetrics struct {
-	requests obs.Counter
-	dur      obs.Histogram
-}
-
-// gatewayMetrics owns the gateway's registry and every family it
-// feeds. A nil *gatewayMetrics (Options.DisableMetrics) turns every
-// record call into a nil check.
+// gatewayMetrics is the federation-specific share of the gateway's
+// /v1/metrics; the serving families (endpoints, admission, per-kind
+// query durations) are the core's, under the same smartgate_ prefix.
 type gatewayMetrics struct {
-	reg        *obs.Registry
-	endpoints  map[string]*endpointMetrics
 	backendDur map[string]*obs.Histogram
 
 	backendsVisited   obs.Counter
@@ -36,82 +20,45 @@ type gatewayMetrics struct {
 	duplicateIDs      obs.Counter
 	healthTransitions obs.Counter
 	failovers         obs.Counter
-	admissionWait     obs.Histogram
-	scrapes           obs.Counter
 }
 
-// newGatewayMetrics builds the registry and registers every
-// gateway-level family under the smartgate_ prefix — per-endpoint
-// request counters and latencies mirror the store's families so
-// dashboards can overlay the two layers.
-func newGatewayMetrics(g *Gateway, backendNames []string) *gatewayMetrics {
-	m := &gatewayMetrics{
-		reg:        obs.NewRegistry(),
-		endpoints:  make(map[string]*endpointMetrics, len(endpointNames)),
-		backendDur: make(map[string]*obs.Histogram, len(backendNames)),
-	}
-	for _, name := range endpointNames {
-		em := &endpointMetrics{}
-		m.endpoints[name] = em
-		m.reg.RegisterCounter("smartgate_http_requests_total",
-			obs.Labels("endpoint", name),
-			"HTTP requests received per endpoint (admitted or not).", &em.requests)
-		m.reg.RegisterHistogram("smartgate_http_request_duration_seconds",
-			obs.Labels("endpoint", name),
-			"Wall time of admitted requests per endpoint, admission wait included.",
-			obs.ScaleNanos, &em.dur)
-	}
+// newGatewayMetrics registers the federation families on the core's
+// registry.
+func newGatewayMetrics(reg *obs.Registry, backendNames []string) *gatewayMetrics {
+	m := &gatewayMetrics{backendDur: make(map[string]*obs.Histogram, len(backendNames))}
 	for _, name := range backendNames {
 		h := &obs.Histogram{}
 		m.backendDur[name] = h
-		m.reg.RegisterHistogram("smartgate_backend_query_duration_seconds",
+		reg.RegisterHistogram("smartgate_backend_query_duration_seconds",
 			obs.Labels("backend", name),
 			"Per-backend wall time of fanned-out query requests, retries included.",
 			obs.ScaleNanos, h)
 	}
-	m.reg.RegisterCounter("smartgate_backends_visited_total", "",
+	reg.RegisterCounter("smartgate_backends_visited_total", "",
 		"Backends a query fan-out was sent to.", &m.backendsVisited)
-	m.reg.RegisterCounter("smartgate_backends_pruned_total", "",
+	reg.RegisterCounter("smartgate_backends_pruned_total", "",
 		"Healthy backends skipped by placement-correlated routing.", &m.backendsPruned)
-	m.reg.RegisterCounter("smartgate_backends_down_total", "",
+	reg.RegisterCounter("smartgate_backends_down_total", "",
 		"Down backends skipped (or newly failed) during query fan-outs.", &m.backendsDown)
-	m.reg.RegisterCounter("smartgate_partial_responses_total", "",
+	reg.RegisterCounter("smartgate_partial_responses_total", "",
 		"Query responses flagged partial because a member was down or failed.", &m.partialResponses)
-	m.reg.RegisterCounter("smartgate_client_retries_total", "",
+	reg.RegisterCounter("smartgate_client_retries_total", "",
 		"Idempotent backend requests retried after a transient failure.", &m.clientRetries)
-	m.reg.RegisterCounter("smartgate_duplicate_ids_total", "",
+	reg.RegisterCounter("smartgate_duplicate_ids_total", "",
 		"Ids claimed by more than one backend in a union merge (overlapping id spaces).", &m.duplicateIDs)
-	m.reg.RegisterCounter("smartgate_health_transitions_total", "",
+	reg.RegisterCounter("smartgate_health_transitions_total", "",
 		"Backend up/down state flips (health probes and query-time failures).", &m.healthTransitions)
-	m.reg.RegisterCounter("smartgate_failovers_total", "",
+	reg.RegisterCounter("smartgate_failovers_total", "",
 		"Members failed over to their promoted follower.", &m.failovers)
-	m.reg.RegisterHistogram("smartgate_admission_wait_seconds", "",
-		"Time admitted requests spent waiting for a worker slot.",
-		obs.ScaleNanos, &m.admissionWait)
-	m.reg.RegisterCounterFunc("smartgate_requests_rejected_total", "",
-		"Requests shed by admission control (queue overflow or client gone).",
-		func() float64 { return float64(g.rejected.Load()) })
-	m.reg.RegisterGaugeFunc("smartgate_inflight_requests", "",
-		"Requests currently admitted or waiting for a worker slot.",
-		func() float64 { return float64(g.inflight.Load()) })
-	m.reg.RegisterGaugeFunc("smartgate_uptime_seconds", "",
-		"Seconds since the gateway started.",
-		func() float64 { return time.Since(g.start).Seconds() })
-	m.reg.RegisterCounter("smartgate_metrics_scrapes_total", "",
-		"Scrapes of /v1/metrics.", &m.scrapes)
-	m.reg.RegisterGaugeFunc("smartgate_build_info",
-		obs.Labels("go_version", g.build.GoVersion, "version", g.build.Version),
-		"Build information; the value is always 1.",
-		func() float64 { return 1 })
 	return m
 }
 
 // registerBackendGauges adds the per-backend up gauge and the healthy
 // count; called after bootstrap, once the backend slice is final.
-func (g *Gateway) registerBackendGauges() {
+func (g *Gateway) registerBackendGauges(reg *obs.Registry) {
 	for _, b := range g.backends {
 		b := b
-		g.metrics.reg.RegisterGaugeFunc("smartgate_backend_up",
+		reg.RegisterGaugeFunc("smartgate_backend_up",
 			obs.Labels("backend", b.name),
 			"Whether the backend currently passes health checks (1) or is skipped (0).",
 			func() float64 {
@@ -120,7 +67,7 @@ func (g *Gateway) registerBackendGauges() {
 				}
 				return 0
 			})
-		g.metrics.reg.RegisterGaugeFunc("smartgate_backend_failed_over",
+		reg.RegisterGaugeFunc("smartgate_backend_failed_over",
 			obs.Labels("backend", b.name),
 			"Whether the member is being served by its promoted follower (1) instead of its original leader (0).",
 			func() float64 {
@@ -130,37 +77,9 @@ func (g *Gateway) registerBackendGauges() {
 				return 0
 			})
 	}
-	g.metrics.reg.RegisterGaugeFunc("smartgate_backends_healthy", "",
+	reg.RegisterGaugeFunc("smartgate_backends_healthy", "",
 		"Backends currently passing health checks.",
 		func() float64 { return float64(len(g.healthy())) })
-}
-
-// observeEndpoint feeds one endpoint's request counter.
-func (m *gatewayMetrics) observeEndpoint(endpoint string) {
-	if m == nil {
-		return
-	}
-	if em := m.endpoints[endpoint]; em != nil {
-		em.requests.Inc()
-	}
-}
-
-// observeDuration feeds one endpoint's latency histogram.
-func (m *gatewayMetrics) observeDuration(endpoint string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	if em := m.endpoints[endpoint]; em != nil {
-		em.dur.Observe(uint64(d))
-	}
-}
-
-// observeAdmissionWait feeds the worker-slot wait histogram.
-func (m *gatewayMetrics) observeAdmissionWait(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.admissionWait.Observe(uint64(d))
 }
 
 // observeBackendQuery feeds one backend's fan-out latency histogram.
@@ -171,12 +90,4 @@ func (m *gatewayMetrics) observeBackendQuery(backend string, d time.Duration) {
 	if h := m.backendDur[backend]; h != nil {
 		h.Observe(uint64(d))
 	}
-}
-
-// handleMetrics serves GET /v1/metrics, bypassing admission control —
-// a scrape during overload is exactly when the numbers matter.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.metrics.scrapes.Inc()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.metrics.reg.WritePrometheus(w)
 }

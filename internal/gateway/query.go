@@ -2,20 +2,14 @@ package gateway
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	smartstore "repro"
-	"repro/internal/client"
 	"repro/internal/merge"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-// errAllDown is returned when no backend can serve a request; the
-// handler maps it to 503 so clients know to retry, not to a 500.
-var errAllDown = errors.New("gateway: no healthy backends")
 
 // backendAnswer is one backend's contribution to a fanned-out query.
 type backendAnswer struct {
@@ -25,24 +19,21 @@ type backendAnswer struct {
 	dur  time.Duration
 }
 
-// isClientError reports a 4xx reply — the query itself is at fault, so
-// the whole gateway request fails instead of degrading.
-func isClientError(err error) bool {
-	var se *client.StatusError
-	return errors.As(err, &se) && se.Code >= 400 && se.Code < 500
-}
-
-// execQuery runs one validated query across the federation: fan out to
-// the relevant healthy backends, merge exactly, degrade gracefully.
-// The returned backend traces are non-nil only when traced.
-func (g *Gateway) execQuery(ctx context.Context, q smartstore.Query, traced bool) (server.QueryResponse, []server.BackendTraceWire, error) {
+// Query runs one validated query across the federation: fan out to the
+// relevant healthy backends, merge exactly, degrade gracefully. On a
+// traced request the fan-out is the execute phase, every member is
+// asked for its own trace, and the answer carries one row per member.
+func (g *Gateway) Query(ctx context.Context, q smartstore.Query) (server.QueryResponse, error) {
+	tr := obs.TraceFrom(ctx)
+	traced := tr != nil
+	execStart := time.Now()
 	healthy := g.healthy()
 	down := len(g.backends) - len(healthy)
 	if g.metrics != nil && down > 0 {
 		g.metrics.backendsDown.Add(uint64(down))
 	}
 	if len(healthy) == 0 {
-		return server.QueryResponse{}, nil, errAllDown
+		return server.QueryResponse{}, errAllDown
 	}
 
 	// Off-line top-k routes to the backends whose placement centroids
@@ -96,7 +87,7 @@ func (g *Gateway) execQuery(ctx context.Context, q smartstore.Query, traced bool
 		case isClientError(a.err):
 			// The backend rejected the query itself — our forwarding or
 			// the client's query is malformed; degradation doesn't apply.
-			return server.QueryResponse{}, nil, a.err
+			return server.QueryResponse{}, rejected(a.err)
 		default:
 			// Transport failure or backend pressure after retries: treat
 			// the member as down for subsequent fan-outs and degrade.
@@ -108,7 +99,7 @@ func (g *Gateway) execQuery(ctx context.Context, q smartstore.Query, traced bool
 		}
 	}
 	if len(ok) == 0 {
-		return server.QueryResponse{}, nil, errAllDown
+		return server.QueryResponse{}, errAllDown
 	}
 
 	resp := g.mergeAnswers(q, ok)
@@ -117,11 +108,11 @@ func (g *Gateway) execQuery(ctx context.Context, q smartstore.Query, traced bool
 		g.metrics.partialResponses.Inc()
 	}
 
-	var traces []server.BackendTraceWire
+	tr.AddPhase("execute", time.Since(execStart))
 	if traced {
-		traces = make([]server.BackendTraceWire, 0, len(g.backends))
+		traces := make([]server.BackendTraceWire, 0, len(g.backends))
 		for _, a := range answers {
-			bt := server.BackendTraceWire{Backend: a.b.name, Ms: ms(a.dur), Down: a.err != nil && !isClientError(a.err)}
+			bt := server.BackendTraceWire{Backend: a.b.name, Ms: float64(a.dur) / float64(time.Millisecond), Down: a.err != nil && !isClientError(a.err)}
 			if a.resp != nil {
 				bt.Trace = a.resp.Trace
 			}
@@ -132,8 +123,9 @@ func (g *Gateway) execQuery(ctx context.Context, q smartstore.Query, traced bool
 				traces = append(traces, server.BackendTraceWire{Backend: b.name, Down: true})
 			}
 		}
+		resp.Trace = &server.TraceWire{Backends: traces}
 	}
-	return resp, traces, nil
+	return resp, nil
 }
 
 func containsBackend(answers []backendAnswer, b *backend) bool {
@@ -227,38 +219,13 @@ func (g *Gateway) mergeAnswers(q smartstore.Query, ok []backendAnswer) server.Qu
 	// and crossing into each additional contributing member adds a hop.
 	contributing := 0
 	for i, a := range ok {
-		r := a.resp.Report
 		if len(a.resp.IDs) > 0 {
 			contributing++
 		}
-		if i == 0 {
-			out.Report = r
-			continue
-		}
-		if r.LatencySec > out.Report.LatencySec {
-			out.Report.LatencySec = r.LatencySec
-		}
-		if r.VersionLatencySec > out.Report.VersionLatencySec {
-			out.Report.VersionLatencySec = r.VersionLatencySec
-		}
-		out.Report.Messages += r.Messages
-		out.Report.Hops += r.Hops
-		out.Report.UnitsSearched += r.UnitsSearched
-		out.Report.VersionChecked += r.VersionChecked
+		composeReport(&out.Report, a.resp.Report, i == 0)
 	}
 	if contributing > 1 {
 		out.Report.Hops += contributing - 1
 	}
 	return out
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// badRequestf is a gateway-side 400 with formatted message.
-type badRequestError struct{ msg string }
-
-func (e badRequestError) Error() string { return e.msg }
-
-func badRequestf(format string, args ...any) error {
-	return badRequestError{msg: fmt.Sprintf(format, args...)}
 }

@@ -1,14 +1,10 @@
 package server
 
 import (
-	"encoding/json"
-	"log"
 	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/version"
-	"repro/internal/wire"
 )
 
 // TraceHeader is the request header that asks for an inline per-phase
@@ -17,15 +13,6 @@ import (
 // per-shard execution, derived merge time and encode time of the
 // request.
 const TraceHeader = "X-Smartstore-Trace"
-
-// endpointNames fixes the label set of the per-endpoint families —
-// metrics exist from the first scrape with zero values, so dashboards
-// and the CI coherence checks never see series pop into existence.
-var endpointNames = []string{
-	"query", "point", "range", "topk",
-	"insert", "delete", "modify", "flush", "stats",
-	"repl_snapshot", "repl_wal", "repl_status", "repl_promote",
-}
 
 // queryKinds labels the per-kind query duration family. "batch" covers
 // a whole multi-query request.
@@ -37,114 +24,96 @@ type endpointMetrics struct {
 	dur      obs.Histogram
 }
 
-// serverMetrics owns the serving layer's registry and every family the
-// server itself feeds. A nil *serverMetrics (Options.DisableMetrics)
-// turns every record call into a nil check.
-type serverMetrics struct {
+// coreMetrics owns a front-end's registry and the families the Core
+// feeds, named under CoreConfig.Prefix. A nil *coreMetrics
+// (CoreConfig.DisableMetrics) turns every record call into a nil check.
+type coreMetrics struct {
 	reg           *obs.Registry
-	endpoints     map[string]*endpointMetrics
+	prefix        string
 	queryDur      map[string]*obs.Histogram
 	admissionWait obs.Histogram
 	scrapes       obs.Counter
 }
 
-// newServerMetrics builds the registry and registers the server-level
-// families; store-level families are added by store.Instrument.
-func newServerMetrics(s *Server) *serverMetrics {
-	m := &serverMetrics{
-		reg:       obs.NewRegistry(),
-		endpoints: make(map[string]*endpointMetrics, len(endpointNames)),
-		queryDur:  make(map[string]*obs.Histogram, len(queryKinds)),
-	}
-	for _, name := range endpointNames {
-		em := &endpointMetrics{}
-		m.endpoints[name] = em
-		m.reg.RegisterCounter("smartstore_http_requests_total",
-			obs.Labels("endpoint", name),
-			"HTTP requests received per endpoint (admitted or not).", &em.requests)
-		m.reg.RegisterHistogram("smartstore_http_request_duration_seconds",
-			obs.Labels("endpoint", name),
-			"Wall time of admitted requests per endpoint, admission wait included.",
-			obs.ScaleNanos, &em.dur)
+// newCoreMetrics builds the registry and registers the serving-level
+// families; per-endpoint series are added as routes are (endpoint), so
+// each exists from the first scrape with a zero value and dashboards
+// never see series pop into existence.
+func newCoreMetrics(c *Core) *coreMetrics {
+	m := &coreMetrics{
+		reg:      obs.NewRegistry(),
+		prefix:   c.cfg.Prefix,
+		queryDur: make(map[string]*obs.Histogram, len(queryKinds)),
 	}
 	for _, kind := range queryKinds {
 		h := &obs.Histogram{}
 		m.queryDur[kind] = h
-		m.reg.RegisterHistogram("smartstore_query_duration_seconds",
+		m.reg.RegisterHistogram(m.prefix+"_query_duration_seconds",
 			obs.Labels("kind", kind),
-			"Query execution time by kind (cache included), regardless of which endpoint carried it.",
+			"Query execution time by kind (cache and fan-out included); \"batch\" is a whole multi-query request.",
 			obs.ScaleNanos, h)
 	}
-	m.reg.RegisterHistogram("smartstore_admission_wait_seconds", "",
+	m.reg.RegisterHistogram(m.prefix+"_admission_wait_seconds", "",
 		"Time admitted requests spent waiting for a worker slot.",
 		obs.ScaleNanos, &m.admissionWait)
-	m.reg.RegisterCounterFunc("smartstore_requests_rejected_total", "",
+	m.reg.RegisterCounterFunc(m.prefix+"_requests_rejected_total", "",
 		"Requests shed by admission control (queue overflow or client gone).",
-		func() float64 { return float64(s.rejected.Load()) })
-	m.reg.RegisterGaugeFunc("smartstore_inflight_requests", "",
+		func() float64 { return float64(c.rejected.Load()) })
+	m.reg.RegisterGaugeFunc(m.prefix+"_inflight_requests", "",
 		"Requests currently admitted or waiting for a worker slot.",
-		func() float64 { return float64(s.inflight.Load()) })
-	m.reg.RegisterGaugeFunc("smartstore_uptime_seconds", "",
-		"Seconds since the server started.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	m.reg.RegisterCounter("smartstore_metrics_scrapes_total", "",
+		func() float64 { return float64(c.inflight.Load()) })
+	m.reg.RegisterGaugeFunc(m.prefix+"_uptime_seconds", "",
+		"Seconds since the process started serving.",
+		func() float64 { return time.Since(c.start).Seconds() })
+	m.reg.RegisterCounter(m.prefix+"_metrics_scrapes_total", "",
 		"Scrapes of /v1/metrics.", &m.scrapes)
-	for _, c := range []struct {
-		name, help string
-		get        func(CacheStats) uint64
-	}{
-		{"smartstore_cache_hits_total", "Query-cache hits.", func(cs CacheStats) uint64 { return cs.Hits }},
-		{"smartstore_cache_misses_total", "Query-cache misses.", func(cs CacheStats) uint64 { return cs.Misses }},
-		{"smartstore_cache_evictions_total", "Query-cache LRU evictions.", func(cs CacheStats) uint64 { return cs.Evictions }},
-		{"smartstore_cache_invalidations_total", "Query-cache epoch invalidations.", func(cs CacheStats) uint64 { return cs.Invalidations }},
-	} {
-		get := c.get
-		m.reg.RegisterCounterFunc(c.name, "", c.help,
-			func() float64 { return float64(get(s.cache.stats())) })
-	}
-	b := version.Build()
-	m.reg.RegisterGaugeFunc("smartstore_build_info",
-		obs.Labels("go_version", b.GoVersion, "version", b.Version),
+	m.reg.RegisterGaugeFunc(m.prefix+"_build_info",
+		obs.Labels("go_version", c.build.GoVersion, "version", c.build.Version),
 		"Build information; the value is always 1.",
 		func() float64 { return 1 })
 	return m
 }
 
-// observeEndpoint feeds one endpoint's request counter.
-func (m *serverMetrics) observeEndpoint(endpoint string) {
+// endpoint registers one endpoint's request counter and latency
+// histogram.
+func (m *coreMetrics) endpoint(name string) *endpointMetrics {
 	if m == nil {
-		return
+		return nil
 	}
-	if em := m.endpoints[endpoint]; em != nil {
+	em := &endpointMetrics{}
+	m.reg.RegisterCounter(m.prefix+"_http_requests_total",
+		obs.Labels("endpoint", name),
+		"HTTP requests received per endpoint (admitted or not).", &em.requests)
+	m.reg.RegisterHistogram(m.prefix+"_http_request_duration_seconds",
+		obs.Labels("endpoint", name),
+		"Wall time of admitted requests per endpoint, admission wait included.",
+		obs.ScaleNanos, &em.dur)
+	return em
+}
+
+func (em *endpointMetrics) observeRequest() {
+	if em != nil {
 		em.requests.Inc()
 	}
 }
 
-// observeDuration feeds one endpoint's latency histogram.
-func (m *serverMetrics) observeDuration(endpoint string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	if em := m.endpoints[endpoint]; em != nil {
+func (em *endpointMetrics) observeDuration(d time.Duration) {
+	if em != nil {
 		em.dur.Observe(uint64(d))
 	}
 }
 
 // observeAdmissionWait feeds the worker-slot wait histogram.
-func (m *serverMetrics) observeAdmissionWait(d time.Duration) {
-	if m == nil {
-		return
+func (m *coreMetrics) observeAdmissionWait(d time.Duration) {
+	if m != nil {
+		m.admissionWait.Observe(uint64(d))
 	}
-	m.admissionWait.Observe(uint64(d))
 }
 
 // observeQuery feeds the per-kind query duration histogram.
-func (m *serverMetrics) observeQuery(kind string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	if h := m.queryDur[kind]; h != nil {
-		h.Observe(uint64(d))
+func (m *coreMetrics) observeQuery(kind string, d time.Duration) {
+	if m != nil {
+		m.queryDur[kind].Observe(uint64(d))
 	}
 }
 
@@ -152,93 +121,8 @@ func (m *serverMetrics) observeQuery(kind string, d time.Duration) {
 // deliberately: a scrape during overload is exactly when the metrics
 // matter, and exposition cost is bounded by the registered series, not
 // by request volume.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.scrapes.Inc()
+func (c *Core) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	c.metrics.scrapes.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.reg.WritePrometheus(w)
+	c.metrics.reg.WritePrometheus(w)
 }
-
-// logSlow emits the -slow-query log line for an over-threshold request.
-func (s *Server) logSlow(endpoint string, total time.Duration, tr *obs.QueryTrace) {
-	log.Printf("smartstored: slow %s request: total=%s %s", endpoint, total, tr)
-}
-
-// writeQueryResponse writes a single-query response in whichever codec
-// the request's Accept header negotiated, attaching the inline trace
-// when the request carried the trace header.
-//
-// On the JSON path the encode phase is measured by marshalling the
-// response once before the real write — traced requests pay for a
-// second marshal; untraced ones take the plain path. On the binary
-// path the bulk of the encode (header + id/record chunks) streams
-// first and is timed for real; the trace rides in the trailer frame,
-// which is built after the phase is stamped, so no double encode.
-func (s *Server) writeQueryResponse(w http.ResponseWriter, r *http.Request, resp QueryResponse) {
-	tr := obs.TraceFrom(r.Context())
-	traced := tr != nil && r.Header.Get(TraceHeader) != ""
-	if wire.Accepts(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", wire.ContentType)
-		w.WriteHeader(http.StatusOK)
-		enc := wire.NewResponseEncoder(w)
-		encStart := time.Now()
-		enc.WriteHeader(resp.Kind)
-		enc.WriteIDs(resp.IDs, resp.Dists)
-		enc.WriteRecords(resp.Records)
-		if traced {
-			tr.AddPhase("encode", time.Since(encStart))
-			resp.Trace = traceWire(tr)
-		}
-		// Like writeJSON, a mid-stream write error only means the
-		// client went away; the status is already committed.
-		enc.WriteTrailer(&resp)
-		return
-	}
-	if traced {
-		encStart := time.Now()
-		if _, err := json.Marshal(resp); err == nil {
-			tr.AddPhase("encode", time.Since(encStart))
-		}
-		resp.Trace = traceWire(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// traceWire shapes a QueryTrace for the wire: phases in recording
-// order with a derived "merge" phase inserted after "execute" (execute
-// wall time minus the slowest non-pruned shard — the fan-out's
-// collect-and-merge overhead), and the per-shard breakdown alongside.
-func traceWire(tr *obs.QueryTrace) *TraceWire {
-	phases := tr.Phases()
-	shards := tr.Shards()
-	total := time.Since(tr.Start)
-	for _, p := range phases {
-		// Start is stamped after admission, so the wait phase is added
-		// back in for the true request total.
-		if p.Name == "admission_wait" {
-			total += p.Dur
-		}
-	}
-	var slowest time.Duration
-	for _, sh := range shards {
-		if !sh.Pruned && sh.Dur > slowest {
-			slowest = sh.Dur
-		}
-	}
-	out := &TraceWire{TotalMs: ms(total)}
-	for _, p := range phases {
-		out.Phases = append(out.Phases, PhaseWire{Name: p.Name, Ms: ms(p.Dur)})
-		if p.Name == "execute" && len(shards) > 0 {
-			merge := p.Dur - slowest
-			if merge < 0 {
-				merge = 0
-			}
-			out.Phases = append(out.Phases, PhaseWire{Name: "merge", Ms: ms(merge)})
-		}
-	}
-	for _, sh := range shards {
-		out.Shards = append(out.Shards, ShardWire{Shard: sh.Shard, Ms: ms(sh.Dur), Pruned: sh.Pruned})
-	}
-	return out
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -79,21 +79,21 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	var tr QueryResponse
-	postJSON(t, ts.URL+"/v1/query/topk",
-		TopKRequest{Attrs: defaultNames(), Point: []float64{0, 0, 0}, K: 5}, &tr)
+	postQuery(t, ts.URL,
+		WireQuery{Kind: "topk", Attrs: defaultNames(), Point: []float64{0, 0, 0}, K: 5}, &tr)
 
 	fams := scrape(t, ts.URL)
 
-	if got := metricValue(t, fams, "smartstore_http_requests_total", "endpoint", "query"); got != 3 {
-		t.Fatalf("query endpoint counter = %v, want 3", got)
+	if got := metricValue(t, fams, "smartstore_http_requests_total", "endpoint", "query"); got != 4 {
+		t.Fatalf("query endpoint counter = %v, want 4", got)
 	}
-	if got := metricValue(t, fams, "smartstore_http_requests_total", "endpoint", "topk"); got != 1 {
-		t.Fatalf("topk endpoint counter = %v, want 1", got)
-	}
-	// Point queries ran three times; the per-kind histogram count must
-	// agree regardless of the carrying endpoint.
+	// One endpoint carries every kind; the per-kind histogram counts
+	// tell them apart.
 	if got := metricValue(t, fams, "smartstore_query_duration_seconds_count", "kind", "point"); got != 3 {
 		t.Fatalf("point kind count = %v, want 3", got)
+	}
+	if got := metricValue(t, fams, "smartstore_query_duration_seconds_count", "kind", "topk"); got != 1 {
+		t.Fatalf("topk kind count = %v, want 1", got)
 	}
 	// The fan-out visited or pruned shards for each executed query.
 	visited := metricValue(t, fams, "smartstore_shards_visited_total")

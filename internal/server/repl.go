@@ -50,8 +50,10 @@ type ReplStatusWire struct {
 	ShardEpochs []uint64 `json:"shard_epochs"`
 }
 
-// errReadOnly rejects mutations on a following store.
-var errReadOnly = errors.New("store is read-only (following a leader; promote it first)")
+// errReadOnly rejects mutations on a following store: 503, retryable
+// against this address once it is promoted.
+var errReadOnly = WithStatus(http.StatusServiceUnavailable,
+	errors.New("store is read-only (following a leader; promote it first)"))
 
 // writable screens a mutation handler on a read-only store.
 func (s *Server) writable() error {
@@ -81,18 +83,18 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) erro
 // GET /v1/repl/wal?shard=N&after=E, answered in the wal ship framing.
 func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) error {
 	if !s.store.Durable() {
-		return badRequest("replication needs a durable leader (-data-dir)")
+		return BadRequest("replication needs a durable leader (-data-dir)")
 	}
 	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
-		return badRequest("repl/wal: bad shard: %v", err)
+		return BadRequest("repl/wal: bad shard: %v", err)
 	}
 	if shard < 0 || shard >= s.store.Shards() {
-		return badRequest("repl/wal: shard %d of %d", shard, s.store.Shards())
+		return BadRequest("repl/wal: shard %d of %d", shard, s.store.Shards())
 	}
 	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
 	if err != nil {
-		return badRequest("repl/wal: bad after: %v", err)
+		return BadRequest("repl/wal: bad after: %v", err)
 	}
 	resp, err := s.store.ReplTail(shard, after, replMaxShipBytes)
 	if err != nil {
@@ -122,8 +124,7 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) error 
 // 409 — there is nothing to promote.
 func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) error {
 	if s.opts.Repl == nil {
-		writeError(w, http.StatusConflict, errors.New("not a follower"))
-		return nil
+		return WithStatus(http.StatusConflict, errors.New("not a follower"))
 	}
 	if err := s.opts.Repl.Promote(); err != nil {
 		return err

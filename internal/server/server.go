@@ -3,6 +3,12 @@
 // point/range/top-k query paths and the insert/delete/modify update
 // paths over the wire, in front of the thread-safe Store.
 //
+// The HTTP side of that — routes, admission, decoding and content
+// negotiation, tracing, the error→status table, the serving metric
+// families — is the Core (core.go), which serves any Backend; this
+// package's Server is the Backend over a local Store, and
+// internal/gateway's is the one that fans out to other daemons.
+//
 // Three mechanisms turn the library into a service:
 //
 //   - the Store's sharded engine (per-shard locking, parallel query
@@ -12,30 +18,24 @@
 //     invalidated wholesale on any composed-epoch change, so the common
 //     read-heavy metadata workload short-circuits repeated complex
 //     queries regardless of which shard a mutation landed on;
-//   - bounded worker-pool admission: at most Workers requests execute
-//     concurrently and at most MaxQueue more wait; beyond that the
-//     server sheds load with 503 instead of collapsing under it.
+//   - bounded worker-pool admission (in the Core): at most Workers
+//     requests execute concurrently and at most MaxQueue more wait;
+//     beyond that the server sheds load with 503 instead of collapsing
+//     under it.
 //
 // See DESIGN.md §5 for the endpoint reference with curl examples.
 package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	smartstore "repro"
 	"repro/internal/metadata"
 	"repro/internal/obs"
-	"repro/internal/version"
-	"repro/internal/wire"
 )
 
 // Options parameterizes a Server. The zero value selects defaults.
@@ -78,34 +78,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server serves a Store over HTTP. It implements http.Handler.
+// Server serves a Store over HTTP: the shared Core in front of the
+// store-plus-cache Backend. It implements http.Handler.
 type Server struct {
+	*Core
 	store *smartstore.Store
 	opts  Options
 	cache *queryCache
-	mux   *http.ServeMux
-	start time.Time
-
-	sem chan struct{}
-	// inflight counts admitted-or-waiting requests; bounded by
-	// Workers+MaxQueue so at most MaxQueue wait while Workers execute.
-	inflight atomic.Int64
-
-	requests atomic.Uint64
-	rejected atomic.Uint64
-
-	// insMu makes id allocation atomic with batch commit: without it,
-	// an auto-allocated id could collide with a concurrent explicit-id
-	// batch that commits first, failing the auto-id client's insert.
-	// Inserts serialize on the store's write lock anyway, so this
-	// costs no concurrency. nextID is only touched under insMu.
-	insMu  sync.Mutex
-	nextID uint64
-
-	// metrics is the serving layer's registry and hot-path sinks
-	// (metrics.go); nil when Options.DisableMetrics is set.
-	metrics *serverMetrics
-	build   version.BuildInfo
+	// ids is held across the batch commit (IDAllocator); inserts
+	// serialize on the store's write lock anyway, so that costs no
+	// concurrency.
+	ids *IDAllocator
 
 	// readOnly rejects mutations while the store follows a leader;
 	// promotion clears it (repl.go).
@@ -116,171 +99,48 @@ type Server struct {
 // allocated above the store's current maximum.
 func New(store *smartstore.Store, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{
-		store: store,
-		opts:  opts,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		sem:   make(chan struct{}, opts.Workers),
-	}
+	s := &Server{store: store, opts: opts, ids: NewIDAllocator(store.MaxFileID())}
 	if opts.CacheEntries > 0 {
 		s.cache = newQueryCache(opts.CacheEntries)
 	}
-	s.nextID = store.MaxFileID()
-	s.build = version.Build()
-	if !opts.DisableMetrics {
-		s.metrics = newServerMetrics(s)
-		store.Instrument(s.metrics.reg)
-		s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	}
-
-	s.mux.HandleFunc("POST /v1/query", s.admitted("query", s.handleQuery))
-	s.mux.HandleFunc("POST /v1/query/point", s.admitted("point", s.handlePoint))
-	s.mux.HandleFunc("POST /v1/query/range", s.admitted("range", s.handleRange))
-	s.mux.HandleFunc("POST /v1/query/topk", s.admitted("topk", s.handleTopK))
-	s.mux.HandleFunc("POST /v1/insert", s.admitted("insert", s.handleInsert))
-	s.mux.HandleFunc("POST /v1/delete", s.admitted("delete", s.handleDelete))
-	s.mux.HandleFunc("POST /v1/modify", s.admitted("modify", s.handleModify))
-	s.mux.HandleFunc("POST /v1/flush", s.admitted("flush", s.handleFlush))
-	s.mux.HandleFunc("GET /v1/stats", s.admitted("stats", s.handleStats))
-	s.mux.HandleFunc("GET /v1/repl/snapshot", s.admitted("repl_snapshot", s.handleReplSnapshot))
-	s.mux.HandleFunc("GET /v1/repl/wal", s.admitted("repl_wal", s.handleReplWAL))
-	s.mux.HandleFunc("GET /v1/repl/status", s.admitted("repl_status", s.handleReplStatus))
-	s.mux.HandleFunc("POST /v1/repl/promote", s.admitted("repl_promote", s.handleReplPromote))
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
 	s.readOnly.Store(opts.ReadOnly)
+	s.Core = NewCore(s, CoreConfig{
+		Prefix:         "smartstore",
+		Workers:        opts.Workers,
+		MaxQueue:       opts.MaxQueue,
+		DisableMetrics: opts.DisableMetrics,
+		SlowQuery:      opts.SlowQuery,
+	})
+	if reg := s.Registry(); reg != nil {
+		s.registerCacheMetrics(reg)
+		store.Instrument(reg)
+	}
+	s.Handle("GET /v1/repl/snapshot", "repl_snapshot", s.handleReplSnapshot)
+	s.Handle("GET /v1/repl/wal", "repl_wal", s.handleReplWAL)
+	s.Handle("GET /v1/repl/status", "repl_status", s.handleReplStatus)
+	s.Handle("POST /v1/repl/promote", "repl_promote", s.handleReplPromote)
 	return s
 }
 
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// errBusy is returned by admission when the wait queue is full.
-var errBusy = errors.New("server at capacity")
-
-// admit blocks until a worker slot frees, the request is cancelled, or
-// the wait queue overflows. On success the caller must invoke release.
-func (s *Server) admit(r *http.Request) (release func(), err error) {
-	if s.inflight.Add(1) > int64(s.opts.Workers+s.opts.MaxQueue) {
-		s.inflight.Add(-1)
-		return nil, errBusy
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem; s.inflight.Add(-1) }, nil
-	case <-r.Context().Done():
-		s.inflight.Add(-1)
-		return nil, r.Context().Err()
+// registerCacheMetrics exposes the query cache's counters.
+func (s *Server) registerCacheMetrics(reg *obs.Registry) {
+	for _, c := range []struct {
+		name, help string
+		get        func(CacheStats) uint64
+	}{
+		{"smartstore_cache_hits_total", "Query-cache hits.", func(cs CacheStats) uint64 { return cs.Hits }},
+		{"smartstore_cache_misses_total", "Query-cache misses.", func(cs CacheStats) uint64 { return cs.Misses }},
+		{"smartstore_cache_evictions_total", "Query-cache LRU evictions.", func(cs CacheStats) uint64 { return cs.Evictions }},
+		{"smartstore_cache_invalidations_total", "Query-cache epoch invalidations.", func(cs CacheStats) uint64 { return cs.Invalidations }},
+	} {
+		get := c.get
+		reg.RegisterCounterFunc(c.name, "", c.help,
+			func() float64 { return float64(get(s.cache.stats())) })
 	}
 }
 
-// admitted wraps a handler with admission control, request accounting,
-// instrumentation (per-endpoint counters and latency, admission wait,
-// trace capture, slow-query logging) and error mapping.
-func (s *Server) admitted(endpoint string, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		s.metrics.observeEndpoint(endpoint)
-		start := time.Now()
-		release, err := s.admit(r)
-		if err != nil {
-			s.rejected.Add(1)
-			if errors.Is(err, errBusy) {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, err)
-			} else {
-				// Client went away while queued.
-				writeError(w, 499, err)
-			}
-			return
-		}
-		wait := time.Since(start)
-		s.metrics.observeAdmissionWait(wait)
-		var tr *obs.QueryTrace
-		if s.opts.SlowQuery > 0 || r.Header.Get(TraceHeader) != "" {
-			var ctx context.Context
-			ctx, tr = obs.WithTrace(r.Context())
-			tr.AddPhase("admission_wait", wait)
-			r = r.WithContext(ctx)
-		}
-		defer func() {
-			release()
-			total := time.Since(start)
-			s.metrics.observeDuration(endpoint, total)
-			if s.opts.SlowQuery > 0 && total >= s.opts.SlowQuery {
-				s.logSlow(endpoint, total, tr)
-			}
-		}()
-		if err := h(w, r); err != nil {
-			var bad badRequestError
-			switch {
-			case errors.As(err, &bad):
-				writeError(w, http.StatusBadRequest, err)
-			case errors.Is(err, errReadOnly):
-				// A follower rejecting a mutation: retryable against
-				// this address once it is promoted.
-				writeError(w, http.StatusServiceUnavailable, err)
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				// Client went away mid-query.
-				writeError(w, 499, err)
-			default:
-				writeError(w, http.StatusInternalServerError, err)
-			}
-		}
-	}
-}
-
-// badRequestError marks client errors (malformed body, unknown attrs).
-type badRequestError struct{ err error }
-
-func (e badRequestError) Error() string { return e.err.Error() }
-func (e badRequestError) Unwrap() error { return e.err }
-
-func badRequest(format string, args ...any) error {
-	return badRequestError{fmt.Errorf(format, args...)}
-}
-
-// maxBodyBytes bounds request bodies (batch inserts dominate sizing).
-const maxBodyBytes = 16 << 20
-
-func decode(r *http.Request, into any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err := dec.Decode(into); err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	return nil
-}
-
-// decodeQueryRequest decodes a /v1/query body in whichever codec the
-// request's Content-Type names: the binary frame format when it is
-// wire.ContentType, JSON otherwise. Malformed frames — bad CRC, short
-// payload, trailing bytes — answer 400 exactly like malformed JSON.
-func decodeQueryRequest(r *http.Request, req *QueryRequest) error {
-	if !wire.IsBinary(r.Header.Get("Content-Type")) {
-		return decode(r, req)
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return badRequest("reading request: %v", err)
-	}
-	decoded, err := wire.DecodeRequest(body)
-	if err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	*req = *decoded
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
+// Healthy: a local store that is up is healthy.
+func (s *Server) Healthy() bool { return true }
 
 // resolveMode replaces ModeDefault with the store's configured path so
 // cache keys treat "default" and an explicit option equal to it as the
@@ -295,12 +155,12 @@ func (s *Server) resolveMode(m smartstore.QueryMode) smartstore.QueryMode {
 	return smartstore.ModeOffline
 }
 
-// execQuery runs one validated query through the cache, which keys
+// Query runs one validated query through the cache, which keys
 // invalidation on the epochs of exactly the shards the query targets.
 // The epoch vector is observed before executing so a mutation landing
 // mid-query can only invalidate early, never leave a stale entry
 // behind.
-func (s *Server) execQuery(ctx context.Context, q smartstore.Query) (QueryResponse, error) {
+func (s *Server) Query(ctx context.Context, q smartstore.Query) (QueryResponse, error) {
 	if s.cache == nil {
 		resp, _, err := s.runQuery(ctx, q)
 		return resp, err
@@ -349,9 +209,6 @@ func (s *Server) runQuery(ctx context.Context, q smartstore.Query) (QueryRespons
 		tr.AddPhase("execute", time.Since(execStart))
 	}
 	if err != nil {
-		if errors.Is(err, smartstore.ErrInvalidQuery) {
-			return QueryResponse{}, nil, badRequestError{err}
-		}
 		return QueryResponse{}, nil, err
 	}
 	resp := QueryResponse{
@@ -371,253 +228,83 @@ func (s *Server) runQuery(ctx context.Context, q smartstore.Query) (QueryRespons
 	return resp, res.Shards, nil
 }
 
-// maxBatchQueries bounds one /v1/query batch; beyond it the request is
-// rejected outright rather than fanned out.
-const maxBatchQueries = 256
-
-// handleQuery serves the unified POST /v1/query endpoint: one query
-// inline, or a batch under "queries". The whole request — batch
-// included — runs under the single admission ticket the admitted
-// wrapper already granted; batch members execute concurrently.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	tr := obs.TraceFrom(r.Context())
-	decodeStart := time.Now()
-	var req QueryRequest
-	if err := decodeQueryRequest(r, &req); err != nil {
-		return err
-	}
-	if tr != nil {
-		tr.AddPhase("decode", time.Since(decodeStart))
-	}
-	if len(req.Queries) == 0 {
-		q, err := req.WireQuery.Query()
-		if err != nil {
-			return badRequestError{err}
-		}
-		kindStart := time.Now()
-		resp, err := s.execQuery(r.Context(), q)
-		if err != nil {
-			return err
-		}
-		s.metrics.observeQuery(q.Kind.String(), time.Since(kindStart))
-		s.writeQueryResponse(w, r, resp)
-		return nil
-	}
-
-	if len(req.Queries) > maxBatchQueries {
-		return badRequest("batch of %d queries exceeds the %d limit", len(req.Queries), maxBatchQueries)
-	}
-	// Validate every member before running any: a malformed batch is
-	// rejected wholesale, like a malformed single query.
-	queries := make([]smartstore.Query, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := wq.Query()
-		if err != nil {
-			return badRequest("queries[%d]: %v", i, err)
-		}
-		queries[i] = q
-	}
-	results := make([]QueryResponse, len(queries))
-	batchStart := time.Now()
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q smartstore.Query) {
-			defer wg.Done()
-			resp, err := s.execQuery(r.Context(), q)
-			if err != nil {
-				resp = QueryResponse{Kind: q.Kind.String(), Error: err.Error()}
-			}
-			results[i] = resp
-		}(i, q)
-	}
-	wg.Wait()
-	s.metrics.observeQuery("batch", time.Since(batchStart))
-	writeBatchResponse(w, r, BatchQueryResponse{Results: results})
-	return nil
-}
-
-// writeBatchResponse writes a batch answer in whichever codec the
-// request's Accept header negotiated.
-func writeBatchResponse(w http.ResponseWriter, r *http.Request, batch BatchQueryResponse) {
-	if !wire.Accepts(r.Header.Get("Accept")) {
-		writeJSON(w, http.StatusOK, batch)
-		return
-	}
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	// Like writeJSON, a mid-stream write error only means the client
-	// went away; the status is already committed.
-	wire.EncodeBatchResponse(w, &batch)
-}
-
-// The legacy one-endpoint-per-kind routes remain as shims over the
-// unified path: same validation, same cache, ids-only responses.
-
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) error {
-	var req PointRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	return s.serveShim(w, r, WireQuery{Kind: "point", Path: req.Path})
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
-	var req RangeRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	return s.serveShim(w, r, WireQuery{Kind: "range", Attrs: req.Attrs, Lo: req.Lo, Hi: req.Hi})
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) error {
-	var req TopKRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	return s.serveShim(w, r, WireQuery{Kind: "topk", Attrs: req.Attrs, Point: req.Point, K: req.K})
-}
-
-// serveShim funnels a legacy request through the unified execution
-// path.
-func (s *Server) serveShim(w http.ResponseWriter, r *http.Request, wq WireQuery) error {
-	q, err := wq.Query()
-	if err != nil {
-		return badRequestError{err}
-	}
-	kindStart := time.Now()
-	resp, err := s.execQuery(r.Context(), q)
-	if err != nil {
-		return err
-	}
-	s.metrics.observeQuery(q.Kind.String(), time.Since(kindStart))
-	s.writeQueryResponse(w, r, resp)
-	return nil
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) Insert(_ context.Context, recs []FileRecord) (InsertResponse, error) {
 	if err := s.writable(); err != nil {
-		return err
+		return InsertResponse{}, err
 	}
-	var req InsertRequest
-	if err := decode(r, &req); err != nil {
-		return err
+	s.ids.Lock()
+	defer s.ids.Unlock()
+	files, err := s.ids.Assign(recs)
+	if err != nil {
+		return InsertResponse{}, err
 	}
-	if len(req.Files) == 0 {
-		return badRequest("insert: empty batch")
+	// A batch the engine refuses (duplicate id) is the client's fault and
+	// a WAL failure the server's; the status table tells them apart.
+	rep, err := s.store.InsertBatch(files)
+	if err != nil {
+		return InsertResponse{}, fmt.Errorf("insert: %w", err)
 	}
-	files := make([]*smartstore.File, len(req.Files))
-	ids := make([]uint64, len(req.Files))
-	s.insMu.Lock()
-	for i, rec := range req.Files {
-		f, err := rec.File()
-		if err != nil {
-			s.insMu.Unlock()
-			return badRequest("insert[%d]: %v", i, err)
-		}
-		if f.ID == 0 {
-			s.nextID++
-			f.ID = s.nextID
-		} else if f.ID > s.nextID {
-			// Keep the allocator above explicit ids so later
-			// auto-assigned ones cannot collide with them.
-			s.nextID = f.ID
-		}
-		files[i] = f
+	ids := make([]uint64, len(files))
+	for i, f := range files {
 		ids[i] = f.ID
 	}
-	rep, err := s.store.InsertBatch(files)
-	s.insMu.Unlock()
-	if err != nil {
-		return badRequest("insert: %v", err)
-	}
-	writeJSON(w, http.StatusOK, InsertResponse{
+	return InsertResponse{
 		Inserted: len(files),
 		IDs:      ids,
 		Epoch:    s.store.Epoch(),
 		Report:   wireReport(rep),
-	})
-	return nil
+	}, nil
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) Delete(_ context.Context, id uint64) (MutateResponse, error) {
 	if err := s.writable(); err != nil {
-		return err
+		return MutateResponse{}, err
 	}
-	var req DeleteRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if req.ID == 0 {
-		return badRequest("delete: missing id")
-	}
-	rep, found, err := s.store.Delete(req.ID)
+	rep, found, err := s.store.Delete(id)
 	if err != nil {
 		// A WAL append failure: the delete was rejected before applying
 		// — surface it as a server-side error, not a quiet not-found.
-		return err
+		return MutateResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, MutateResponse{
-		Found:  found,
-		Epoch:  s.store.Epoch(),
-		Report: wireReport(rep),
-	})
-	return nil
+	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: wireReport(rep)}, nil
 }
 
-func (s *Server) handleModify(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) Modify(_ context.Context, rec FileRecord) (MutateResponse, error) {
 	if err := s.writable(); err != nil {
-		return err
-	}
-	var req ModifyRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	if req.File.ID == 0 {
-		return badRequest("modify: missing id")
+		return MutateResponse{}, err
 	}
 	// Merge semantics: attributes not named in the request keep their
 	// stored values — a partial attrs map must not zero the rest of
 	// the vector (Store.Modify replaces it wholesale).
-	existing, ok := s.store.FileByID(req.File.ID)
+	existing, ok := s.store.FileByID(rec.ID)
 	if !ok {
-		writeJSON(w, http.StatusOK, MutateResponse{
-			Found: false,
-			Epoch: s.store.Epoch(),
-		})
-		return nil
+		return MutateResponse{Epoch: s.store.Epoch()}, nil
 	}
-	for name, v := range req.File.Attrs {
+	for name, v := range rec.Attrs {
 		a, err := metadata.ParseAttr(name)
 		if err != nil {
-			return badRequest("modify: %v", err)
+			return MutateResponse{}, BadRequest("modify: %v", err)
 		}
 		existing.Attrs[a] = v
 	}
 	rep, found, err := s.store.Modify(&existing)
 	if err != nil {
-		return err
+		return MutateResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, MutateResponse{
-		Found:  found,
-		Epoch:  s.store.Epoch(),
-		Report: wireReport(rep),
-	})
-	return nil
+	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: wireReport(rep)}, nil
 }
 
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) Flush(context.Context) (FlushResponse, error) {
 	if err := s.writable(); err != nil {
-		return err
+		return FlushResponse{}, err
 	}
 	if err := s.store.Flush(); err != nil {
-		return err
+		return FlushResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, FlushResponse{Epoch: s.store.Epoch()})
-	return nil
+	return FlushResponse{Epoch: s.store.Epoch()}, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) Stats(context.Context) (StatsResponse, error) {
 	st := s.store.Stats()
 	perShard := make([]ShardStats, len(st.PerShard))
 	for i, p := range st.PerShard {
@@ -645,20 +332,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	placement := s.store.Placement()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	return StatsResponse{
 		Placement: &PlacementWire{
 			Attrs:     AttrNames(placement.Attrs),
 			Centroid:  placement.Centroid,
 			Lo:        placement.Lo,
 			Hi:        placement.Hi,
 			MaxFileID: s.store.MaxFileID(),
-		},
-		Build: BuildWire{
-			GoVersion: s.build.GoVersion,
-			Module:    s.build.Module,
-			Version:   s.build.Version,
-			Revision:  s.build.Revision,
-			Dirty:     s.build.Dirty,
 		},
 		WAL: walStats,
 		Store: StoreStats{
@@ -673,14 +353,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 			Shards:            st.Shards,
 			PerShard:          perShard,
 		},
-		Server: ServerStats{
-			UptimeSec: time.Since(s.start).Seconds(),
-			Requests:  s.requests.Load(),
-			Rejected:  s.rejected.Load(),
-			Workers:   s.opts.Workers,
-			MaxQueue:  s.opts.MaxQueue,
-			Cache:     s.cache.stats(),
-		},
-	})
-	return nil
+		Server: ServerStats{Cache: s.cache.stats()},
+	}, nil
 }

@@ -56,6 +56,12 @@ func postJSON(t *testing.T, url string, in, out any) int {
 	return resp.StatusCode
 }
 
+// postQuery posts one query to the unified endpoint.
+func postQuery(t *testing.T, base string, wq WireQuery, out any) int {
+	t.Helper()
+	return postJSON(t, base+"/v1/query", QueryRequest{WireQuery: wq}, out)
+}
+
 func defaultNames() []string {
 	return []string{"mtime", "read_bytes", "write_bytes"}
 }
@@ -64,7 +70,7 @@ func TestPointEndpoint(t *testing.T) {
 	ts, _, set := newTestServer(t, Options{})
 	want := set.Files[7]
 	var resp QueryResponse
-	if code := postJSON(t, ts.URL+"/v1/query/point", PointRequest{Path: want.Path}, &resp); code != 200 {
+	if code := postQuery(t, ts.URL, WireQuery{Kind: "point", Path: want.Path}, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	found := false
@@ -88,8 +94,8 @@ func TestRangeEndpointMatchesDirectQuery(t *testing.T) {
 	hi := []float64{1e9, 1e12}
 
 	var resp QueryResponse
-	if code := postJSON(t, ts.URL+"/v1/query/range",
-		RangeRequest{Attrs: []string{"mtime", "read_bytes"}, Lo: lo, Hi: hi}, &resp); code != 200 {
+	if code := postQuery(t, ts.URL,
+		WireQuery{Kind: "range", Attrs: []string{"mtime", "read_bytes"}, Lo: lo, Hi: hi}, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	direct, _ := store.RangeQuery(attrs, lo, hi)
@@ -104,7 +110,8 @@ func TestRangeEndpointMatchesDirectQuery(t *testing.T) {
 func TestTopKEndpoint(t *testing.T) {
 	ts, _, set := newTestServer(t, Options{})
 	anchor := set.Files[11]
-	req := TopKRequest{
+	req := WireQuery{
+		Kind:  "topk",
 		Attrs: defaultNames(),
 		Point: []float64{
 			anchor.Attrs[metadata.AttrMTime],
@@ -114,7 +121,7 @@ func TestTopKEndpoint(t *testing.T) {
 		K: 8,
 	}
 	var resp QueryResponse
-	if code := postJSON(t, ts.URL+"/v1/query/topk", req, &resp); code != 200 {
+	if code := postQuery(t, ts.URL, req, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(resp.IDs) != 8 {
@@ -170,7 +177,7 @@ func TestInsertDeleteModifyRoundTrip(t *testing.T) {
 		t.Fatalf("flush status %d", code)
 	}
 	var pt QueryResponse
-	if code := postJSON(t, ts.URL+"/v1/query/point", PointRequest{Path: "/served/auto.dat"}, &pt); code != 200 {
+	if code := postQuery(t, ts.URL, WireQuery{Kind: "point", Path: "/served/auto.dat"}, &pt); code != 200 {
 		t.Fatalf("point status %d", code)
 	}
 	if len(pt.IDs) != 1 || pt.IDs[0] != ins.IDs[0] {
@@ -217,15 +224,15 @@ func TestInsertDeleteModifyRoundTrip(t *testing.T) {
 
 func TestCacheHitAndInvalidation(t *testing.T) {
 	ts, _, set := newTestServer(t, Options{CacheEntries: 64})
-	req := RangeRequest{Attrs: defaultNames(),
+	req := WireQuery{Kind: "range", Attrs: defaultNames(),
 		Lo: []float64{0, 0, 0}, Hi: []float64{1e9, 1e12, 1e12}}
 
 	var first, second, third QueryResponse
-	postJSON(t, ts.URL+"/v1/query/range", req, &first)
+	postQuery(t, ts.URL, req, &first)
 	if first.Cached {
 		t.Fatal("first execution reported cached")
 	}
-	postJSON(t, ts.URL+"/v1/query/range", req, &second)
+	postQuery(t, ts.URL, req, &second)
 	if !second.Cached {
 		t.Fatal("repeat query not served from cache")
 	}
@@ -240,7 +247,7 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 	var ins InsertResponse
 	postJSON(t, ts.URL+"/v1/insert", InsertRequest{Files: []FileRecord{rec}}, &ins)
 
-	postJSON(t, ts.URL+"/v1/query/range", req, &third)
+	postQuery(t, ts.URL, req, &third)
 	if third.Cached {
 		t.Fatal("query after mutation still served from cache")
 	}
@@ -335,13 +342,13 @@ func TestBadRequests(t *testing.T) {
 		path string
 		body any
 	}{
-		{"unknown attr", "/v1/query/range",
-			RangeRequest{Attrs: []string{"nonsense"}, Lo: []float64{0}, Hi: []float64{1}}},
-		{"dim mismatch", "/v1/query/range",
-			RangeRequest{Attrs: []string{"mtime"}, Lo: []float64{0, 1}, Hi: []float64{1}}},
-		{"bad k", "/v1/query/topk",
-			TopKRequest{Attrs: []string{"mtime"}, Point: []float64{0}, K: 0}},
-		{"empty point", "/v1/query/point", PointRequest{}},
+		{"unknown attr", "/v1/query",
+			WireQuery{Kind: "range", Attrs: []string{"nonsense"}, Lo: []float64{0}, Hi: []float64{1}}},
+		{"dim mismatch", "/v1/query",
+			WireQuery{Kind: "range", Attrs: []string{"mtime"}, Lo: []float64{0, 1}, Hi: []float64{1}}},
+		{"bad k", "/v1/query",
+			WireQuery{Kind: "topk", Attrs: []string{"mtime"}, Point: []float64{0}, K: 0}},
+		{"empty point", "/v1/query", WireQuery{Kind: "point"}},
 		{"empty insert", "/v1/insert", InsertRequest{}},
 		{"insert missing path", "/v1/insert",
 			InsertRequest{Files: []FileRecord{{Attrs: map[string]float64{"size": 1}}}}},
@@ -359,13 +366,55 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Wrong method on a POST route.
-	resp, err := http.Get(ts.URL + "/v1/query/point")
+	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET on POST route: status %d, want 405", resp.StatusCode)
+	}
+
+	// A retired per-kind route is unknown to the mux like any other.
+	if code := postJSON(t, ts.URL+"/v1/query/point", WireQuery{Kind: "point", Path: "/x"}, nil); code != http.StatusNotFound {
+		t.Errorf("POST /v1/query/point: status %d, want 404", code)
+	}
+}
+
+// TestInsertClassifiesBatchErrors: a batch the engine refuses (duplicate
+// id) is the client's fault, a WAL that rejects the append is not — the
+// same failure on /v1/delete answers 500, and a gateway in front must
+// see a 5xx to mark the member down.
+func TestInsertClassifiesBatchErrors(t *testing.T) {
+	set, err := smartstore.GenerateTrace("MSN", 400, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := smartstore.Build(set.Files, smartstore.Config{
+		Units: 8, Seed: 42,
+		DataDir:    t.TempDir(),
+		Durability: smartstore.DurabilityAlways,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(store, Options{}))
+	t.Cleanup(ts.Close)
+
+	dup := InsertRequest{Files: []FileRecord{{ID: set.Files[0].ID, Path: "/dup/stored.dat"}}}
+	if code := postJSON(t, ts.URL+"/v1/insert", dup, nil); code != http.StatusBadRequest {
+		t.Fatalf("duplicate id: status %d, want 400", code)
+	}
+	// Closing a durable store closes its logs: every append now fails.
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := InsertRequest{Files: []FileRecord{{Path: "/wal/rejected.dat", Attrs: map[string]float64{"size": 1}}}}
+	if code := postJSON(t, ts.URL+"/v1/insert", fresh, nil); code != http.StatusInternalServerError {
+		t.Fatalf("insert with the WAL rejecting appends: status %d, want 500", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/delete", DeleteRequest{ID: set.Files[1].ID}, nil); code != http.StatusInternalServerError {
+		t.Fatalf("delete with the WAL rejecting appends: status %d, want 500", code)
 	}
 }
 
@@ -390,7 +439,7 @@ func TestAdmissionShedsLoadWhenSaturated(t *testing.T) {
 	// counts executing + waiting, so Workers+MaxQueue saturates it.
 	s.sem <- struct{}{}
 	s.inflight.Add(int64(s.opts.Workers + s.opts.MaxQueue))
-	req := httptest.NewRequest("POST", "/v1/query/point", nil)
+	req := httptest.NewRequest("POST", "/v1/query", nil)
 	if _, err := s.admit(req); err != errBusy {
 		t.Fatalf("saturated admit: err %v, want errBusy", err)
 	}
@@ -406,7 +455,7 @@ func TestAdmissionShedsLoadWhenSaturated(t *testing.T) {
 	<-s.sem
 
 	// With the slot free again, admission succeeds.
-	release, err := s.admit(httptest.NewRequest("POST", "/v1/query/point", nil))
+	release, err := s.admit(httptest.NewRequest("POST", "/v1/query", nil))
 	if err != nil {
 		t.Fatalf("free admit: %v", err)
 	}

@@ -111,9 +111,8 @@ func TestUnifiedBatchOneAdmissionTicket(t *testing.T) {
 }
 
 // TestWireTopKValidation is the regression test for the daemon panic
-// path: k = 0 or negative must be rejected at the boundary with 400 —
-// on the unified endpoint and on the legacy shim — never reaching the
-// library's panicking constructor.
+// path: k = 0 or negative must be rejected at the boundary with 400,
+// never reaching the library's panicking constructor.
 func TestWireTopKValidation(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
 	for _, k := range []int{0, -3} {
@@ -121,10 +120,6 @@ func TestWireTopKValidation(t *testing.T) {
 			Kind: "topk", Attrs: []string{"mtime"}, Point: []float64{0}, K: k}}
 		if code := postJSON(t, ts.URL+"/v1/query", uni, nil); code != http.StatusBadRequest {
 			t.Errorf("unified topk k=%d: status %d want 400", k, code)
-		}
-		legacy := TopKRequest{Attrs: []string{"mtime"}, Point: []float64{0}, K: k}
-		if code := postJSON(t, ts.URL+"/v1/query/topk", legacy, nil); code != http.StatusBadRequest {
-			t.Errorf("legacy topk k=%d: status %d want 400", k, code)
 		}
 	}
 	// Negative limit and unknown mode are boundary-rejected too.
@@ -139,32 +134,6 @@ func TestWireTopKValidation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/query", QueryRequest{WireQuery: WireQuery{
 		Kind: "warp", Path: "/x"}}, nil); code != http.StatusBadRequest {
 		t.Error("unknown kind accepted")
-	}
-}
-
-// TestLegacyShimsShareUnifiedPath pins the compatibility contract: the
-// three legacy endpoints answer exactly like the unified endpoint (and
-// share its cache — a legacy query warms the unified one).
-func TestLegacyShimsShareUnifiedPath(t *testing.T) {
-	ts, _, _ := newTestServer(t, Options{CacheEntries: 64})
-	legacyReq := RangeRequest{Attrs: defaultNames(),
-		Lo: []float64{0, 0, 0}, Hi: []float64{1e9, 1e12, 1e12}}
-
-	var legacy QueryResponse
-	if code := postJSON(t, ts.URL+"/v1/query/range", legacyReq, &legacy); code != 200 {
-		t.Fatalf("legacy status %d", code)
-	}
-	uniReq := QueryRequest{WireQuery: WireQuery{
-		Kind: "range", Attrs: legacyReq.Attrs, Lo: legacyReq.Lo, Hi: legacyReq.Hi}}
-	var uni QueryResponse
-	if code := postJSON(t, ts.URL+"/v1/query", uniReq, &uni); code != 200 {
-		t.Fatalf("unified status %d", code)
-	}
-	if len(uni.IDs) != len(legacy.IDs) {
-		t.Fatalf("unified %d ids, legacy %d", len(uni.IDs), len(legacy.IDs))
-	}
-	if !uni.Cached {
-		t.Fatal("legacy query did not warm the unified cache entry")
 	}
 }
 

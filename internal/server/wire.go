@@ -2,8 +2,8 @@
 // server handlers and the typed client (internal/client). The
 // query-path types — everything POST /v1/query exchanges — live in
 // internal/wire (which also owns the binary codec) and are aliased
-// here so existing callers keep compiling; the mutation, stats and
-// legacy-shim types below remain server-owned and JSON-only. Attribute
+// here so existing callers keep compiling; the mutation and stats
+// types below remain server-owned and JSON-only. Attribute
 // dimensions travel as their short names ("mtime", "read_bytes", ...);
 // values are raw attribute units, exactly like the library API. See
 // DESIGN.md §5 for the endpoint reference with curl examples.
@@ -62,26 +62,6 @@ func wireReport(r smartstore.QueryReport) Report {
 		VersionChecked:    r.VersionChecked,
 		VersionLatencySec: r.VersionLatency,
 	}
-}
-
-// PointRequest asks for the files stored under an exact pathname.
-// Legacy form of POST /v1/query/point — new clients use WireQuery.
-type PointRequest struct {
-	Path string `json:"path"`
-}
-
-// RangeRequest asks for all files with Attrs[i] in [Lo[i], Hi[i]].
-type RangeRequest struct {
-	Attrs []string  `json:"attrs"`
-	Lo    []float64 `json:"lo"`
-	Hi    []float64 `json:"hi"`
-}
-
-// TopKRequest asks for the K files nearest to Point over Attrs.
-type TopKRequest struct {
-	Attrs []string  `json:"attrs"`
-	Point []float64 `json:"point"`
-	K     int       `json:"k"`
 }
 
 // InsertRequest inserts a batch of files in one admission.

@@ -9,13 +9,11 @@
 // The format is Go gob over a versioned envelope, suitable for the
 // metadata checkpointing a next-generation file system would perform at
 // reconfiguration points (§4.4 removes versions "when reconfiguring
-// index units" — a natural snapshot boundary). Version 2 adds the
-// per-shard unit partition; version 3 adds each shard's mutation epoch
-// at capture — the shard's write-ahead-log truncation point, so
-// recovery (snapshot + per-shard WAL tail replay, DESIGN.md §7) skips
-// records the snapshot already contains. Version 1 snapshots (single
-// flat partition) still load as a one-shard deployment, and version 2
-// snapshots load with zero epochs.
+// index units" — a natural snapshot boundary). The envelope holds the
+// per-shard unit partition and each shard's mutation epoch at capture
+// — the shard's write-ahead-log truncation point, so recovery
+// (snapshot + per-shard WAL tail replay, DESIGN.md §7) skips records
+// the snapshot already contains.
 package snapshot
 
 import (
@@ -27,15 +25,9 @@ import (
 	"repro/internal/semtree"
 )
 
-// FormatVersion is the version new snapshots are written with.
+// FormatVersion is the version snapshots are written with, and the
+// only one Read accepts.
 const FormatVersion = 3
-
-// Legacy formats, still accepted on read: v1 is the single-shard flat
-// partition, v2 the sharded partition without per-shard epochs.
-const (
-	formatV1 = 1
-	formatV2 = 2
-)
 
 // Snapshot is the persisted form of a deployment.
 type Snapshot struct {
@@ -51,21 +43,18 @@ type Snapshot struct {
 	// gob otherwise).
 	NormLo, NormHi [metadata.NumAttrs]float64
 	NormFitted     bool
-	// Units holds the flat storage-unit partition of a version-1
-	// snapshot. Version-2 snapshots leave it empty and use Shards.
-	Units []UnitRecord
-	// Shards holds each shard's storage-unit partition (version ≥ 2) —
-	// the shard assignment round-trips, so a restored engine keeps the
-	// same placement.
+	// Shards holds each shard's storage-unit partition — the shard
+	// assignment round-trips, so a restored engine keeps the same
+	// placement.
 	Shards []ShardRecord
 }
 
 // ShardRecord is one shard's persisted partition.
 type ShardRecord struct {
 	Units []UnitRecord
-	// Epoch is the shard's mutation epoch at capture (version ≥ 3) —
-	// the shard's WAL truncation point: recovery replays only log
-	// records whose epoch exceeds it. Zero for v1/v2 snapshots.
+	// Epoch is the shard's mutation epoch at capture — the shard's WAL
+	// truncation point: recovery replays only log records whose epoch
+	// exceeds it.
 	Epoch uint64
 }
 
@@ -118,7 +107,7 @@ func CaptureShards(trees []*semtree.Tree, epochs []uint64) *Snapshot {
 }
 
 // ShardEpochs returns each persisted shard's mutation epoch at capture
-// — the per-shard WAL truncation points (all zero for v1/v2 streams).
+// — the per-shard WAL truncation points.
 func (s *Snapshot) ShardEpochs() []uint64 {
 	out := make([]uint64, len(s.Shards))
 	for i, sh := range s.Shards {
@@ -135,32 +124,23 @@ func (s *Snapshot) Write(w io.Writer) error {
 	return nil
 }
 
-// Read decodes a snapshot from r, validating the format version. A
-// version-1 stream (flat partition) is lifted into a one-shard
-// snapshot, so pre-sharding snapshots keep loading.
+// Read decodes a snapshot from r, refusing any format version but
+// FormatVersion.
 func Read(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
 	}
-	switch s.Version {
-	case formatV1:
-		if len(s.Units) == 0 {
-			return nil, fmt.Errorf("snapshot: no storage units")
+	if s.Version != FormatVersion {
+		return nil, fmt.Errorf("snapshot: format version %d, want %d", s.Version, FormatVersion)
+	}
+	if len(s.Shards) == 0 {
+		return nil, fmt.Errorf("snapshot: no shards")
+	}
+	for i, sh := range s.Shards {
+		if len(sh.Units) == 0 {
+			return nil, fmt.Errorf("snapshot: shard %d has no storage units", i)
 		}
-		s.Shards = []ShardRecord{{Units: s.Units}}
-		s.Units = nil
-	case formatV2, FormatVersion:
-		if len(s.Shards) == 0 {
-			return nil, fmt.Errorf("snapshot: no shards")
-		}
-		for i, sh := range s.Shards {
-			if len(sh.Units) == 0 {
-				return nil, fmt.Errorf("snapshot: shard %d has no storage units", i)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("snapshot: format version %d, want ≤ %d", s.Version, FormatVersion)
 	}
 	return &s, nil
 }
@@ -228,9 +208,6 @@ func (s *Snapshot) FileCount() int {
 		for _, u := range sh.Units {
 			n += len(u.Files)
 		}
-	}
-	for _, u := range s.Units {
-		n += len(u.Files)
 	}
 	return n
 }

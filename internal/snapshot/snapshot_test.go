@@ -2,8 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
+	"repro/internal/metadata"
 	"repro/internal/query"
 	"repro/internal/semtree"
 	"repro/internal/stats"
@@ -146,38 +149,6 @@ func TestCaptureIsDeepCopy(t *testing.T) {
 	}
 }
 
-// A version-2 stream — sharded partition, written before the WAL
-// introduced per-shard epochs — must load with zero epochs (replay
-// everything a log might hold) rather than be rejected.
-func TestV2SnapshotLoadsWithZeroEpochs(t *testing.T) {
-	t1, _ := buildTree(t, 80, 3, 31)
-	t2, _ := buildTree(t, 90, 3, 32)
-	snap := CaptureShards([]*semtree.Tree{t1, t2}, []uint64{5, 6})
-	snap.Version = 2
-	for i := range snap.Shards {
-		snap.Shards[i].Epoch = 0 // what a v2 writer would (not) have written
-	}
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("v2 snapshot rejected: %v", err)
-	}
-	if back.ShardCount() != 2 || back.FileCount() != 170 {
-		t.Fatalf("v2 snapshot: %d shards / %d files", back.ShardCount(), back.FileCount())
-	}
-	for i, e := range back.ShardEpochs() {
-		if e != 0 {
-			t.Fatalf("v2 shard %d epoch = %d, want 0", i, e)
-		}
-	}
-	if _, err := back.RestoreShards(); err != nil {
-		t.Fatalf("v2 restore: %v", err)
-	}
-}
-
 func TestShardEpochsRoundTrip(t *testing.T) {
 	t1, _ := buildTree(t, 60, 3, 33)
 	snap := CaptureShards([]*semtree.Tree{t1}, []uint64{42})
@@ -194,42 +165,35 @@ func TestShardEpochsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestV1SnapshotLoadsAsOneShard(t *testing.T) {
-	// A pre-sharding stream: version 1, flat Units, no Shards — exactly
-	// what older builds wrote. It must lift into a one-shard snapshot.
+// TestReadRefusesOldEnvelopes hand-encodes the two retired formats —
+// v1's flat unit list and v2's shard partition without epochs, each
+// otherwise well-formed — and asserts Read refuses both by version.
+func TestReadRefusesOldEnvelopes(t *testing.T) {
 	tree, _ := buildTree(t, 120, 4, 13)
-	v2 := Capture(tree)
-	v1 := &Snapshot{
-		Version:       1,
-		Attrs:         v2.Attrs,
-		BaseThreshold: v2.BaseThreshold,
-		MaxChildren:   v2.MaxChildren,
-		MinChildren:   v2.MinChildren,
-		NormLo:        v2.NormLo,
-		NormHi:        v2.NormHi,
-		NormFitted:    v2.NormFitted,
-		Units:         v2.Shards[0].Units,
+	cur := Capture(tree)
+	type v1Envelope struct {
+		Version int
+		Attrs   []metadata.Attr
+		Units   []UnitRecord
 	}
-	var buf bytes.Buffer
-	if err := v1.Write(&buf); err != nil {
-		t.Fatal(err)
+	type v2Envelope struct {
+		Version int
+		Attrs   []metadata.Attr
+		Shards  []struct{ Units []UnitRecord }
 	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if back.ShardCount() != 1 {
-		t.Fatalf("v1 snapshot lifted to %d shards, want 1", back.ShardCount())
-	}
-	if back.FileCount() != 120 {
-		t.Fatalf("v1 FileCount = %d, want 120", back.FileCount())
-	}
-	restored, err := back.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.TotalFiles() != 120 {
-		t.Fatalf("restored files = %d, want 120", restored.TotalFiles())
+	for name, env := range map[string]any{
+		"v1": v1Envelope{Version: 1, Attrs: cur.Attrs, Units: cur.Shards[0].Units},
+		"v2": v2Envelope{Version: 2, Attrs: cur.Attrs,
+			Shards: []struct{ Units []UnitRecord }{{Units: cur.Shards[0].Units}}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(&buf)
+		if err == nil || !strings.Contains(err.Error(), "format version") {
+			t.Fatalf("%s envelope: err %v, want the format-version refusal", name, err)
+		}
 	}
 }
 

@@ -197,8 +197,8 @@ type BatchQueryResponse struct {
 	Results []QueryResponse `json:"results"`
 }
 
-// QueryResponse answers every query form — unified single, batch item,
-// and the legacy point/range/topk shims. Cached reports whether the
+// QueryResponse answers every query form — single or batch item.
+// Cached reports whether the
 // result was served from the query cache (in which case the report
 // replays the accounting of the original execution); Records carries
 // inline file records when the query asked for them; Truncated reports

@@ -14,6 +14,11 @@ import (
 // errors.Is while other failures stay server-side.
 var ErrInvalidQuery = errors.New("invalid query")
 
+// ErrInvalidBatch tags InsertBatch's validation failures (a zero or
+// duplicate id) the same way; any other InsertBatch error is the
+// store's own — on a durable store, a WAL failure.
+var ErrInvalidBatch = engine.ErrInvalidBatch
+
 // QueryKind selects which of the three paper query classes a Query is.
 type QueryKind int
 

@@ -30,9 +30,7 @@ func (s *Store) Save(w io.Writer) error {
 // Load restores a store previously written with Save. The cluster
 // deployments (server mapping, replicas) are regenerated from cfg's
 // seed; cfg's structural fields (Units, Attrs, Shards, fan-out,
-// threshold) are taken from the snapshot and ignored in cfg. Version-1
-// snapshots (written before sharding) load as a one-shard deployment;
-// version-2 snapshots (written before the WAL) load with zero epochs.
+// threshold) are taken from the snapshot and ignored in cfg.
 //
 // With cfg.DataDir set, the loaded store becomes durable: the data dir
 // is freshly initialized (it must not already hold a deployment) with
