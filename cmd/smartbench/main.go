@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -104,15 +105,25 @@ func main() {
 		p.Seed = *seed
 	}
 
+	if runExperiments(os.Stdout, *exp, p) == 0 {
+		fmt.Fprintf(os.Stderr, "smartbench: no experiment matched %q (see DESIGN.md §3 for ids)\n", *exp)
+		os.Exit(2)
+	}
+}
+
+// runExperiments runs the experiments named in the comma-separated id
+// list exp (or all of them) under p, writing each table to w in the
+// paper's order, and returns how many tables it wrote.
+func runExperiments(w io.Writer, exp string, p experiments.Params) int {
 	wanted := map[string]bool{}
-	for _, id := range strings.Split(*exp, ",") {
+	for _, id := range strings.Split(exp, ",") {
 		wanted[strings.TrimSpace(strings.ToLower(id))] = true
 	}
 	all := wanted["all"]
 	want := func(id string) bool { return all || wanted[id] }
 	ran := 0
 	show := func(t *experiments.Table) {
-		fmt.Println(t.String())
+		fmt.Fprintln(w, t.String())
 		ran++
 	}
 
@@ -171,11 +182,7 @@ func main() {
 		show(experiments.AblationAutoConfig(p))
 		show(experiments.AblationReplicaDepth(p))
 	}
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "smartbench: no experiment matched %q (see DESIGN.md §3 for ids)\n", *exp)
-		os.Exit(2)
-	}
+	return ran
 }
 
 // orDefault substitutes d for an unset (zero) flag value.

@@ -241,7 +241,7 @@ func runRemote(addr string, args []string, opts smartstore.QueryOptions, wire cl
 
 func printRemote(resp *server.QueryResponse) {
 	fmt.Printf("%s: %d match(es) in %.6fs over %d message(s), %d hop(s)%s%s\n",
-		resp.Kind, resp.Count, resp.Report.LatencySec, resp.Report.Messages, resp.Report.Hops,
+		resp.Kind, resp.Count, resp.Report.Latency, resp.Report.Messages, resp.Report.Hops,
 		truncatedTag(resp.Truncated), cachedTag(resp.Cached))
 	if len(resp.Records) > 0 {
 		for _, rec := range resp.Records {

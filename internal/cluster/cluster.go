@@ -80,11 +80,8 @@ type Cluster struct {
 	ReplicaMulticasts int
 
 	// byID caches the id → file map used by top-k reranking and id
-	// lookups; mutations maintain it incrementally once built. maxID
-	// tracks the largest stored id alongside it, so MaxFileID is O(1)
-	// instead of a full scan; it is only meaningful once byID exists.
-	byID  map[uint64]*metadata.File
-	maxID uint64
+	// lookups; mutations maintain it incrementally once built.
+	byID map[uint64]*metadata.File
 
 	rng *rand.Rand
 }
@@ -95,29 +92,11 @@ func (c *Cluster) fileByID() map[uint64]*metadata.File {
 	if c.byID == nil {
 		files := c.Tree.AllFiles()
 		c.byID = make(map[uint64]*metadata.File, len(files))
-		c.maxID = 0
 		for _, f := range files {
 			c.byID[f.ID] = f
-			if f.ID > c.maxID {
-				c.maxID = f.ID
-			}
 		}
 	}
 	return c.byID
-}
-
-// MaxFileID returns the largest stored file id (0 when empty) from the
-// incrementally maintained id index.
-func (c *Cluster) MaxFileID() uint64 {
-	c.fileByID()
-	return c.maxID
-}
-
-// HasFile reports whether a file with the given id is currently
-// stored, using the cached id index.
-func (c *Cluster) HasFile(id uint64) bool {
-	_, ok := c.fileByID()[id]
-	return ok
 }
 
 // FileByID returns the stored file with the given id, using the cached

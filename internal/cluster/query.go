@@ -164,11 +164,10 @@ func contributingHops(byGroup map[*semtree.Node][]uint64, final []uint64) int {
 }
 
 // rerankTopK merges per-group candidate lists into the final k by true
-// distance (the MaxD refinement step of §3.3.2).
+// distance (the MaxD refinement step of §3.3.2), ascending by (dist,
+// id) — also when the pool holds no more than k candidates, which
+// arrive in simulated reply order.
 func (c *Cluster) rerankTopK(ids []uint64, q query.TopK) []uint64 {
-	if len(ids) <= q.K {
-		return ids
-	}
 	byID := c.fileByID()
 	type cand struct {
 		id   uint64

@@ -20,9 +20,6 @@ func (c *Cluster) InsertFile(f *metadata.File) Result {
 	var res Result
 	if c.byID != nil {
 		c.byID[f.ID] = f
-		if f.ID > c.maxID {
-			c.maxID = f.ID
-		}
 	}
 	leaf := c.Tree.InsertFile(f)
 	g := c.Tree.GroupOf(leaf)
@@ -80,16 +77,6 @@ func (c *Cluster) DeleteFile(id uint64) (Result, bool) {
 		}
 		if c.byID != nil {
 			delete(c.byID, id)
-			// Deleting the maximum is the one case that needs a
-			// rescan; any other delete leaves the max untouched.
-			if id == c.maxID {
-				c.maxID = 0
-				for fid := range c.byID {
-					if fid > c.maxID {
-						c.maxID = fid
-					}
-				}
-			}
 		}
 		g := c.Tree.GroupOf(leaf)
 		c.ensureGroup(g)
@@ -186,9 +173,6 @@ func (c *Cluster) InsertUnit(u *semtree.StorageUnit) *semtree.Node {
 	if c.byID != nil {
 		for _, f := range u.Files {
 			c.byID[f.ID] = f
-			if f.ID > c.maxID {
-				c.maxID = f.ID
-			}
 		}
 	}
 	leaf := c.Tree.InsertUnit(u)

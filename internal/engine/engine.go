@@ -279,21 +279,7 @@ func (e *Engine) shardFor(f *metadata.File) int {
 	if len(e.shards) == 1 {
 		return 0
 	}
-	v := e.norm.Vector(f, e.cfg.Attrs)
-	best, bestDist := 0, -1.0
-	for i, c := range e.centroids {
-		var d float64
-		for j := range v {
-			if j < len(c) {
-				x := v[j] - c[j]
-				d += x * x
-			}
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
+	return metadata.NearestCentroid(e.centroids, e.norm.Vector(f, e.cfg.Attrs))
 }
 
 // Shards returns the shard count.
@@ -327,9 +313,9 @@ func (e *Engine) ShardEpochs() []uint64 {
 // federating layer above it: the placement attributes, the store-wide
 // file-count-weighted centroid in raw attribute units, and the raw
 // normalization bounds per attribute. A gateway composes the per-store
-// bounds into a federation-wide normalization and routes by the raw
-// centroids, mirroring shard-level frozen-centroid routing one level
-// up.
+// bounds into a federation-wide normalizer, re-normalizes the raw
+// centroids through it, and routes over members with the functions the
+// engine routes over shards with.
 type Placement struct {
 	Attrs    []metadata.Attr
 	Centroid []float64
@@ -556,16 +542,13 @@ func (e *Engine) InsertBatch(files []*metadata.File) (Report, error) {
 		}
 	}
 
-	var total Report
+	// Sub-batches commit side by side with no routing between shards, so
+	// a batch spanning shards charges no cross-shard hop.
+	reports := make([]Report, len(results))
 	for i, res := range results {
-		rep := reportFrom(res)
-		if i == 0 {
-			total = rep
-		} else {
-			total.mergeParallel(rep)
-		}
+		reports[i] = reportFrom(res)
 	}
-	return total, nil
+	return Compose(reports, 0), nil
 }
 
 // Delete removes a file by id, reporting whether it existed. The id

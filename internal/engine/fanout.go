@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"repro/internal/cluster"
@@ -11,17 +10,19 @@ import (
 	"repro/internal/query"
 )
 
-// Report carries the aggregated accounting of one engine operation in
-// the same units as cluster.Result (seconds of virtual time, message
-// counts). Across shards, latencies aggregate by max — the shards ran
-// in parallel — while messages and per-node work sum.
+// Report carries the accounting of one operation in the same units as
+// cluster.Result (seconds of virtual time, message counts): virtual
+// latency, network messages, routing hops (groups beyond the first) and
+// version-chain work. It is the one report type from the engine to the
+// wire — the root facade's QueryReport and the wire format's Report are
+// aliases — so the JSON names below are the §5 wire contract.
 type Report struct {
-	Latency        float64
-	Messages       int64
-	Hops           int
-	UnitsSearched  int
-	VersionChecked int
-	VersionLatency float64
+	Latency        float64 `json:"latency_sec"`                   // simulated latency, seconds
+	Messages       int64   `json:"messages"`                      // simulated network messages
+	Hops           int     `json:"hops"`                          // semantic R-tree routing hops
+	UnitsSearched  int     `json:"units_searched"`                // storage units probed
+	VersionChecked int     `json:"version_checked,omitempty"`     // §4.4 version chains consulted
+	VersionLatency float64 `json:"version_latency_sec,omitempty"` // latency share of version checks
 }
 
 func reportFrom(r cluster.Result) Report {
@@ -35,20 +36,32 @@ func reportFrom(r cluster.Result) Report {
 	}
 }
 
-// mergeParallel folds another shard's report into r under the parallel
-// execution model: wall time is the slowest shard, work and traffic
-// add up.
-func (r *Report) mergeParallel(o Report) {
-	if o.Latency > r.Latency {
-		r.Latency = o.Latency
+// Compose folds the reports of children that ran in parallel — shards
+// under an engine, members under a gateway — into their parent's: wall
+// times are the slowest child's, messages and per-node work sum.
+// Routing distance composes like it does across groups: each child's
+// hops count groups beyond its first, so crossing into every
+// contributing child (one that returned results) beyond the first adds
+// one more hop — a single contributing child adds none, identical to
+// the unsharded accounting.
+func Compose(children []Report, contributing int) Report {
+	var out Report
+	for _, c := range children {
+		if c.Latency > out.Latency {
+			out.Latency = c.Latency
+		}
+		if c.VersionLatency > out.VersionLatency {
+			out.VersionLatency = c.VersionLatency
+		}
+		out.Messages += c.Messages
+		out.Hops += c.Hops
+		out.UnitsSearched += c.UnitsSearched
+		out.VersionChecked += c.VersionChecked
 	}
-	if o.VersionLatency > r.VersionLatency {
-		r.VersionLatency = o.VersionLatency
+	if contributing > 1 {
+		out.Hops += contributing - 1
 	}
-	r.Messages += o.Messages
-	r.Hops += o.Hops
-	r.UnitsSearched += o.UnitsSearched
-	r.VersionChecked += o.VersionChecked
+	return out
 }
 
 // QueryOpts carries the execution options of one engine query.
@@ -134,82 +147,17 @@ func (e *Engine) fanout(ctx context.Context, targets []int, run func(ctx context
 	return answers, nil
 }
 
-// offlineMaxShards caps how many shards an off-line top-k fan-out may
-// touch: the most-correlated shard plus a few siblings, growing slowly
-// with the shard count — the shard-level analogue of the cluster's
-// offlineMaxGroups, keeping the search "bounded within one or a small
-// number of tree nodes" (§3.1.2) at any scale. A configured
-// OfflineGroupBudget overrides the heuristic, clamped to the shard
-// count: a budget ≥ the shard count targets every shard, so routing
-// can never drop a shard that would contribute to the exact answer.
+// offlineMaxShards caps an off-line top-k fan-out at the shared
+// 1 + n/4 heuristic, or at Config.OfflineGroupBudget when set.
 func (e *Engine) offlineMaxShards() int {
-	n := len(e.shards)
-	m := 1 + n/4
-	if e.cfg.OfflineGroupBudget > 0 {
-		m = e.cfg.OfflineGroupBudget
-	}
-	if m > n {
-		m = n
-	}
-	return m
+	return metadata.OfflineFanout(len(e.shards), e.cfg.OfflineGroupBudget)
 }
 
-// nearestShards ranks shards by placement-centroid distance to the
-// query point (normalized space) and returns the closest max indices —
-// the shard-level off-line routing that mirrors the paper's
-// replica-vector group routing. When the queried attributes share no
-// dimension with the placement predicate, centroid distances carry no
-// signal (every distance is zero), so the routing falls back to all
-// shards rather than silently searching an arbitrary fixed prefix.
+// nearestShards returns, ascending, the max shards whose placement
+// centroids are nearest the query point — every shard when the queried
+// attributes share no dimension with the placement predicate.
 func (e *Engine) nearestShards(attrs []metadata.Attr, point []float64, max int) []int {
-	overlap := false
-	for _, a := range attrs {
-		for _, ca := range e.cfg.Attrs {
-			if ca == a {
-				overlap = true
-			}
-		}
-	}
-	if !overlap {
-		return e.allShards()
-	}
-	type ranked struct {
-		idx  int
-		dist float64
-	}
-	// Project the query point and each centroid onto the queried
-	// attribute dimensions of the placement space.
-	rs := make([]ranked, len(e.shards))
-	for i, centroid := range e.centroids {
-		var d float64
-		for j, a := range attrs {
-			v := e.norm.Value(a, point[j])
-			// Placement centroids span cfg.Attrs; find the matching
-			// dimension (small fixed-size scan).
-			for k, ca := range e.cfg.Attrs {
-				if ca == a && k < len(centroid) {
-					x := v - centroid[k]
-					d += x * x
-				}
-			}
-		}
-		rs[i] = ranked{idx: i, dist: d}
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].dist != rs[j].dist {
-			return rs[i].dist < rs[j].dist
-		}
-		return rs[i].idx < rs[j].idx
-	})
-	if max > len(rs) {
-		max = len(rs)
-	}
-	out := make([]int, max)
-	for i := 0; i < max; i++ {
-		out[i] = rs[i].idx
-	}
-	sort.Ints(out)
-	return out
+	return metadata.NearestCentroids(e.norm, e.cfg.Attrs, e.centroids, attrs, point, max)
 }
 
 // Point answers a filename point query: any shard may hold the path
@@ -251,7 +199,7 @@ func (e *Engine) Range(ctx context.Context, q query.Range, opts QueryOpts) (Answ
 // TopK answers a top-k nearest-neighbour query. On-line, every shard
 // returns its local top k; off-line, the fan-out routes to the few
 // shards whose placement centroids are most correlated with the query
-// point (the shard-level analogue of §3.4's replica-vector routing).
+// point (§3.4's replica-vector routing, applied above the tree).
 // The engine keeps the k globally nearest candidates by true normalized
 // distance under a bounded max-heap. A single-shard engine returns the
 // shard's answer untouched.
@@ -271,26 +219,14 @@ func (e *Engine) TopK(ctx context.Context, q query.TopK, opts QueryOpts) (Answer
 	if err != nil {
 		return Answer{}, err
 	}
-	var ids []uint64
-	var dists []float64
+	ids, dists := answers[0].ids, answers[0].dists
 	if multi {
-		lists := make([][]merge.Cand, len(answers))
+		idLists := make([][]uint64, len(answers))
+		distLists := make([][]float64, len(answers))
 		for i, a := range answers {
-			l := make([]merge.Cand, len(a.ids))
-			for j, id := range a.ids {
-				l[j] = merge.Cand{ID: id, Dist: a.dists[j]}
-			}
-			lists[i] = l
+			idLists[i], distLists[i] = a.ids, a.dists
 		}
-		cands := merge.TopK(lists, q.K)
-		ids = make([]uint64, len(cands))
-		dists = make([]float64, len(cands))
-		for i, c := range cands {
-			ids[i] = c.ID
-			dists[i] = c.Dist
-		}
-	} else {
-		ids, dists = answers[0].ids, answers[0].dists
+		ids, dists = merge.TopKAligned(idLists, distLists, q.K)
 	}
 	out := e.finish(ids, targets, answers, opts)
 	if opts.IncludeDists && dists != nil {
@@ -327,7 +263,7 @@ func (e *Engine) finish(ids []uint64, targets []int, answers []answer, opts Quer
 		out.Truncated = true
 	}
 	out.IDs = ids
-	first := true
+	reports := make([]Report, 0, len(answers))
 	contributing := 0
 	for _, a := range answers {
 		if a.pruned {
@@ -336,22 +272,9 @@ func (e *Engine) finish(ids []uint64, targets []int, answers []answer, opts Quer
 		if len(a.ids) > 0 {
 			contributing++
 		}
-		rep := reportFrom(a.res)
-		if first {
-			out.Report = rep
-			first = false
-		} else {
-			out.Report.mergeParallel(rep)
-		}
+		reports = append(reports, reportFrom(a.res))
 	}
-	// Routing distance composes across shards like it does across
-	// groups: per-shard hops count groups beyond each shard's first, so
-	// crossing into every additional contributing shard adds one more
-	// hop (a single-shard answer adds none — identical to the unsharded
-	// accounting).
-	if contributing > 1 {
-		out.Report.Hops += contributing - 1
-	}
+	out.Report = Compose(reports, contributing)
 	if opts.IncludeRecords {
 		out.Records = make([]metadata.File, 0, len(ids))
 		for _, id := range ids {

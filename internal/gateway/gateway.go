@@ -11,13 +11,15 @@
 // over N backends is identical to a single store holding the union of
 // their corpora (on-line mode, shared normalizer — see DESIGN.md §9).
 //
-// Placement mirrors the engine one level up: at bootstrap the gateway
-// reads each backend's placement summary (attributes, raw centroid,
-// normalization bounds) from /v1/stats, composes federation-wide
-// bounds, and freezes per-backend centroids in that space. Inserts
-// route to the nearest healthy centroid; deletes and modifies route
-// through a lazily learned id → backend index, falling back to a
-// healthy fan-out.
+// Placement is the engine's, one level up, through the same code: at
+// bootstrap the gateway reads each backend's placement summary
+// (attributes, raw centroid, normalization bounds) from /v1/stats,
+// composes federation-wide bounds into one metadata.Normalizer, and
+// freezes per-backend centroids in that space. Inserts route to the
+// nearest healthy centroid and off-line top-k to the nearest few
+// (metadata.NearestCentroid / NearestCentroids, the functions the
+// engine routes shards with); deletes and modifies route through a
+// lazily learned id → backend index, falling back to a healthy fan-out.
 //
 // Health checks (Client.Healthy on the /healthz endpoint) drive
 // graceful degradation: a down backend is skipped, the answer is
@@ -30,9 +32,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,10 +179,10 @@ type Gateway struct {
 	core *server.Core
 
 	backends []*backend
-	// attrs is the placement predicate shared by every backend; lo/hi
-	// are the composed federation-wide normalization bounds over it.
-	attrs  []metadata.Attr
-	lo, hi []float64
+	// attrs is the placement predicate shared by every backend; norm
+	// holds the composed federation-wide normalization bounds over it.
+	attrs []metadata.Attr
+	norm  *metadata.Normalizer
 
 	// ids allocates above every backend's bootstrap maximum.
 	ids *server.IDAllocator
@@ -287,80 +290,39 @@ func (g *Gateway) composePlacement(placements []*server.PlacementWire) error {
 		attrs[j] = a
 	}
 	g.attrs = attrs
-	g.lo = append([]float64(nil), first.Lo...)
-	g.hi = append([]float64(nil), first.Hi...)
 	for i, p := range placements[1:] {
-		if len(p.Attrs) != len(first.Attrs) {
+		if !slices.Equal(p.Attrs, first.Attrs) {
 			return fmt.Errorf("gateway: backend %s placement attrs %v differ from %s's %v",
 				g.backends[i+1].name, p.Attrs, g.backends[0].name, first.Attrs)
 		}
-		for j := range p.Attrs {
-			if p.Attrs[j] != first.Attrs[j] {
-				return fmt.Errorf("gateway: backend %s placement attrs %v differ from %s's %v",
-					g.backends[i+1].name, p.Attrs, g.backends[0].name, first.Attrs)
+	}
+	// The federation-wide bounds are the widest any member fitted.
+	var lo, hi [metadata.NumAttrs]float64
+	for j, a := range attrs {
+		lo[a], hi[a] = math.Inf(1), math.Inf(-1)
+		for _, p := range placements {
+			if j < len(p.Lo) {
+				lo[a] = min(lo[a], p.Lo[j])
 			}
-		}
-		for j := range g.lo {
-			if j < len(p.Lo) && p.Lo[j] < g.lo[j] {
-				g.lo[j] = p.Lo[j]
-			}
-			if j < len(p.Hi) && p.Hi[j] > g.hi[j] {
-				g.hi[j] = p.Hi[j]
+			if j < len(p.Hi) {
+				hi[a] = max(hi[a], p.Hi[j])
 			}
 		}
 	}
+	g.norm = metadata.RestoreNormalizer(lo, hi, true)
 	var maxID uint64
 	for i, p := range placements {
-		g.backends[i].centroid = g.normalize(p.Centroid)
+		c := make([]float64, len(attrs))
+		for j, a := range attrs {
+			if j < len(p.Centroid) {
+				c[j] = g.norm.Value(a, p.Centroid[j])
+			}
+		}
+		g.backends[i].centroid = c
 		maxID = max(maxID, p.MaxFileID)
 	}
 	g.ids = server.NewIDAllocator(maxID)
 	return nil
-}
-
-// normalize maps a raw placement-space vector into the composed [0,1]
-// bounds; a degenerate dimension (hi ≤ lo) maps to 0.
-func (g *Gateway) normalize(raw []float64) []float64 {
-	out := make([]float64, len(g.attrs))
-	for j := range out {
-		if j >= len(raw) {
-			continue
-		}
-		lo, hi := g.lo[j], g.hi[j]
-		if hi <= lo {
-			continue
-		}
-		v := (raw[j] - lo) / (hi - lo)
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		out[j] = v
-	}
-	return out
-}
-
-// normValue normalizes one attribute value against the composed
-// bounds, or reports that the attribute is outside the placement
-// predicate.
-func (g *Gateway) normValue(a metadata.Attr, v float64) (float64, bool) {
-	for j, pa := range g.attrs {
-		if pa == a {
-			lo, hi := g.lo[j], g.hi[j]
-			if hi <= lo {
-				return 0, true
-			}
-			x := (v - lo) / (hi - lo)
-			if x < 0 {
-				x = 0
-			} else if x > 1 {
-				x = 1
-			}
-			return x, true
-		}
-	}
-	return 0, false
 }
 
 // healthy returns the currently-up members, in membership order.
@@ -461,97 +423,27 @@ func (g *Gateway) maybeFailover(b *backend) bool {
 	return true
 }
 
-// offlineMaxBackends caps an off-line top-k fan-out, mirroring the
-// engine's shard-level budget: the most-correlated backend plus a few
-// siblings, growing slowly with the membership size.
-func offlineMaxBackends(n int) int {
-	m := 1 + n/4
-	if m > n {
-		m = n
+// centroidsOf lists the members' frozen centroids in the given order —
+// the candidate set handed to the shared centroid routing, whose
+// answers are positions in it.
+func centroidsOf(members []*backend) [][]float64 {
+	out := make([][]float64, len(members))
+	for i, b := range members {
+		out[i] = b.centroid
 	}
-	return m
-}
-
-// nearestBackends ranks the healthy backends by placement-centroid
-// distance to the query point over the queried attributes, returning
-// the closest max in membership order. Queried attributes sharing no
-// dimension with the placement predicate carry no signal, so the
-// routing falls back to every healthy backend — the same fallback the
-// engine's shard routing uses.
-func (g *Gateway) nearestBackends(healthy []*backend, attrs []metadata.Attr, point []float64, max int) []*backend {
-	overlap := false
-	for _, a := range attrs {
-		for _, pa := range g.attrs {
-			if pa == a {
-				overlap = true
-			}
-		}
-	}
-	if !overlap || len(healthy) <= max {
-		return healthy
-	}
-	type ranked struct {
-		b    *backend
-		dist float64
-	}
-	rs := make([]ranked, len(healthy))
-	for i, b := range healthy {
-		var d float64
-		for j, a := range attrs {
-			v, ok := g.normValue(a, point[j])
-			if !ok {
-				continue
-			}
-			for k, pa := range g.attrs {
-				if pa == a && k < len(b.centroid) {
-					x := v - b.centroid[k]
-					d += x * x
-				}
-			}
-		}
-		rs[i] = ranked{b: b, dist: d}
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].dist != rs[j].dist {
-			return rs[i].dist < rs[j].dist
-		}
-		return rs[i].b.idx < rs[j].b.idx
-	})
-	out := make([]*backend, max)
-	for i := 0; i < max; i++ {
-		out[i] = rs[i].b
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
 	return out
 }
 
-// placeInsert routes one wire record to the nearest healthy backend's
-// frozen centroid — the gateway-level twin of Engine.shardFor.
-func (g *Gateway) placeInsert(rec server.FileRecord, healthy []*backend) *backend {
-	if len(healthy) == 1 {
-		return healthy[0]
-	}
+// recordVector normalizes one wire record over the placement predicate;
+// an attribute the record does not name stays at 0.
+func (g *Gateway) recordVector(rec server.FileRecord) []float64 {
 	v := make([]float64, len(g.attrs))
 	for j, a := range g.attrs {
 		if raw, ok := rec.Attrs[a.String()]; ok {
-			nv, _ := g.normValue(a, raw)
-			v[j] = nv
+			v[j] = g.norm.Value(a, raw)
 		}
 	}
-	best, bestDist := healthy[0], -1.0
-	for _, b := range healthy {
-		var d float64
-		for j := range v {
-			if j < len(b.centroid) {
-				x := v[j] - b.centroid[j]
-				d += x * x
-			}
-		}
-		if bestDist < 0 || d < bestDist {
-			best, bestDist = b, d
-		}
-	}
-	return best
+	return v
 }
 
 // learn records (or forgets, for idx < 0) one id's owning backend.

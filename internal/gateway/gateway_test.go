@@ -3,7 +3,9 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -414,5 +416,84 @@ func TestGatewayStatsAggregate(t *testing.T) {
 	}
 	if sum != len(fed.files) {
 		t.Fatalf("per-backend files sum to %d, corpus holds %d", sum, len(fed.files))
+	}
+}
+
+// TestTracedBatchMembersRunUntraced: a batch answer carries no trace,
+// so a traced batch must not make every member collect one — members
+// see no trace header — while a traced single query still nests one
+// row, with the member's own trace, per member.
+func TestTracedBatchMembersRunUntraced(t *testing.T) {
+	set, err := smartstore.GenerateTrace("MSN", 300, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := smartstore.FitNormalizer(set.Files)
+	var tracedAtMembers atomic.Int64
+	urls := make([]string, 2)
+	for i := range urls {
+		var part []*smartstore.File
+		for j := i; j < len(set.Files); j += len(urls) {
+			part = append(part, set.Files[j])
+		}
+		st, err := smartstore.Build(part, smartstore.Config{Units: 6, Seed: 17, Normalizer: norm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(st, server.Options{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/query" && r.Header.Get(server.TraceHeader) != "" {
+				tracedAtMembers.Add(1)
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	gw, err := New(Options{Backends: urls, HealthEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := httptest.NewServer(gw)
+	t.Cleanup(gate.Close)
+	tcl := client.New(gate.URL).WithTrace()
+
+	ctx := context.Background()
+	w := rangeWindows()[0]
+	qs := []smartstore.Query{
+		smartstore.NewTopKQuery(queryAttrs(), topkPoints()[0], 5),
+		smartstore.NewRangeQuery(queryAttrs(), w[0], w[1]),
+		smartstore.NewPointQuery(set.Files[3].Path),
+	}
+	batch, err := tcl.QueryBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Results) != len(qs) {
+		t.Fatalf("batch answered %d of %d queries", len(batch.Results), len(qs))
+	}
+	for i, r := range batch.Results {
+		if r.Error != "" || r.Trace != nil {
+			t.Fatalf("batch result %d: error %q, trace %v", i, r.Error, r.Trace)
+		}
+	}
+	if n := tracedAtMembers.Load(); n != 0 {
+		t.Fatalf("traced batch sent the trace header to members %d times, want 0", n)
+	}
+
+	resp, err := tcl.Query(ctx, qs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Trace == nil || len(resp.Trace.Backends) != len(urls) {
+		t.Fatalf("traced single query: trace %+v, want one row per member", resp.Trace)
+	}
+	for _, bt := range resp.Trace.Backends {
+		if bt.Trace == nil {
+			t.Fatalf("member %s trace not nested", bt.Backend)
+		}
+	}
+	if n := tracedAtMembers.Load(); n != int64(len(urls)) {
+		t.Fatalf("traced single query sent the trace header to members %d times, want %d", n, len(urls))
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 
 	"repro/internal/client"
+	"repro/internal/engine"
+	"repro/internal/metadata"
 	"repro/internal/server"
 )
 
@@ -73,10 +75,11 @@ func (g *Gateway) Insert(ctx context.Context, recs []server.FileRecord) (server.
 		return server.InsertResponse{}, err
 	}
 	out := server.InsertResponse{Inserted: len(recs), IDs: make([]uint64, len(recs))}
+	centroids := centroidsOf(healthy)
 	groups := make(map[*backend][]server.FileRecord)
 	for i, rec := range recs {
 		out.IDs[i] = rec.ID
-		b := g.placeInsert(rec, healthy)
+		b := healthy[metadata.NearestCentroid(centroids, g.recordVector(rec))]
 		groups[b] = append(groups[b], rec)
 	}
 
@@ -107,39 +110,19 @@ func (g *Gateway) Insert(ctx context.Context, recs []server.FileRecord) (server.
 	}
 	wg.Wait()
 
-	contributing := 0
-	for _, p := range results {
+	// Crossing into each member beyond the first charges a hop, as for a
+	// query every member answered.
+	reports := make([]server.Report, len(results))
+	for i, p := range results {
 		if p.err != nil {
 			// A failed group means the batch is partially applied.
 			return server.InsertResponse{}, g.backendFailed(p.b, "insert", p.err)
 		}
 		out.Epoch += p.resp.Epoch
-		composeReport(&out.Report, p.resp.Report, contributing == 0)
-		contributing++
+		reports[i] = p.resp.Report
 	}
-	if contributing > 1 {
-		out.Report.Hops += contributing - 1
-	}
+	out.Report = engine.Compose(reports, len(reports))
 	return out, nil
-}
-
-// composeReport folds one backend's virtual-time report into the
-// composed one: wall times max (members ran in parallel), counters sum.
-func composeReport(into *server.Report, r server.Report, first bool) {
-	if first {
-		*into = r
-		return
-	}
-	if r.LatencySec > into.LatencySec {
-		into.LatencySec = r.LatencySec
-	}
-	if r.VersionLatencySec > into.VersionLatencySec {
-		into.VersionLatencySec = r.VersionLatencySec
-	}
-	into.Messages += r.Messages
-	into.Hops += r.Hops
-	into.UnitsSearched += r.UnitsSearched
-	into.VersionChecked += r.VersionChecked
 }
 
 // mutate routes one id-addressed mutation: direct to the learned owner

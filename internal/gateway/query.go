@@ -6,7 +6,9 @@ import (
 	"time"
 
 	smartstore "repro"
+	"repro/internal/engine"
 	"repro/internal/merge"
+	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -36,13 +38,18 @@ func (g *Gateway) Query(ctx context.Context, q smartstore.Query) (server.QueryRe
 		return server.QueryResponse{}, errAllDown
 	}
 
-	// Off-line top-k routes to the backends whose placement centroids
-	// are most correlated with the query point — the network-level
-	// analogue of the engine's shard routing. Every other path is a
-	// full healthy fan-out (exactness needs every member's answer).
+	// Off-line top-k routes to the healthy backends whose placement
+	// centroids are most correlated with the query point, under the
+	// shared fan-out cap. Every other path is a full healthy fan-out
+	// (exactness needs every member's answer).
 	targets := healthy
 	if q.Kind == smartstore.KindTopK && q.Options.Mode == smartstore.ModeOffline && len(healthy) > 1 {
-		targets = g.nearestBackends(healthy, q.Attrs, q.Point, offlineMaxBackends(len(healthy)))
+		nearest := metadata.NearestCentroids(g.norm, g.attrs, centroidsOf(healthy),
+			q.Attrs, q.Point, metadata.OfflineFanout(len(healthy), 0))
+		targets = make([]*backend, len(nearest))
+		for i, pos := range nearest {
+			targets[i] = healthy[pos]
+		}
 	}
 	if g.metrics != nil {
 		g.metrics.backendsVisited.Add(uint64(len(targets)))
@@ -138,7 +145,8 @@ func containsBackend(answers []backendAnswer, b *backend) bool {
 }
 
 // mergeAnswers folds the per-backend answers with the shared exact
-// rules: union for point/range, (dist,id)-ordered bounded-heap top-k.
+// rules: union for point/range, (dist,id)-ordered bounded-heap top-k,
+// and engine.Compose for the report.
 func (g *Gateway) mergeAnswers(q smartstore.Query, ok []backendAnswer) server.QueryResponse {
 	out := server.QueryResponse{Kind: q.Kind.String()}
 
@@ -146,25 +154,12 @@ func (g *Gateway) mergeAnswers(q smartstore.Query, ok []backendAnswer) server.Qu
 	var dists []float64
 	switch q.Kind {
 	case smartstore.KindTopK:
-		lists := make([][]merge.Cand, len(ok))
+		idLists := make([][]uint64, len(ok))
+		distLists := make([][]float64, len(ok))
 		for i, a := range ok {
-			l := make([]merge.Cand, len(a.resp.IDs))
-			for j, id := range a.resp.IDs {
-				var d float64
-				if j < len(a.resp.Dists) {
-					d = a.resp.Dists[j]
-				}
-				l[j] = merge.Cand{ID: id, Dist: d}
-			}
-			lists[i] = l
+			idLists[i], distLists[i] = a.resp.IDs, a.resp.Dists
 		}
-		cands := merge.TopK(lists, q.K)
-		ids = make([]uint64, len(cands))
-		dists = make([]float64, len(cands))
-		for i, c := range cands {
-			ids[i] = c.ID
-			dists[i] = c.Dist
-		}
+		ids, dists = merge.TopKAligned(idLists, distLists, q.K)
 	default:
 		lists := make([][]uint64, len(ok))
 		for i, a := range ok {
@@ -214,18 +209,14 @@ func (g *Gateway) mergeAnswers(q smartstore.Query, ok []backendAnswer) server.Qu
 		}
 	}
 
-	// Reports compose across backends like across shards: wall time is
-	// the slowest member (they ran in parallel), work and traffic sum,
-	// and crossing into each additional contributing member adds a hop.
+	reports := make([]server.Report, len(ok))
 	contributing := 0
 	for i, a := range ok {
 		if len(a.resp.IDs) > 0 {
 			contributing++
 		}
-		composeReport(&out.Report, a.resp.Report, i == 0)
+		reports[i] = a.resp.Report
 	}
-	if contributing > 1 {
-		out.Report.Hops += contributing - 1
-	}
+	out.Report = engine.Compose(reports, contributing)
 	return out
 }

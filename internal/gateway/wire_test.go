@@ -70,8 +70,8 @@ func TestGatewayCodecEquivalence(t *testing.T) {
 	}
 	scrub := func(v any) {
 		zero := func(r *server.QueryResponse) {
-			r.Report.LatencySec = 0
-			r.Report.VersionLatencySec = 0
+			r.Report.Latency = 0
+			r.Report.VersionLatency = 0
 		}
 		switch r := v.(type) {
 		case *server.QueryResponse:

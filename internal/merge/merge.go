@@ -13,6 +13,11 @@
 //     (distance, id) — the same total order the per-cluster rerank uses,
 //     so a merged answer matches the single-deployment answer on
 //     identical data.
+//
+// The rest of what the two layers share sits beside the types it works
+// on: which children a query or a write goes to is centroid routing in
+// internal/metadata (NearestCentroid, NearestCentroids, OfflineFanout),
+// and how children's reports fold is engine.Compose.
 package merge
 
 import (
@@ -84,6 +89,32 @@ func TopK(lists [][]Cand, k int) []Cand {
 	copy(out, h)
 	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
 	return out
+}
+
+// TopKAligned is TopK over the form answers travel in — per-partition
+// id lists with their distances in aligned slices (a partition that
+// sent fewer distances than ids ranks the remainder at distance 0) —
+// returning the k globally nearest in the same aligned form.
+func TopKAligned(ids [][]uint64, dists [][]float64, k int) ([]uint64, []float64) {
+	lists := make([][]Cand, len(ids))
+	for i, l := range ids {
+		cl := make([]Cand, len(l))
+		for j, id := range l {
+			cl[j].ID = id
+			if j < len(dists[i]) {
+				cl[j].Dist = dists[i][j]
+			}
+		}
+		lists[i] = cl
+	}
+	cands := TopK(lists, k)
+	outIDs := make([]uint64, len(cands))
+	outDists := make([]float64, len(cands))
+	for i, c := range cands {
+		outIDs[i] = c.ID
+		outDists[i] = c.Dist
+	}
+	return outIDs, outDists
 }
 
 // Union concatenates per-partition id lists in partition order — the

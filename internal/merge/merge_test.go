@@ -26,6 +26,25 @@ func TestTopKOrderAndBound(t *testing.T) {
 	}
 }
 
+// TestTopKAligned: the aligned form is TopK on the same candidates — the
+// same (dist, id) order across partitions — and a partition that sent
+// no distances ranks at distance 0.
+func TestTopKAligned(t *testing.T) {
+	ids := [][]uint64{{5, 9}, {2, 7}, {4}}
+	dists := [][]float64{{0.5, 0.1}, {0.1, 0.9}, {0.3}}
+	gotIDs, gotDists := TopKAligned(ids, dists, 3)
+	if !reflect.DeepEqual(gotIDs, []uint64{2, 9, 4}) || !reflect.DeepEqual(gotDists, []float64{0.1, 0.1, 0.3}) {
+		t.Fatalf("TopKAligned = %v %v", gotIDs, gotDists)
+	}
+	gotIDs, gotDists = TopKAligned(ids, [][]float64{{0.5, 0.1}, nil, {0.3}}, 2)
+	if !reflect.DeepEqual(gotIDs, []uint64{2, 7}) || !reflect.DeepEqual(gotDists, []float64{0, 0}) {
+		t.Fatalf("missing distances: TopKAligned = %v %v", gotIDs, gotDists)
+	}
+	if gotIDs, gotDists = TopKAligned(nil, nil, 3); len(gotIDs) != 0 || len(gotDists) != 0 {
+		t.Fatalf("no partitions: TopKAligned = %v %v", gotIDs, gotDists)
+	}
+}
+
 // TestTopKMatchesSort cross-checks the bounded heap against the naive
 // sort-everything reference on random inputs, including duplicate
 // distances (id tie-break).

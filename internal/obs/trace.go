@@ -133,3 +133,10 @@ func TraceFrom(ctx context.Context) *QueryTrace {
 	t, _ := ctx.Value(traceKey{}).(*QueryTrace)
 	return t
 }
+
+// WithoutTrace returns a context whose TraceFrom is nil whatever ctx
+// carried — for work run on behalf of a traced request whose timings
+// the trace has no place for.
+func WithoutTrace(ctx context.Context) context.Context {
+	return context.WithValue(ctx, traceKey{}, (*QueryTrace)(nil))
+}

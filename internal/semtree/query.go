@@ -185,10 +185,11 @@ func (t *Tree) PointQuery(q query.Point) ([]uint64, QueryStats) {
 		if n.IsLeaf() {
 			st.UnitsSearched++
 			groups[t.GroupOf(n)] = struct{}{}
-			for _, f := range n.Unit.LookupPath(q.Filename) {
+			matches := n.Unit.LookupPath(q.Filename)
+			for _, f := range matches {
 				out = append(out, f.ID)
 			}
-			st.RecordsScanned += len(n.Unit.LookupPath(q.Filename))
+			st.RecordsScanned += len(matches)
 			return
 		}
 		for _, c := range n.Children {
@@ -200,34 +201,20 @@ func (t *Tree) PointQuery(q query.Point) ([]uint64, QueryStats) {
 	return out, st
 }
 
-// RouteToGroup returns the first-level index unit whose semantic vector
-// is most correlated with the (normalized) request vector — the off-line
-// pre-processing target-selection primitive of §3.4.
-func (t *Tree) RouteToGroup(requestVector []float64) *Node {
-	groups := t.FirstLevelIndexUnits()
-	return t.bestGroup(groups, requestVector)
-}
-
-// RouteRangeGroup selects the off-line target group for a range query
-// from the replicated first-level index information (semantic vector,
-// MBR and member count, §3.4): the group maximizing the *expected
-// matching mass* — its file count times the fraction of its MBR the
+// RouteRangeGroups returns up to maxGroups off-line candidate groups for
+// a range query from the replicated first-level index information
+// (semantic vector, MBR and member count, §3.4), best *expected matching
+// mass* first: a group's file count times the fraction of its MBR the
 // query window covers per dimension, assuming uniform density within
 // the MBR. Density weighting matters: a group with one behavioural
 // outlier has an enormous MBR that overlaps everything but holds almost
 // nothing in any given window, while the tight group actually holding
-// the matching files wins on density. A single group is returned — the
-// inaccuracy of this bounded search is exactly what the Recall measure
-// of §5.4.2 quantifies.
-func (t *Tree) RouteRangeGroup(q query.Range) *Node {
-	return t.RouteRangeGroups(q, 1)[0]
-}
-
-// RouteRangeGroups returns up to maxGroups candidate groups for a range
-// query, best expected-mass first: the target plus any siblings whose
-// expected matching mass is a substantial fraction of the target's
-// (§3.3.1's sibling checking — "query traffic is very likely bounded
-// within one or a small number of tree nodes").
+// the matching files wins on density. Beyond the target, siblings join
+// only while their expected mass is a substantial fraction of the
+// target's (§3.3.1's sibling checking — "query traffic is very likely
+// bounded within one or a small number of tree nodes"); the inaccuracy
+// of this bounded search is exactly what the Recall measure of §5.4.2
+// quantifies.
 func (t *Tree) RouteRangeGroups(q query.Range, maxGroups int) []*Node {
 	if maxGroups < 1 {
 		maxGroups = 1
@@ -307,12 +294,6 @@ func (t *Tree) groupFileCount(g *Node) int {
 		n += l.Unit.Len()
 	}
 	return n
-}
-
-// RouteTopKGroup selects the single off-line target group for a top-k
-// query.
-func (t *Tree) RouteTopKGroup(q query.TopK) *Node {
-	return t.RouteTopKGroups(q, 1)[0]
 }
 
 // RouteTopKGroups returns up to maxGroups candidate groups for a top-k

@@ -312,6 +312,10 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		}
 		queries[i] = q
 	}
+	// Only a single-query answer carries a trace, so members run without
+	// the carrier: no backend collects (or asks its own members for)
+	// timings nobody will read.
+	ctx := obs.WithoutTrace(r.Context())
 	results := make([]QueryResponse, len(queries))
 	batchStart := time.Now()
 	var wg sync.WaitGroup
@@ -319,12 +323,10 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		wg.Add(1)
 		go func(i int, q smartstore.Query) {
 			defer wg.Done()
-			resp, err := c.backend.Query(r.Context(), q)
+			resp, err := c.backend.Query(ctx, q)
 			if err != nil {
 				resp = QueryResponse{Kind: q.Kind.String(), Error: err.Error()}
 			}
-			// Only a single-query answer carries a trace.
-			resp.Trace = nil
 			results[i] = resp
 		}(i, q)
 	}

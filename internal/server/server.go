@@ -217,7 +217,7 @@ func (s *Server) runQuery(ctx context.Context, q smartstore.Query) (QueryRespons
 		Count:     len(res.IDs),
 		Truncated: res.Truncated,
 		Dists:     res.Dists,
-		Report:    wireReport(res.Report),
+		Report:    res.Report,
 	}
 	if q.Options.IncludeRecords {
 		resp.Records = make([]FileRecord, len(res.Records))
@@ -252,7 +252,7 @@ func (s *Server) Insert(_ context.Context, recs []FileRecord) (InsertResponse, e
 		Inserted: len(files),
 		IDs:      ids,
 		Epoch:    s.store.Epoch(),
-		Report:   wireReport(rep),
+		Report:   rep,
 	}, nil
 }
 
@@ -266,7 +266,7 @@ func (s *Server) Delete(_ context.Context, id uint64) (MutateResponse, error) {
 		// — surface it as a server-side error, not a quiet not-found.
 		return MutateResponse{}, err
 	}
-	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: wireReport(rep)}, nil
+	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: rep}, nil
 }
 
 func (s *Server) Modify(_ context.Context, rec FileRecord) (MutateResponse, error) {
@@ -291,7 +291,7 @@ func (s *Server) Modify(_ context.Context, rec FileRecord) (MutateResponse, erro
 	if err != nil {
 		return MutateResponse{}, err
 	}
-	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: wireReport(rep)}, nil
+	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: rep}, nil
 }
 
 func (s *Server) Flush(context.Context) (FlushResponse, error) {

@@ -18,8 +18,7 @@ import (
 // Aliases for the query-path wire types, moved to internal/wire so the
 // server, gateway and client share one codec-agnostic definition.
 type (
-	// Report is the wire form of smartstore.QueryReport: the
-	// virtual-time accounting of one operation.
+	// Report is the virtual-time accounting of one operation.
 	Report = wire.Report
 	// FileRecord is one file's metadata on the wire.
 	FileRecord = wire.FileRecord
@@ -52,17 +51,6 @@ func AttrNames(attrs []metadata.Attr) []string { return wire.AttrNames(attrs) }
 // QueryToWire converts a library query to its wire form — the encoding
 // the typed client sends to POST /v1/query.
 func QueryToWire(q smartstore.Query) WireQuery { return wire.QueryToWire(q) }
-
-func wireReport(r smartstore.QueryReport) Report {
-	return Report{
-		LatencySec:        r.Latency,
-		Messages:          r.Messages,
-		Hops:              r.Hops,
-		UnitsSearched:     r.UnitsSearched,
-		VersionChecked:    r.VersionChecked,
-		VersionLatencySec: r.VersionLatency,
-	}
-}
 
 // InsertRequest inserts a batch of files in one admission.
 type InsertRequest struct {

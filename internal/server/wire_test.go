@@ -115,8 +115,8 @@ func TestCodecEquivalenceOverHTTP(t *testing.T) {
 	// (ids, dists, records, counts, flags) must match exactly.
 	scrub := func(v any) {
 		zero := func(r *QueryResponse) {
-			r.Report.LatencySec = 0
-			r.Report.VersionLatencySec = 0
+			r.Report.Latency = 0
+			r.Report.VersionLatency = 0
 		}
 		switch r := v.(type) {
 		case *QueryResponse:

@@ -188,12 +188,12 @@ func (e *enc) finish() ([]byte, error) {
 }
 
 func (e *enc) report(r Report) {
-	e.f64(r.LatencySec)
+	e.f64(r.Latency)
 	e.i64(r.Messages)
 	e.i64(int64(r.Hops))
 	e.i64(int64(r.UnitsSearched))
 	e.i64(int64(r.VersionChecked))
-	e.f64(r.VersionLatencySec)
+	e.f64(r.VersionLatency)
 }
 
 func (e *enc) wireQuery(q *WireQuery) {
@@ -590,12 +590,12 @@ func (d *dec) rejectTrailing(what string) {
 
 func (d *dec) report() Report {
 	return Report{
-		LatencySec:        d.f64(),
-		Messages:          d.i64(),
-		Hops:              d.intVal(),
-		UnitsSearched:     d.intVal(),
-		VersionChecked:    d.intVal(),
-		VersionLatencySec: d.f64(),
+		Latency:        d.f64(),
+		Messages:       d.i64(),
+		Hops:           d.intVal(),
+		UnitsSearched:  d.intVal(),
+		VersionChecked: d.intVal(),
+		VersionLatency: d.f64(),
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,15 +40,15 @@ func sampleResponses() []*QueryResponse {
 	return []*QueryResponse{
 		{Kind: "point", IDs: []uint64{}, Count: 0, Report: Report{}},
 		{Kind: "range", IDs: []uint64{1, 2, 3}, Count: 3, Cached: true,
-			Report: Report{LatencySec: 0.25, Messages: 12, Hops: 3, UnitsSearched: 4}},
+			Report: Report{Latency: 0.25, Messages: 12, Hops: 3, UnitsSearched: 4}},
 		{Kind: "topk", IDs: []uint64{9, 8}, Count: 2,
 			Dists:  []float64{0.125, math.MaxFloat64},
-			Report: Report{VersionChecked: 2, VersionLatencySec: 0.5}},
+			Report: Report{VersionChecked: 2, VersionLatency: 0.5}},
 		{Kind: "range", IDs: []uint64{5}, Count: 900, Truncated: true, Partial: true,
 			Records: []FileRecord{
 				{ID: 5, Path: "/r/5.dat", Attrs: map[string]float64{"mtime": 1, "read_bytes": -2.5}},
 			},
-			Report: Report{LatencySec: 1}},
+			Report: Report{Latency: 1}},
 		{IDs: nil, Count: 0, Error: "backend exploded", Report: Report{}},
 		{Kind: "point", IDs: []uint64{7}, Count: 1,
 			Trace: &TraceWire{
@@ -249,5 +250,45 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	if _, err := DecodeBatchResponseBytes(resp); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("single-response stream as batch: %v, want ErrMalformed", err)
+	}
+}
+
+// TestReportEncodingPinned: the report on the wire is the engine's own
+// struct, so its JSON names (omitempty fields included) and binary
+// layout are pinned to the bytes the dedicated wire struct produced
+// before the types were unified (recorded at commit e401604).
+func TestReportEncodingPinned(t *testing.T) {
+	for _, tc := range []struct {
+		resp     QueryResponse
+		json     string
+		binaryHx string
+	}{
+		{
+			QueryResponse{Kind: "range", IDs: []uint64{1, 2, 3}, Count: 3,
+				Report: Report{Latency: 0.25, Messages: 12, Hops: 3, UnitsSearched: 4}},
+			`{"kind":"range","ids":[1,2,3],"count":3,"cached":false,"report":{"latency_sec":0.25,"messages":12,"hops":3,"units_searched":4}}`,
+			"0b000000cb3cde0510010500000072616e67651e000000d258c2c01100030000000100000000000000020000000000000003000000000000003b0000004980a5851300000300000000000000000000000000d03f0c000000000000000300000000000000040000000000000000000000000000000000000000000000",
+		},
+		{
+			QueryResponse{Kind: "topk", IDs: []uint64{9, 8}, Count: 2, Dists: []float64{0.125, 2},
+				Report: Report{Latency: 1.5, Messages: 7, Hops: 1, UnitsSearched: 2, VersionChecked: 2, VersionLatency: 0.5}},
+			`{"kind":"topk","ids":[9,8],"count":2,"cached":false,"dists":[0.125,2],"report":{"latency_sec":1.5,"messages":7,"hops":1,"units_searched":2,"version_checked":2,"version_latency_sec":0.5}}`,
+			"0a0000004f741878100104000000746f706b26000000afb42aec11010200000009000000000000000800000000000000000000000000c03f00000000000000403b0000006cb1ac061300000200000000000000000000000000f83f0700000000000000010000000000000002000000000000000200000000000000000000000000e03f",
+		},
+	} {
+		j, err := json.Marshal(&tc.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(j) != tc.json {
+			t.Errorf("JSON encoding moved:\n got %s\nwant %s", j, tc.json)
+		}
+		var b bytes.Buffer
+		if err := EncodeResponse(&b, &tc.resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b.Bytes()); got != tc.binaryHx {
+			t.Errorf("binary encoding moved:\n got %s\nwant %s", got, tc.binaryHx)
+		}
 	}
 }

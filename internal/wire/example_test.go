@@ -33,9 +33,9 @@ func Example() {
 		IDs:   []uint64{11, 42, 97},
 		Count: 3,
 		Report: wire.Report{
-			LatencySec: 0.0017,
-			Messages:   6,
-			Hops:       2,
+			Latency:  0.0017,
+			Messages: 6,
+			Hops:     2,
 		},
 	}
 	var buf bytes.Buffer

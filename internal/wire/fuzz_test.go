@@ -28,7 +28,7 @@ func FuzzWireDecode(f *testing.F) {
 	if err := EncodeResponse(&single, &QueryResponse{
 		Kind: "topk", IDs: []uint64{1, 2}, Count: 2, Dists: []float64{0.1, 0.2},
 		Records: []FileRecord{{ID: 1, Path: "/r", Attrs: map[string]float64{"mtime": 9}}},
-		Report:  Report{LatencySec: 0.5, Messages: 3},
+		Report:  Report{Latency: 0.5, Messages: 3},
 		Trace:   &TraceWire{TotalMs: 1, Phases: []PhaseWire{{Name: "execute", Ms: 0.9}}},
 	}); err == nil {
 		f.Add(single.Bytes())

@@ -21,16 +21,10 @@ import (
 	"repro/internal/metadata"
 )
 
-// Report is the wire form of smartstore.QueryReport: the virtual-time
-// accounting of one operation.
-type Report struct {
-	LatencySec        float64 `json:"latency_sec"`                   // simulated latency, seconds
-	Messages          int64   `json:"messages"`                      // simulated network messages
-	Hops              int     `json:"hops"`                          // semantic R-tree routing hops
-	UnitsSearched     int     `json:"units_searched"`                // storage units probed
-	VersionChecked    int     `json:"version_checked,omitempty"`     // §4.4 version chains consulted
-	VersionLatencySec float64 `json:"version_latency_sec,omitempty"` // latency share of version checks
-}
+// Report is the virtual-time accounting of one operation: the engine's
+// own report type, whose JSON tags are the wire names, so a report
+// travels from the shard fan-in to the response body without a copy.
+type Report = smartstore.QueryReport
 
 // FileRecord is one file's metadata on the wire. A zero ID on insert
 // asks the server to allocate one; the response echoes the assignment.

@@ -280,7 +280,7 @@ func (s *Store) Do(ctx context.Context, q Query) (Result, error) {
 		Dists:     ans.Dists,
 		Records:   ans.Records,
 		Truncated: ans.Truncated,
-		Report:    fromEngineReport(ans.Report),
+		Report:    ans.Report,
 		Shards:    ans.Targets,
 	}, nil
 }

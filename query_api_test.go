@@ -211,3 +211,34 @@ func TestMaxFileIDIncremental(t *testing.T) {
 		t.Fatalf("MaxFileID after delete %d want %d", got, want)
 	}
 }
+
+// TestTopKOrderedWhenPoolFitsK: a top-k whose pooled candidates number
+// no more than k is still an answer "in ascending distance" — ids and
+// dists ranked by (dist, id), in both modes — not the candidates in
+// simulated reply-arrival order.
+func TestTopKOrderedWhenPoolFitsK(t *testing.T) {
+	store, set := buildStore(t, 60, smartstore.Config{Units: 6})
+	attrs := []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrReadBytes}
+	for _, mode := range []smartstore.QueryMode{smartstore.ModeOffline, smartstore.ModeOnline} {
+		for i := 0; i < 10; i++ {
+			f := set.Files[i*5]
+			point := []float64{f.Attrs[smartstore.AttrMTime], f.Attrs[smartstore.AttrReadBytes]}
+			q := smartstore.NewTopKQuery(attrs, point, len(set.Files)+5).
+				WithOptions(smartstore.QueryOptions{Mode: mode, IncludeDists: true})
+			res, err := store.Do(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.IDs) < 2 || len(res.Dists) != len(res.IDs) {
+				t.Fatalf("mode %d query %d: %d ids, %d dists", mode, i, len(res.IDs), len(res.Dists))
+			}
+			for j := 1; j < len(res.IDs); j++ {
+				if res.Dists[j] < res.Dists[j-1] ||
+					(res.Dists[j] == res.Dists[j-1] && res.IDs[j] < res.IDs[j-1]) {
+					t.Fatalf("mode %d query %d: position %d (id %d, dist %g) ranks before position %d (id %d, dist %g)",
+						mode, i, j, res.IDs[j], res.Dists[j], j-1, res.IDs[j-1], res.Dists[j-1])
+				}
+			}
+		}
+	}
+}

@@ -275,44 +275,19 @@ func (s *Store) ShardEpochs() []uint64 { return s.eng.ShardEpochs() }
 // federating layer: the placement attributes, the file-count-weighted
 // centroid in raw attribute units, and the raw normalization bounds per
 // attribute.
-type PlacementInfo struct {
-	Attrs    []Attr
-	Centroid []float64
-	Lo, Hi   []float64
-}
+type PlacementInfo = engine.Placement
 
 // Placement reports the store's placement summary — what a gateway
 // reads at bootstrap to route writes and off-line queries by
 // frozen-centroid distance, one level above the engine's shard routing.
-func (s *Store) Placement() PlacementInfo {
-	p := s.eng.Placement()
-	return PlacementInfo{Attrs: p.Attrs, Centroid: p.Centroid, Lo: p.Lo, Hi: p.Hi}
-}
+func (s *Store) Placement() PlacementInfo { return s.eng.Placement() }
 
-// QueryReport carries the accounting of one operation: virtual latency,
-// network messages, routing hops (groups beyond the first), and
-// version-chain work. For operations fanned out across shards, latency
-// is the slowest shard (they run in parallel) while messages and
-// per-node work sum.
-type QueryReport struct {
-	Latency        float64 // seconds of virtual time
-	Messages       int64
-	Hops           int
-	UnitsSearched  int
-	VersionChecked int
-	VersionLatency float64
-}
-
-func fromEngineReport(r engine.Report) QueryReport {
-	return QueryReport{
-		Latency:        r.Latency,
-		Messages:       r.Messages,
-		Hops:           r.Hops,
-		UnitsSearched:  r.UnitsSearched,
-		VersionChecked: r.VersionChecked,
-		VersionLatency: r.VersionLatency,
-	}
-}
+// QueryReport carries the accounting of one operation: virtual latency
+// in seconds, network messages, routing hops (groups beyond the first),
+// and version-chain work. For operations fanned out across shards,
+// latency is the slowest shard (they run in parallel) while messages
+// and per-node work sum.
+type QueryReport = engine.Report
 
 // Build constructs and deploys a SmartStore over the given corpus. An
 // invalid configuration — fan-out bounds violating 2 ≤ m ≤ M/2, a shard
@@ -375,7 +350,7 @@ func (s *Store) InsertBatch(files []*File) (QueryReport, error) {
 		return QueryReport{}, fmt.Errorf("smartstore: %w", err)
 	}
 	s.noteMutation()
-	return fromEngineReport(rep), nil
+	return rep, nil
 }
 
 // Delete removes a file by id, reporting whether it existed. The id →
@@ -390,7 +365,7 @@ func (s *Store) Delete(id uint64) (QueryReport, bool, error) {
 		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
 	}
 	s.noteMutation()
-	return fromEngineReport(rep), found, nil
+	return rep, found, nil
 }
 
 // Modify updates an existing file's attributes on its owning shard. The
@@ -403,7 +378,7 @@ func (s *Store) Modify(f *File) (QueryReport, bool, error) {
 		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
 	}
 	s.noteMutation()
-	return fromEngineReport(rep), found, nil
+	return rep, found, nil
 }
 
 // Flush propagates all pending changes to replicas on every shard (lazy

@@ -98,7 +98,7 @@ func (s *Store) topKIDs(attrs []Attr, point []float64, k int) ([]uint64, QueryRe
 	if err != nil {
 		return nil, QueryReport{}
 	}
-	return ans.IDs, fromEngineReport(ans.Report)
+	return ans.IDs, ans.Report
 }
 
 // Correlated returns the k files most semantically correlated with the
