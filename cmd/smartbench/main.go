@@ -12,14 +12,8 @@
 // Experiment ids match DESIGN.md §3: table1..table6, fig7..fig14,
 // ablations.
 //
-// A second mode benchmarks the *service* path — real wall-clock
-// throughput and latency through the smartstored HTTP API rather than
-// simnet virtual time:
-//
-//	smartbench -serve -clients 8 -ops 4000            # in-process server
-//	smartbench -remote localhost:7070 -clients 16     # running daemon
-//	smartbench -serve -mutate 0.05                    # 5% inserts in the mix
-//	smartbench -serve -wire binary                    # force the binary query codec
+// The service itself — wall-clock throughput and latency through the
+// HTTP API — is measured by the repo's benchmark, `bash bench/run.sh`.
 package main
 
 import (
@@ -29,7 +23,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/client"
 	"repro/internal/experiments"
 	"repro/internal/trace"
 )
@@ -41,52 +34,7 @@ func main() {
 	units := flag.Int("units", 0, "override storage-unit count")
 	queries := flag.Int("queries", 0, "override queries per cell")
 	seed := flag.Uint64("seed", 0, "override random seed")
-	serve := flag.Bool("serve", false, "benchmark the HTTP service path against an in-process server")
-	remote := flag.String("remote", "", "benchmark a running smartstored at this address")
-	clients := flag.Int("clients", 8, "service bench: concurrent closed-loop clients")
-	ops := flag.Int("ops", 4000, "service bench: total operations")
-	mutate := flag.Float64("mutate", 0, "service bench: fraction of ops that are inserts")
-	benchTrace := flag.String("trace", "MSN", "service bench: trace to draw queries from")
-	cacheEntries := flag.Int("cache", 4096, "service bench: in-process server cache entries")
-	shardList := flag.String("shards", "1", "service bench: comma-separated shard counts, one pass each (e.g. 1,4)")
-	jsonOut := flag.String("json", "", "service bench: write machine-readable results (throughput, p50/p95/p99) to this file")
-	scrape := flag.Bool("scrape", false, "service bench: scrape the daemon's /v1/metrics and fold its server-side per-op latency into the report")
-	noMetrics := flag.Bool("no-metrics", false, "service bench: build the in-process server with instrumentation disabled — the baseline for the overhead comparison")
-	wireFlag := flag.String("wire", "auto", "service bench: query codec — auto (negotiate binary), json, or binary")
 	flag.Parse()
-
-	if *serve || *remote != "" {
-		shards, err := parseShardList(*shardList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smartbench:", err)
-			os.Exit(2)
-		}
-		wireMode, err := client.ParseWireMode(*wireFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smartbench:", err)
-			os.Exit(2)
-		}
-		o := serveBenchOpts{
-			remote:    *remote,
-			trace:     *benchTrace,
-			files:     orDefault(*baseFiles, 20000),
-			units:     orDefault(*units, 60),
-			shards:    shards,
-			seed:      *seed,
-			clients:   *clients,
-			ops:       *ops,
-			mutate:    *mutate,
-			cache:     *cacheEntries,
-			jsonPath:  *jsonOut,
-			scrape:    *scrape,
-			noMetrics: *noMetrics,
-			wire:      wireMode,
-		}
-		if o.seed == 0 {
-			o.seed = 42
-		}
-		os.Exit(runServiceBench(o))
-	}
 
 	p := experiments.Default()
 	if *quick {
@@ -183,12 +131,4 @@ func runExperiments(w io.Writer, exp string, p experiments.Params) int {
 		show(experiments.AblationReplicaDepth(p))
 	}
 	return ran
-}
-
-// orDefault substitutes d for an unset (zero) flag value.
-func orDefault(v, d int) int {
-	if v > 0 {
-		return v
-	}
-	return d
 }

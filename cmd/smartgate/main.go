@@ -1,7 +1,7 @@
 // Command smartgate is the scale-out gateway daemon: it federates a
 // static membership of smartstored backends behind the exact same
 // HTTP/JSON wire API a single smartstored serves, so smartctl,
-// smartbench and the typed client point at it unchanged. Queries fan
+// smarteval and the typed client point at it unchanged. Queries fan
 // out concurrently and merge exactly (internal/gateway); inserts route
 // by semantic placement; a down backend degrades the answer to
 // Partial instead of failing it.

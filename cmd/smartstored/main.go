@@ -82,7 +82,7 @@ func main() {
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period for -fsync interval")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Minute, "periodic snapshot+WAL-truncation period with -data-dir (0 disables)")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "checkpoint when the live WAL (summed across shards) outgrows this many bytes (0 disables size-triggered checkpoints)")
-	walSegmentBytes := flag.Int64("wal-segment-bytes", 0, "rotate each shard's WAL to a fresh segment past this many bytes (0 = 64 MiB default)")
+	walSegmentBytes := flag.Int64("wal-segment-bytes", 0, "rotate each shard's WAL to a fresh segment past this many bytes (0 = 1 MiB default)")
 	metricsOn := flag.Bool("metrics", true, "expose Prometheus metrics at /v1/metrics")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (off by default; enables remote profiling)")
 	slowQuery := flag.Duration("slow-query", 0, "log any request slower than this with its per-phase breakdown (0 disables)")

@@ -423,33 +423,9 @@ func (s *Store) WALSizes() []int64 {
 	return out
 }
 
-// WALStats aggregates the write-ahead logs' operational counters
-// across shards.
-type WALStats struct {
-	// Segments counts live segment files; Bytes their total valid
-	// length. DurableBytes is the fsync-covered prefix of that length —
-	// the durable watermark replication ships up to; Bytes -
-	// DurableBytes is data an acknowledged-only follower cannot see
-	// yet.
-	Segments     int
-	Bytes        int64
-	DurableBytes int64
-	// GroupCommits counts the fsync batches issued by the per-shard
-	// group committers (Durability Always); GroupedRecords the appends
-	// those batches acknowledged. Their ratio is the achieved batching
-	// factor.
-	GroupCommits   uint64
-	GroupedRecords uint64
-	// Rotations counts segment rotations (capacity- and
-	// checkpoint-triggered). AutoCheckpoints counts the checkpoints
-	// Config.CheckpointBytes triggered; AutoCheckpointFailures the
-	// triggered checkpoints that failed (the WAL keeps everything and
-	// the next mutation retries, but a climbing failure count with a
-	// growing WAL is the disk-pressure alarm).
-	Rotations              uint64
-	AutoCheckpoints        uint64
-	AutoCheckpointFailures uint64
-}
+// WALStats is the write-ahead logs' operational counters — wal.Stats,
+// which Store.WALStats sums across shards.
+type WALStats = wal.Stats
 
 // WALStats snapshots the durable store's log counters (zero value on an
 // in-memory store).

@@ -597,14 +597,40 @@ func (e *Engine) Delete(id uint64) (Report, bool, error) {
 	return reportFrom(res), found, nil
 }
 
-// Modify updates an existing file's attributes on its owning shard;
+// Modify replaces an existing file's attributes on its owning shard;
 // modifies on different shards run in parallel. Durable deployments
 // stage the replacement record before applying it; a WAL staging
 // failure rejects the modify without applying it, and the fsync
 // acknowledgement is awaited outside the shard lock.
 func (e *Engine) Modify(f *metadata.File) (Report, bool, error) {
+	return e.modify(f.ID, func(*Shard) *metadata.File { return f })
+}
+
+// ModifyAttrs sets the named attributes of an existing file and keeps
+// the rest of its vector. The merge reads the stored record under the
+// same write lock that applies it, so concurrent partial modifies of
+// one id naming different attributes all survive; the staged WAL record
+// is the full merged file, exactly what Modify would have logged.
+func (e *Engine) ModifyAttrs(id uint64, attrs map[metadata.Attr]float64) (Report, bool, error) {
+	return e.modify(id, func(s *Shard) *metadata.File {
+		cur, ok := s.primary.FileByID(id)
+		if !ok {
+			return nil
+		}
+		merged := *cur
+		for a, v := range attrs {
+			merged.Attrs[a] = v
+		}
+		return &merged
+	})
+}
+
+// modify stages and applies the replacement record next returns for id;
+// next runs under the owning shard's write lock and returns nil when
+// there is nothing to replace.
+func (e *Engine) modify(id uint64, next func(*Shard) *metadata.File) (Report, bool, error) {
 	e.assignMu.RLock()
-	idx, ok := e.assign[f.ID]
+	idx, ok := e.assign[id]
 	e.assignMu.RUnlock()
 	if !ok {
 		return Report{}, false, nil
@@ -613,6 +639,11 @@ func (e *Engine) Modify(f *metadata.File) (Report, bool, error) {
 	var res cluster.Result
 	var found bool
 	s.mu.Lock()
+	f := next(s)
+	if f == nil {
+		s.mu.Unlock()
+		return Report{}, false, nil
+	}
 	wait, err := s.stageThen(wal.Record{Op: wal.OpModify, Files: []metadata.File{*f}}, func() bool {
 		res, found = s.modifyLocked(f)
 		return found
@@ -640,29 +671,28 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// Stats aggregates structural statistics across shards and returns the
+// Stats aggregates structural statistics across shards, with the
 // per-shard breakdown.
-func (e *Engine) Stats() (total ShardStats, per []ShardStats) {
-	per = make([]ShardStats, len(e.shards))
+func (e *Engine) Stats() Stats {
+	st := Stats{Shards: len(e.shards), PerShard: make([]ShardStats, len(e.shards))}
 	weightedBytes := 0
 	for i, s := range e.shards {
-		per[i] = s.stats()
-		total.Units += per[i].Units
-		total.IndexUnits += per[i].IndexUnits
-		total.Files += per[i].Files
-		total.Trees += per[i].Trees
-		total.IndexBytesTotal += per[i].IndexBytesTotal
-		if per[i].TreeHeight > total.TreeHeight {
-			total.TreeHeight = per[i].TreeHeight
-		}
-		total.Epoch += per[i].Epoch
-		weightedBytes += per[i].IndexBytesPerNode * per[i].Units
+		p := s.stats()
+		bytesTotal, bytesPerNode := s.indexBytes()
+		st.PerShard[i] = p
+		st.Units += p.Units
+		st.IndexUnits += p.IndexUnits
+		st.Files += p.Files
+		st.Trees += p.Trees
+		st.IndexBytesTotal += bytesTotal
+		st.TreeHeight = max(st.TreeHeight, p.TreeHeight)
+		st.Epoch += p.Epoch
+		weightedBytes += bytesPerNode * p.Units
 	}
-	if total.Units > 0 {
-		total.IndexBytesPerNode = weightedBytes / total.Units
+	if st.Units > 0 {
+		st.IndexBytesPerNode = weightedBytes / st.Units
 	}
-	total.Shard = -1
-	return total, per
+	return st
 }
 
 // Snapshot captures the engine under every shard's read lock — taken

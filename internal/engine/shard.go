@@ -465,17 +465,35 @@ func (s *Shard) flush() (bool, error) {
 	return changed, nil
 }
 
-// ShardStats summarizes one shard's structure for the serving layer.
+// ShardStats is one shard's slice of the deployment: its units, index
+// structure, resident files and its own mutation epoch. The struct is
+// what /v1/stats puts on the wire per shard (DESIGN.md §5), so the
+// facade's and the server's names are aliases of it.
 type ShardStats struct {
-	Shard             int
-	Units             int
-	IndexUnits        int
-	TreeHeight        int
-	Files             int
-	Trees             int
-	IndexBytesTotal   int
-	IndexBytesPerNode int
-	Epoch             uint64
+	Shard      int    `json:"shard"`
+	Units      int    `json:"units"`
+	IndexUnits int    `json:"index_units"`
+	TreeHeight int    `json:"tree_height"`
+	Files      int    `json:"files"`
+	Trees      int    `json:"trees"` // 1 + kept specialized trees
+	Epoch      uint64 `json:"epoch"`
+}
+
+// Stats summarizes the deployment across shards — the "store" section
+// of /v1/stats. Sizes sum, TreeHeight is the tallest shard's, Epoch is
+// the composed mutation epoch (the sum of the per-shard epochs) and
+// IndexBytesPerNode is weighted by each shard's unit count.
+type Stats struct {
+	Units             int          `json:"units"`
+	IndexUnits        int          `json:"index_units"`
+	TreeHeight        int          `json:"tree_height"`
+	Files             int          `json:"files"`
+	Trees             int          `json:"trees"`
+	IndexBytesTotal   int          `json:"index_bytes_total"`
+	IndexBytesPerNode int          `json:"index_bytes_per_node"`
+	Epoch             uint64       `json:"epoch"`
+	Shards            int          `json:"shards"`
+	PerShard          []ShardStats `json:"per_shard,omitempty"`
 }
 
 // stats snapshots the shard's structural statistics under its read
@@ -484,7 +502,7 @@ func (s *Shard) stats() ShardStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	storage, index := s.primary.Tree.CountNodes()
-	st := ShardStats{
+	return ShardStats{
 		Shard:      s.id,
 		Units:      storage,
 		IndexUnits: index,
@@ -493,9 +511,16 @@ func (s *Shard) stats() ShardStats {
 		Trees:      len(s.clusters),
 		Epoch:      s.epoch.Load(),
 	}
+}
+
+// indexBytes sizes the shard's index: every deployed tree in total,
+// and the primary deployment's share per storage node. Only the
+// store-wide Stats reports them.
+func (s *Shard) indexBytes() (total, perNode int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, c := range s.clusters {
-		st.IndexBytesTotal += c.Tree.SizeBytes()
+		total += c.Tree.SizeBytes()
 	}
-	st.IndexBytesPerNode = s.primary.IndexSizeBytes()
-	return st
+	return total, s.primary.IndexSizeBytes()
 }

@@ -2,7 +2,7 @@
 // a thin federating daemon (cmd/smartgate) in front of a static
 // membership of N smartstored backends, lifting the engine's
 // shard-level semantics to the network. It serves the exact same
-// HTTP/JSON wire API as a single smartstored — smartctl, smartbench
+// HTTP/JSON wire API as a single smartstored — smartctl, smarteval
 // and internal/client work against it unchanged — while queries fan
 // out concurrently over the typed client and fold back together with
 // the shared exact-merge rules (internal/merge): point and range

@@ -2,9 +2,13 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -416,6 +420,94 @@ func TestGatewayStatsAggregate(t *testing.T) {
 	}
 	if sum != len(fed.files) {
 		t.Fatalf("per-backend files sum to %d, corpus holds %d", sum, len(fed.files))
+	}
+}
+
+// keyPaths lists every object key of a JSON document as a sorted set of
+// dotted paths, array elements as "[]".
+func keyPaths(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				seen[prefix+k] = true
+				walk(prefix+k+".", child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", child)
+			}
+		}
+	}
+	walk("", doc)
+	out := make([]string, 0, len(seen))
+	for k := range seen {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestStatsKeySetsPinned: /v1/stats is read by dashboards and by
+// gateways at bootstrap, and its store and wal sections are the
+// engine's and the log's own structs, so a renamed field there would
+// rename a wire key. The key sets below were recorded from the PR 20
+// binaries (in-memory store, durable store, gateway over both) before
+// those structs became one type. What build carries depends on how the
+// binary was stamped, so its fields are left to TestStatsBuildInfo.
+func TestStatsKeySetsPinned(t *testing.T) {
+	common := "build server server.uptime_sec server.requests server.rejected server.workers server.max_queue " +
+		"server.cache server.cache.entries server.cache.max_entries server.cache.hits server.cache.misses " +
+		"server.cache.evictions server.cache.invalidations " +
+		"store store.units store.index_units store.tree_height store.files store.trees " +
+		"store.index_bytes_total store.index_bytes_per_node store.epoch store.shards "
+	single := common + "store.per_shard store.per_shard[].shard store.per_shard[].units " +
+		"store.per_shard[].index_units store.per_shard[].tree_height store.per_shard[].files " +
+		"store.per_shard[].trees store.per_shard[].epoch " +
+		"placement placement.attrs placement.centroid placement.lo placement.hi placement.max_file_id "
+	durable := single + "wal wal.segments wal.bytes wal.durable_bytes wal.group_commits " +
+		"wal.grouped_records wal.rotations wal.auto_checkpoints wal.auto_checkpoint_failures"
+	gate := common + "gateway gateway.healthy gateway.backends gateway.backends[].backend " +
+		"gateway.backends[].healthy gateway.backends[].files gateway.backends[].epoch gateway.backends[].active"
+
+	fed := buildFederation(t, 300, 2)
+	store, err := smartstore.Build(fed.perNode[0], smartstore.Config{
+		Units: 8, Seed: 17, DataDir: t.TempDir(), Durability: smartstore.DurabilityAlways,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	durableSrv := httptest.NewServer(server.New(store, server.Options{}))
+	t.Cleanup(durableSrv.Close)
+
+	for _, tc := range []struct{ name, url, want string }{
+		{"in-memory store", fed.backends[0].URL, single},
+		{"durable store", durableSrv.URL, durable},
+		{"gateway", fed.gateURL, gate},
+	} {
+		resp, err := http.Get(tc.url + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := slices.DeleteFunc(keyPaths(t, raw), func(k string) bool { return strings.HasPrefix(k, "build.") })
+		want := strings.Fields(tc.want)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: /v1/stats keys moved:\n got %v\nwant %v", tc.name, got, want)
+		}
 	}
 }
 

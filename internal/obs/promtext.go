@@ -12,10 +12,9 @@ import (
 
 // A minimal parser for Prometheus text exposition format 0.0.4 — just
 // enough to round-trip what the registry writes. It is the shared
-// consumer behind `smartctl -metrics` (pretty-printing), `smartbench
-// -scrape` (folding daemon-observed latency into the bench report) and
-// the server exposition-validity test, so the project needs no
-// external Prometheus dependency.
+// consumer behind `smartctl metrics` (validating, pretty-printing) and
+// the exposition-validity tests, so the project needs no external
+// Prometheus dependency.
 
 // Sample is one parsed sample line. For histograms the Name keeps its
 // _bucket/_sum/_count suffix and bucket samples carry their "le" label.

@@ -51,7 +51,7 @@ type Options struct {
 	MaxQueue int
 	// DisableMetrics drops the metrics registry entirely: /v1/metrics
 	// is not routed and every instrumentation hook short-circuits on a
-	// nil check — the baseline half of the overhead comparison gate.
+	// nil check.
 	DisableMetrics bool
 	// SlowQuery, when positive, logs any served request whose total
 	// wall time (admission wait included) exceeds it, with its full
@@ -274,20 +274,18 @@ func (s *Server) Modify(_ context.Context, rec FileRecord) (MutateResponse, erro
 		return MutateResponse{}, err
 	}
 	// Merge semantics: attributes not named in the request keep their
-	// stored values — a partial attrs map must not zero the rest of
-	// the vector (Store.Modify replaces it wholesale).
-	existing, ok := s.store.FileByID(rec.ID)
-	if !ok {
-		return MutateResponse{Epoch: s.store.Epoch()}, nil
-	}
+	// stored values. The store merges under the owning shard's write
+	// lock, so concurrent partial modifies of one id cannot overwrite
+	// each other's acknowledged attributes.
+	attrs := make(map[metadata.Attr]float64, len(rec.Attrs))
 	for name, v := range rec.Attrs {
 		a, err := metadata.ParseAttr(name)
 		if err != nil {
 			return MutateResponse{}, BadRequest("modify: %v", err)
 		}
-		existing.Attrs[a] = v
+		attrs[a] = v
 	}
-	rep, found, err := s.store.Modify(&existing)
+	rep, found, err := s.store.ModifyAttrs(rec.ID, attrs)
 	if err != nil {
 		return MutateResponse{}, err
 	}
@@ -305,31 +303,10 @@ func (s *Server) Flush(context.Context) (FlushResponse, error) {
 }
 
 func (s *Server) Stats(context.Context) (StatsResponse, error) {
-	st := s.store.Stats()
-	perShard := make([]ShardStats, len(st.PerShard))
-	for i, p := range st.PerShard {
-		perShard[i] = ShardStats{
-			Shard:      p.Shard,
-			Units:      p.Units,
-			IndexUnits: p.IndexUnits,
-			TreeHeight: p.TreeHeight,
-			Files:      p.Files,
-			Trees:      p.Trees,
-			Epoch:      p.Epoch,
-		}
-	}
 	var walStats *WALStats
 	if s.store.Durable() {
 		ws := s.store.WALStats()
-		walStats = &WALStats{
-			Segments:               ws.Segments,
-			Bytes:                  ws.Bytes,
-			GroupCommits:           ws.GroupCommits,
-			GroupedRecords:         ws.GroupedRecords,
-			Rotations:              ws.Rotations,
-			AutoCheckpoints:        ws.AutoCheckpoints,
-			AutoCheckpointFailures: ws.AutoCheckpointFailures,
-		}
+		walStats = &ws
 	}
 	placement := s.store.Placement()
 	return StatsResponse{
@@ -340,19 +317,8 @@ func (s *Server) Stats(context.Context) (StatsResponse, error) {
 			Hi:        placement.Hi,
 			MaxFileID: s.store.MaxFileID(),
 		},
-		WAL: walStats,
-		Store: StoreStats{
-			Units:             st.Units,
-			IndexUnits:        st.IndexUnits,
-			TreeHeight:        st.TreeHeight,
-			Files:             st.Files,
-			Trees:             st.Trees,
-			IndexBytesTotal:   st.IndexBytesTotal,
-			IndexBytesPerNode: st.IndexBytesPerNode,
-			Epoch:             s.store.Epoch(),
-			Shards:            st.Shards,
-			PerShard:          perShard,
-		},
+		WAL:    walStats,
+		Store:  s.store.Stats(),
 		Server: ServerStats{Cache: s.cache.stats()},
 	}, nil
 }

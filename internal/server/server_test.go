@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	smartstore "repro"
@@ -222,6 +223,39 @@ func TestInsertDeleteModifyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentPartialModifiesKeepBoth: two /v1/modify calls on one id
+// naming disjoint attributes are both acknowledged, so both must
+// survive — the merge happens under the owning shard's write lock, not
+// on a copy read before it.
+func TestConcurrentPartialModifiesKeepBoth(t *testing.T) {
+	store, set := newTestStore(t)
+	srv := New(store, Options{})
+	const n = 200
+	var wg sync.WaitGroup
+	for _, f := range set.Files[:n] {
+		for _, attrs := range []map[string]float64{{"size": 111}, {"mtime": 222}} {
+			wg.Add(1)
+			go func(rec FileRecord) {
+				defer wg.Done()
+				if resp, err := srv.Modify(context.Background(), rec); err != nil || !resp.Found {
+					t.Errorf("modify %d %v: found=%v err=%v", rec.ID, rec.Attrs, resp.Found, err)
+				}
+			}(FileRecord{ID: f.ID, Attrs: attrs})
+		}
+	}
+	wg.Wait()
+	lost := 0
+	for _, f := range set.Files[:n] {
+		got, _ := store.FileByID(f.ID)
+		if got.Attrs[metadata.AttrSize] != 111 || got.Attrs[metadata.AttrMTime] != 222 {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d ids lost an acknowledged partial modify", lost, n)
+	}
+}
+
 func TestCacheHitAndInvalidation(t *testing.T) {
 	ts, _, set := newTestServer(t, Options{CacheEntries: 64})
 	req := WireQuery{Kind: "range", Attrs: defaultNames(),
@@ -291,7 +325,8 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestStatsEndpointWALSection: a durable store's /v1/stats carries the
-// segment inventory and group-commit counters.
+// segment inventory, the group-commit counters and the durable
+// watermark.
 func TestStatsEndpointWALSection(t *testing.T) {
 	set, err := smartstore.GenerateTrace("MSN", 400, 42)
 	if err != nil {
@@ -332,6 +367,11 @@ func TestStatsEndpointWALSection(t *testing.T) {
 	}
 	if st.WAL.GroupCommits == 0 || st.WAL.GroupedRecords == 0 {
 		t.Fatalf("group-commit counters not surfaced: %+v", st.WAL)
+	}
+	// The insert was acknowledged under DurabilityAlways, so nothing
+	// sits above the fsync watermark.
+	if st.WAL.DurableBytes == 0 || st.WAL.DurableBytes != st.WAL.Bytes {
+		t.Fatalf("durable watermark %d of %d bytes after an acked insert", st.WAL.DurableBytes, st.WAL.Bytes)
 	}
 }
 

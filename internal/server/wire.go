@@ -90,33 +90,13 @@ type FlushResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// StoreStats is the wire form of smartstore.Stats plus the composed
-// mutation epoch and the per-shard breakdown.
-type StoreStats struct {
-	Units             int          `json:"units"`
-	IndexUnits        int          `json:"index_units"`
-	TreeHeight        int          `json:"tree_height"`
-	Files             int          `json:"files"`
-	Trees             int          `json:"trees"`
-	IndexBytesTotal   int          `json:"index_bytes_total"`
-	IndexBytesPerNode int          `json:"index_bytes_per_node"`
-	Epoch             uint64       `json:"epoch"`
-	Shards            int          `json:"shards"`
-	PerShard          []ShardStats `json:"per_shard,omitempty"`
-}
-
-// ShardStats is one engine shard's slice of the deployment: its units,
-// index structure, resident files and its own mutation epoch (the
-// store-wide epoch is the sum across shards).
-type ShardStats struct {
-	Shard      int    `json:"shard"`
-	Units      int    `json:"units"`
-	IndexUnits int    `json:"index_units"`
-	TreeHeight int    `json:"tree_height"`
-	Files      int    `json:"files"`
-	Trees      int    `json:"trees"`
-	Epoch      uint64 `json:"epoch"`
-}
+// StoreStats and ShardStats are the "store" section of /v1/stats and
+// one row of its per_shard breakdown: the engine's own structs, carried
+// to the wire as they are.
+type (
+	StoreStats = smartstore.Stats
+	ShardStats = smartstore.ShardStats
+)
 
 // CacheStats reports query-cache effectiveness.
 type CacheStats struct {
@@ -142,16 +122,7 @@ type ServerStats struct {
 // inventory, group-commit effectiveness (grouped_records /
 // group_commits is the achieved batching factor), and checkpoint
 // activity. Absent on an in-memory store.
-type WALStats struct {
-	Segments               int    `json:"segments"`
-	Bytes                  int64  `json:"bytes"`
-	DurableBytes           int64  `json:"durable_bytes"`
-	GroupCommits           uint64 `json:"group_commits"`
-	GroupedRecords         uint64 `json:"grouped_records"`
-	Rotations              uint64 `json:"rotations"`
-	AutoCheckpoints        uint64 `json:"auto_checkpoints"`
-	AutoCheckpointFailures uint64 `json:"auto_checkpoint_failures"`
-}
+type WALStats = smartstore.WALStats
 
 // PlacementWire summarizes a store's semantic placement for a
 // federating gateway: the placement attributes, the file-count-weighted

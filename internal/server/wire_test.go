@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	smartstore "repro"
 	"repro/internal/wire"
 )
 
@@ -81,9 +83,23 @@ func decodeWire(t *testing.T, contentType string, raw []byte, batch bool) any {
 
 // TestCodecEquivalenceOverHTTP drives every query shape through all
 // four request/response codec combinations and demands the identical
-// decoded value: the binary codec is a transport, not a dialect.
+// decoded value: the binary codec is a transport, not a dialect. It is
+// also the codec's cost gate, and a deterministic one: on a 2000-file
+// store a binary answer body that carries records or distances is no
+// larger than the JSON body carrying the same answer. An id travels as
+// 8 fixed bytes, which decimal text undercuts while ids stay below
+// 10^7, so an id-only answer is held to that fixed cost instead.
 func TestCodecEquivalenceOverHTTP(t *testing.T) {
-	ts, _, set := newTestServer(t, Options{CacheEntries: -1})
+	set, err := smartstore.GenerateTrace("MSN", 2000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := smartstore.Build(set.Files, smartstore.Config{Units: 16, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(store, Options{CacheEntries: -1}))
+	t.Cleanup(ts.Close)
 	f := set.Files[3]
 	shapes := map[string]*QueryRequest{
 		"point": {WireQuery: WireQuery{Kind: "point", Path: f.Path}},
@@ -92,6 +108,9 @@ func TestCodecEquivalenceOverHTTP(t *testing.T) {
 		"range": {WireQuery: WireQuery{
 			Kind: "range", Attrs: defaultNames(),
 			Lo: []float64{0, 0, 0}, Hi: []float64{1e9, 1e12, 1e12}}},
+		"range-records": {WireQuery: WireQuery{
+			Kind: "range", Attrs: defaultNames(),
+			Lo: []float64{0, 0, 0}, Hi: []float64{1e9, 1e12, 1e12}, IncludeRecords: true}},
 		"range-limit": {WireQuery: WireQuery{
 			Kind: "range", Attrs: defaultNames(),
 			Lo: []float64{0, 0, 0}, Hi: []float64{1e9, 1e12, 1e12}, Limit: 5}},
@@ -131,6 +150,7 @@ func TestCodecEquivalenceOverHTTP(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			batch := len(req.Queries) > 0
 			var ref any
+			var limit int
 			for i, combo := range []struct{ reqBin, respBin bool }{
 				{false, false}, {true, false}, {false, true}, {true, true},
 			} {
@@ -144,8 +164,14 @@ func TestCodecEquivalenceOverHTTP(t *testing.T) {
 				got := decodeWire(t, ct, raw, batch)
 				scrub(got)
 				if i == 0 {
-					ref = got
+					ref, limit = got, len(raw)
+					if r, ok := got.(*QueryResponse); ok && !req.IncludeRecords && !req.IncludeDists {
+						limit = max(limit, 8*r.Count+128)
+					}
 					continue
+				}
+				if combo.respBin && len(raw) > limit {
+					t.Errorf("combo %d: binary body is %d bytes, limit %d", i, len(raw), limit)
 				}
 				if !reflect.DeepEqual(got, ref) {
 					t.Fatalf("combo %d diverges from JSON/JSON:\n  ref: %+v\n  got: %+v", i, ref, got)

@@ -133,25 +133,36 @@ type Log struct {
 	obsv atomic.Pointer[Observer]
 }
 
-// Stats is a point-in-time operational summary of one shard's log.
+// Stats is a point-in-time operational summary of one shard's log —
+// or, summed by the store that owns the logs, of all of them: the
+// struct is the "wal" section of /v1/stats (DESIGN.md §5), so the
+// facade's and the server's names are aliases of it.
 type Stats struct {
-	// Segments counts live segment files (sealed + active).
-	Segments int
-	// Bytes is the total valid length across live segments.
-	Bytes int64
-	// GroupCommits counts fsync batches the group committer issued;
-	// GroupedRecords counts the appends those batches acknowledged.
-	// GroupedRecords / GroupCommits is the achieved batching factor.
-	GroupCommits   uint64
-	GroupedRecords uint64
-	// Rotations counts segment rotations (capacity- and
-	// checkpoint-triggered).
-	Rotations uint64
+	// Segments counts live segment files (sealed + active); Bytes is
+	// their total valid length.
+	Segments int   `json:"segments"`
+	Bytes    int64 `json:"bytes"`
 	// DurableBytes is the durable watermark: sealed bytes plus the
 	// fsync-covered prefix of the active segment. Everything below it
 	// survives power loss and is what TailSince ships under SyncAlways
 	// — the follower lag observable is Bytes - DurableBytes.
-	DurableBytes int64
+	DurableBytes int64 `json:"durable_bytes"`
+	// GroupCommits counts fsync batches the group committer issued;
+	// GroupedRecords counts the appends those batches acknowledged.
+	// GroupedRecords / GroupCommits is the achieved batching factor.
+	GroupCommits   uint64 `json:"group_commits"`
+	GroupedRecords uint64 `json:"grouped_records"`
+	// Rotations counts segment rotations (capacity- and
+	// checkpoint-triggered).
+	Rotations uint64 `json:"rotations"`
+	// AutoCheckpoints counts the checkpoints the store's
+	// CheckpointBytes threshold triggered and AutoCheckpointFailures
+	// the triggered checkpoints that failed (the WAL keeps everything
+	// and the next mutation retries, but a climbing failure count with
+	// a growing WAL is the disk-pressure alarm). Checkpointing is the
+	// store's decision, so a Log's own Stats leaves both zero.
+	AutoCheckpoints        uint64 `json:"auto_checkpoints"`
+	AutoCheckpointFailures uint64 `json:"auto_checkpoint_failures"`
 }
 
 // Open opens (creating if absent) the shard's segmented log in the

@@ -381,6 +381,19 @@ func (s *Store) Modify(f *File) (QueryReport, bool, error) {
 	return rep, found, nil
 }
 
+// ModifyAttrs sets the named attributes of an existing file and keeps
+// the rest, merging under the owning shard's write lock — the form a
+// partial update takes when other writers may be modifying the same
+// file. Logging and errors are Modify's.
+func (s *Store) ModifyAttrs(id uint64, attrs map[Attr]float64) (QueryReport, bool, error) {
+	rep, found, err := s.eng.ModifyAttrs(id, attrs)
+	if err != nil {
+		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+	}
+	s.noteMutation()
+	return rep, found, nil
+}
+
 // Flush propagates all pending changes to replicas on every shard (lazy
 // updates are otherwise threshold-driven, §3.4). Each shard's epoch
 // advances only when that shard had something pending — propagating
@@ -396,60 +409,16 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// Stats summarizes the deployment.
-type Stats struct {
-	Units             int
-	IndexUnits        int
-	TreeHeight        int
-	Files             int
-	Trees             int // 1 + kept specialized trees, summed across shards
-	IndexBytesTotal   int
-	IndexBytesPerNode int
-	// Shards is the engine shard count; PerShard breaks the deployment
-	// down by shard.
-	Shards   int
-	PerShard []ShardStats
-}
-
-// ShardStats is one shard's slice of the deployment.
-type ShardStats struct {
-	Shard      int
-	Units      int
-	IndexUnits int
-	TreeHeight int
-	Files      int
-	Trees      int
-	Epoch      uint64
-}
+// Stats summarizes the deployment and ShardStats is one shard's slice
+// of it; both are the engine's own structs, which also go on the wire.
+type (
+	Stats      = engine.Stats
+	ShardStats = engine.ShardStats
+)
 
 // Stats reports structural statistics of the store, aggregated across
 // shards with a per-shard breakdown.
-func (s *Store) Stats() Stats {
-	total, per := s.eng.Stats()
-	st := Stats{
-		Units:             total.Units,
-		IndexUnits:        total.IndexUnits,
-		TreeHeight:        total.TreeHeight,
-		Files:             total.Files,
-		Trees:             total.Trees,
-		IndexBytesTotal:   total.IndexBytesTotal,
-		IndexBytesPerNode: total.IndexBytesPerNode,
-		Shards:            len(per),
-		PerShard:          make([]ShardStats, len(per)),
-	}
-	for i, p := range per {
-		st.PerShard[i] = ShardStats{
-			Shard:      p.Shard,
-			Units:      p.Units,
-			IndexUnits: p.IndexUnits,
-			TreeHeight: p.TreeHeight,
-			Files:      p.Files,
-			Trees:      p.Trees,
-			Epoch:      p.Epoch,
-		}
-	}
-	return st
-}
+func (s *Store) Stats() Stats { return s.eng.Stats() }
 
 // GenerateTrace synthesizes one of the paper's workloads ("HP", "MSN",
 // "EECS") with nFiles sampled files, deterministic in seed.
