@@ -71,7 +71,6 @@ func main() {
 	versioning := flag.Bool("versioning", false, "enable consistency versioning")
 	online := flag.Bool("online", false, "use the on-line multicast query path")
 	offlineBudget := flag.Int("offline-budget", 0, "off-line search budget: groups per shard and shards per query (0 = adaptive heuristics; ≥ group and shard counts = exhaustive, exact answers)")
-	autoconfig := flag.Bool("autoconfig", false, "build specialized semantic R-trees per attribute subset")
 	maxChildren := flag.Int("max-children", 0, "semantic R-tree max fan-out M (default 0 = 10)")
 	minChildren := flag.Int("min-children", 0, "semantic R-tree min fan-out m (default 0 = 2; validated 2 ≤ m ≤ M/2)")
 	cacheEntries := flag.Int("cache", 4096, "query-result cache entries (negative disables)")
@@ -106,7 +105,6 @@ func main() {
 		versioning:      *versioning,
 		online:          *online,
 		offlineBudget:   *offlineBudget,
-		autoconfig:      *autoconfig,
 		maxChildren:     *maxChildren,
 		minChildren:     *minChildren,
 		dataDir:         *dataDir,
@@ -253,7 +251,6 @@ type bootstrapOpts struct {
 	idOffset                 uint64
 	versioning, online       bool
 	offlineBudget            int
-	autoconfig               bool
 	maxChildren, minChildren int
 	dataDir                  string
 	fsync                    string
@@ -285,7 +282,6 @@ func buildConfig(o bootstrapOpts) (smartstore.Config, error) {
 		Versioning:         o.versioning,
 		Mode:               mode,
 		OfflineGroupBudget: o.offlineBudget,
-		AutoConfig:         o.autoconfig,
 		MaxChildren:        o.maxChildren,
 		MinChildren:        o.minChildren,
 		DataDir:            o.dataDir,

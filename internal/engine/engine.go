@@ -1,7 +1,7 @@
 // Package engine is the sharded store engine behind the root package's
-// Store: it owns N independent shards — each with its own semantic
-// R-tree forest, cluster deployment, virtual-time state and lock — so
-// concurrent queries and writes on different shards never contend.
+// Store: it owns N independent shards — each with one semantic R-tree,
+// its cluster deployment, virtual-time state and lock — so concurrent
+// queries and writes on different shards never contend.
 //
 // Placement is semantic and stable: the file population is cut into N
 // contiguous regions of the LSI-ordered semantic space at build time,
@@ -62,10 +62,6 @@ type Config struct {
 	// Online selects the on-line multicast path as the default complex
 	// query execution.
 	Online bool
-	// AutoConfig builds specialized per-subset trees on every shard.
-	AutoConfig bool
-	// AutoConfigThreshold is the §2.4 index-unit-difference ratio.
-	AutoConfigThreshold float64
 	// Tree carries fan-out bounds and the admission threshold; its
 	// Attrs field is ignored (Config.Attrs wins).
 	Tree semtree.Config
@@ -150,9 +146,9 @@ func seedFor(base uint64, i int) uint64 {
 }
 
 // Build constructs a sharded engine over the corpus: the population is
-// partitioned into Shards semantic regions, each region deploys its own
-// tree(s) and cluster, and the id index and placement centroids are
-// frozen.
+// partitioned into Shards semantic regions, each region is placed into
+// its share of the units and built into one tree, and each tree is
+// deployed exactly as Restore deploys a snapshot's.
 func Build(files []*metadata.File, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if len(files) == 0 {
@@ -178,24 +174,12 @@ func Build(files []*metadata.File, cfg Config) (*Engine, error) {
 		norm.Fit(files)
 	}
 
-	parts := partition(files, cfg.Shards, norm, cfg.Attrs)
-	e := &Engine{
-		cfg:       cfg,
-		norm:      norm,
-		shards:    make([]*Shard, cfg.Shards),
-		centroids: make([][]float64, cfg.Shards),
-		assign:    make(map[uint64]int, len(files)),
-	}
-	for i, part := range parts {
-		e.shards[i] = buildShard(i, part, norm, cfg, unitShare(cfg.Units, cfg.Shards, i, len(part)),
-			seedFor(cfg.Cluster.Seed, i))
-		e.centroids[i] = centroidOf(norm, part, cfg.Attrs)
-		for _, f := range part {
-			e.assign[f.ID] = i
-			if f.ID > e.maxID {
-				e.maxID = f.ID
-			}
-		}
+	treeCfg := cfg.Tree
+	treeCfg.Attrs = cfg.Attrs
+	e := newEngine(cfg, norm, len(files))
+	for i, part := range partition(files, cfg.Shards, norm, cfg.Attrs) {
+		units := semtree.PlaceSemantic(part, unitShare(cfg.Units, cfg.Shards, i, len(part)), norm, cfg.Attrs)
+		e.deploy(i, semtree.Build(units, norm, treeCfg), part)
 	}
 	return e, nil
 }
@@ -209,27 +193,37 @@ func Restore(trees []*semtree.Tree, cfg Config) (*Engine, error) {
 	}
 	cfg.Shards = len(trees)
 	cfg.Attrs = trees[0].Attrs
-	e := &Engine{
-		cfg:       cfg,
-		norm:      trees[0].Norm,
-		shards:    make([]*Shard, len(trees)),
-		centroids: make([][]float64, len(trees)),
-		assign:    map[uint64]int{},
-	}
+	e := newEngine(cfg, trees[0].Norm, 0)
 	for i, t := range trees {
-		clCfg := cfg.Cluster
-		clCfg.Seed = seedFor(cfg.Cluster.Seed, i)
-		e.shards[i] = restoreShard(i, t, clCfg, cfg.OfflineGroupBudget)
-		files := t.AllFiles()
-		e.centroids[i] = centroidOf(e.norm, files, t.Attrs)
-		for _, f := range files {
-			e.assign[f.ID] = i
-			if f.ID > e.maxID {
-				e.maxID = f.ID
-			}
-		}
+		e.deploy(i, t, t.AllFiles())
 	}
 	return e, nil
+}
+
+// newEngine allocates an engine with cfg.Shards empty shard slots and an
+// id index sized for files entries.
+func newEngine(cfg Config, norm *metadata.Normalizer, files int) *Engine {
+	return &Engine{
+		cfg:       cfg,
+		norm:      norm,
+		shards:    make([]*Shard, cfg.Shards),
+		centroids: make([][]float64, cfg.Shards),
+		assign:    make(map[uint64]int, files),
+	}
+}
+
+// deploy installs shard i: a deployment around tree under the shard's
+// derived seed, with files — the tree's population — frozen into the
+// shard's placement centroid and entered in the id index.
+func (e *Engine) deploy(i int, tree *semtree.Tree, files []*metadata.File) {
+	clCfg := e.cfg.Cluster
+	clCfg.Seed = seedFor(e.cfg.Cluster.Seed, i)
+	e.shards[i] = newShard(i, tree, clCfg, e.cfg.OfflineGroupBudget)
+	e.centroids[i] = centroidOf(e.norm, files, e.cfg.Attrs)
+	for _, f := range files {
+		e.assign[f.ID] = i
+		e.maxID = max(e.maxID, f.ID)
+	}
 }
 
 // partition cuts the corpus into shard populations along the same
@@ -573,7 +567,7 @@ func (e *Engine) Delete(id uint64) (Report, bool, error) {
 	var found bool
 	s.mu.Lock()
 	wait, err := s.stageThen(wal.Record{Op: wal.OpDelete, ID: id}, func() bool {
-		res, found = s.deleteLocked(id)
+		res, found = s.cluster.DeleteFile(id)
 		return found
 	})
 	s.mu.Unlock()
@@ -613,7 +607,7 @@ func (e *Engine) Modify(f *metadata.File) (Report, bool, error) {
 // is the full merged file, exactly what Modify would have logged.
 func (e *Engine) ModifyAttrs(id uint64, attrs map[metadata.Attr]float64) (Report, bool, error) {
 	return e.modify(id, func(s *Shard) *metadata.File {
-		cur, ok := s.primary.FileByID(id)
+		cur, ok := s.cluster.FileByID(id)
 		if !ok {
 			return nil
 		}
@@ -645,7 +639,7 @@ func (e *Engine) modify(id uint64, next func(*Shard) *metadata.File) (Report, bo
 		return Report{}, false, nil
 	}
 	wait, err := s.stageThen(wal.Record{Op: wal.OpModify, Files: []metadata.File{*f}}, func() bool {
-		res, found = s.modifyLocked(f)
+		res, found = s.cluster.ModifyFile(f)
 		return found
 	})
 	s.mu.Unlock()
@@ -717,7 +711,7 @@ func (e *Engine) snapshotLocked() *snapshot.Snapshot {
 	trees := make([]*semtree.Tree, len(e.shards))
 	epochs := make([]uint64, len(e.shards))
 	for i, s := range e.shards {
-		trees[i] = s.primary.Tree
+		trees[i] = s.cluster.Tree
 		epochs[i] = s.epoch.Load()
 	}
 	return snapshot.CaptureShards(trees, epochs)

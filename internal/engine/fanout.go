@@ -108,7 +108,7 @@ func (e *Engine) allShards() []int {
 
 // fanout runs one query function on the target shards in parallel and
 // collects the per-shard answers in target order. The first failing
-// shard cancels the rest (shards queued on their deployment slot
+// shard cancels the rest (shards queued on their query slot
 // abandon the wait) and its error is returned. A single target runs
 // inline with the caller's context untouched.
 func (e *Engine) fanout(ctx context.Context, targets []int, run func(ctx context.Context, s *Shard) (answer, error)) ([]answer, error) {

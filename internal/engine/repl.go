@@ -38,7 +38,7 @@ func (e *Engine) applyRecordLocked(i int, rec wal.Record) bool {
 		}
 		e.assignMu.Unlock()
 	case wal.OpDelete:
-		if _, found := s.deleteLocked(rec.ID); !found {
+		if _, found := s.cluster.DeleteFile(rec.ID); !found {
 			return false
 		}
 		e.assignMu.Lock()
@@ -48,16 +48,14 @@ func (e *Engine) applyRecordLocked(i int, rec wal.Record) bool {
 		}
 		e.assignMu.Unlock()
 	case wal.OpModify:
-		if _, found := s.modifyLocked(&rec.Files[0]); !found {
+		if _, found := s.cluster.ModifyFile(&rec.Files[0]); !found {
 			return false
 		}
 	case wal.OpFlush:
 		// Replay the propagation at the same point in the mutation
-		// order, so replica state and epoch evolve exactly as they did
-		// on the leader (or before the crash).
-		for _, c := range s.clusters {
-			c.PropagateAll()
-		}
+		// order, so everything logged before it becomes visible where
+		// it did on the leader (or before the crash).
+		s.cluster.PropagateAll()
 	}
 	return true
 }

@@ -15,28 +15,24 @@ import (
 )
 
 // Shard is one independent slice of a sharded deployment: its own
-// semantic R-tree forest, cluster deployment, virtual-time state and
-// lock. Shards never share mutable state, so operations on different
-// shards proceed fully in parallel; within a shard the same two-level
-// locking as the original single-store design applies (an RWMutex for
-// tree structure, a per-deployment capacity-1 query slot for the
-// simulated phase).
+// semantic R-tree, cluster deployment, virtual-time state and lock.
+// Shards never share mutable state, so operations on different shards
+// proceed fully in parallel; within a shard the same two-level locking
+// as the original single-store design applies (an RWMutex for tree
+// structure, a capacity-1 query slot for the simulated phase).
 type Shard struct {
-	id       int
-	attrs    []metadata.Attr
-	primary  *cluster.Cluster
-	forest   *semtree.Forest
-	clusters map[*semtree.Tree]*cluster.Cluster
+	id      int
+	cluster *cluster.Cluster
 
 	// mu keeps tree structure stable: readers share it, mutators hold
-	// it exclusively. qslot serializes each deployment's simulation
+	// it exclusively. qslot serializes the deployment's simulation
 	// machinery (sim counters, home-unit RNG, lazy id cache); it is a
 	// capacity-1 channel semaphore rather than a mutex so waiters can
 	// abandon the wait on context cancellation. epoch counts this
 	// shard's committed mutations; the engine composes shard epochs
 	// into the store-wide epoch.
 	mu    sync.RWMutex
-	qslot map[*cluster.Cluster]chan struct{}
+	qslot chan struct{}
 	epoch atomic.Uint64
 
 	// log is the shard's write-ahead log (nil on a non-durable
@@ -52,112 +48,39 @@ type Shard struct {
 	budget int
 }
 
-// buildShard mirrors the original Store construction over one shard's
-// file population: semantic placement into unitCount storage units, the
-// primary tree over the grouping predicate, and — under auto-config —
-// specialized trees per attribute subset, each with its own deployment.
-func buildShard(id int, files []*metadata.File, norm *metadata.Normalizer,
-	cfg Config, unitCount int, seed uint64) *Shard {
-
-	treeCfg := cfg.Tree
-	treeCfg.Attrs = cfg.Attrs
-	clusterCfg := cfg.Cluster
-	clusterCfg.Seed = seed
-
-	s := &Shard{id: id, attrs: cfg.Attrs, clusters: map[*semtree.Tree]*cluster.Cluster{},
-		budget: cfg.OfflineGroupBudget}
-
-	units := semtree.PlaceSemantic(files, unitCount, norm, cfg.Attrs)
-	primaryTree := semtree.Build(units, norm, treeCfg)
-	s.primary = cluster.New(primaryTree, clusterCfg)
-	s.clusters[primaryTree] = s.primary
-
-	if cfg.AutoConfig {
-		s.forest = semtree.AutoConfigure(
-			semtree.PlaceSemantic(files, unitCount, norm, metadata.AllAttrs()),
-			norm, treeCfg, nil, cfg.AutoConfigThreshold)
-		for _, t := range s.forest.Trees() {
-			s.clusters[t] = cluster.New(t, clusterCfg)
-		}
+// newShard deploys a cluster around one shard's tree. A tree built from
+// a corpus and one restored from a snapshot take this same path, so a
+// built shard and a restored one differ in nothing but their tree.
+func newShard(id int, tree *semtree.Tree, clusterCfg cluster.Config, budget int) *Shard {
+	return &Shard{
+		id:      id,
+		cluster: cluster.New(tree, clusterCfg),
+		qslot:   make(chan struct{}, 1),
+		budget:  budget,
 	}
-	s.initSlots()
-	return s
-}
-
-// restoreShard wraps a deployment around a tree restored from a
-// snapshot. Specialized auto-configuration trees are not persisted and
-// not rebuilt here, matching the original Load behaviour.
-func restoreShard(id int, tree *semtree.Tree, clusterCfg cluster.Config, budget int) *Shard {
-	s := &Shard{
-		id:       id,
-		attrs:    tree.Attrs,
-		clusters: map[*semtree.Tree]*cluster.Cluster{},
-		budget:   budget,
-	}
-	s.primary = cluster.New(tree, clusterCfg)
-	s.clusters[tree] = s.primary
-	s.initSlots()
-	return s
-}
-
-func (s *Shard) initSlots() {
-	s.qslot = make(map[*cluster.Cluster]chan struct{}, len(s.clusters))
-	for _, c := range s.clusters {
-		s.qslot[c] = make(chan struct{}, 1)
-	}
-}
-
-// clusterFor picks the deployment serving a query over the given
-// attributes: with auto-configuration, the forest member whose grouping
-// attributes match best; otherwise the primary tree.
-func (s *Shard) clusterFor(attrs []metadata.Attr) *cluster.Cluster {
-	if s.forest == nil {
-		return s.primary
-	}
-	if sameAttrs(s.attrs, attrs) {
-		return s.primary
-	}
-	return s.clusters[s.forest.SelectTree(attrs)]
 }
 
 // offlineBudget resolves the off-line group budget of a sharded
 // fan-out on this shard: the configured override wins; otherwise the
 // deployment's shared heuristic budget.
-func (s *Shard) offlineBudget(c *cluster.Cluster) int {
+func (s *Shard) offlineBudget() int {
 	if s.budget > 0 {
 		return s.budget
 	}
-	return c.SharedOfflineBudget()
+	return s.cluster.SharedOfflineBudget()
 }
 
-func sameAttrs(a, b []metadata.Attr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := map[metadata.Attr]bool{}
-	for _, x := range a {
-		set[x] = true
-	}
-	for _, x := range b {
-		if !set[x] {
-			return false
-		}
-	}
-	return true
-}
-
-// runQueryCtx serializes one deployment's virtual-time machinery around
+// runQueryCtx serializes the deployment's virtual-time machinery around
 // f with a cancellable wait: a context cancelled while queued for the
-// deployment slot — or observed cancelled once it is acquired — returns
+// query slot — or observed cancelled once it is acquired — returns
 // ctx.Err() without running f. The shard read lock must be held.
-func (s *Shard) runQueryCtx(ctx context.Context, c *cluster.Cluster, f func() error) error {
-	slot := s.qslot[c]
+func (s *Shard) runQueryCtx(ctx context.Context, f func() error) error {
 	select {
-	case slot <- struct{}{}:
+	case s.qslot <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	defer func() { <-slot }()
+	defer func() { <-s.qslot }()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -186,13 +109,13 @@ type answer struct {
 func (s *Shard) point(ctx context.Context, q query.Point, prune bool, opts projectOpts) (answer, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if prune && !s.primary.Tree.MayContainPath(q.Filename) {
+	if prune && !s.cluster.Tree.MayContainPath(q.Filename) {
 		return answer{pruned: true}, nil
 	}
 	var a answer
-	err := s.runQueryCtx(ctx, s.primary, func() error {
-		a.ids, a.res = s.primary.Point(q)
-		s.project(s.primary, &a, opts.records, opts.max)
+	err := s.runQueryCtx(ctx, func() error {
+		a.ids, a.res = s.cluster.Point(q)
+		s.project(&a, opts.records, opts.max)
 		return ctx.Err()
 	})
 	return a, err
@@ -214,21 +137,21 @@ type projectOpts struct {
 func (s *Shard) rangeQuery(ctx context.Context, q query.Range, online, sharded bool, opts projectOpts) (answer, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := s.clusterFor(q.Attrs)
+	c := s.cluster
 	if sharded && !c.Tree.OverlapsRange(q) {
 		return answer{pruned: true}, nil
 	}
 	var a answer
-	err := s.runQueryCtx(ctx, c, func() error {
+	err := s.runQueryCtx(ctx, func() error {
 		switch {
 		case online:
 			a.ids, a.res = c.RangeOnline(q)
 		case sharded:
-			a.ids, a.res = c.RangeOfflineN(q, s.offlineBudget(c))
+			a.ids, a.res = c.RangeOfflineN(q, s.offlineBudget())
 		default:
 			a.ids, a.res = c.RangeOfflineN(q, s.budget)
 		}
-		s.project(c, &a, opts.records, opts.max)
+		s.project(&a, opts.records, opts.max)
 		return ctx.Err()
 	})
 	return a, err
@@ -243,14 +166,14 @@ func (s *Shard) rangeQuery(ctx context.Context, q query.Range, online, sharded b
 func (s *Shard) topK(ctx context.Context, q query.TopK, online, sharded, wantDists, includeRecords bool) (answer, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := s.clusterFor(q.Attrs)
+	c := s.cluster
 	var a answer
-	err := s.runQueryCtx(ctx, c, func() error {
+	err := s.runQueryCtx(ctx, func() error {
 		switch {
 		case online:
 			a.ids, a.res = c.TopKOnline(q)
 		case sharded:
-			a.ids, a.res = c.TopKOfflineN(q, s.offlineBudget(c))
+			a.ids, a.res = c.TopKOfflineN(q, s.offlineBudget())
 		default:
 			a.ids, a.res = c.TopKOfflineN(q, s.budget)
 		}
@@ -272,19 +195,19 @@ func (s *Shard) topK(ctx context.Context, q query.TopK, online, sharded, wantDis
 		// Per-shard top-k candidates are already bounded by k, so the
 		// projection needs no extra cap (the merge keeps a non-prefix
 		// subset, so a tighter cap could drop surviving records).
-		s.project(c, &a, includeRecords, 0)
+		s.project(&a, includeRecords, 0)
 		return ctx.Err()
 	})
 	return a, err
 }
 
 // project resolves the answer's ids to record copies while still
-// holding the deployment slot (the id index builds lazily under it).
+// holding the query slot (the id index builds lazily under it).
 // max bounds how many ids are projected (0 = all): union-merged
 // answers truncate to a prefix in shard order, so a shard can never
 // contribute more than the limit — projecting beyond it would copy
 // records the merge is guaranteed to drop.
-func (s *Shard) project(c *cluster.Cluster, a *answer, includeRecords bool, max int) {
+func (s *Shard) project(a *answer, includeRecords bool, max int) {
 	if !includeRecords {
 		return
 	}
@@ -294,7 +217,7 @@ func (s *Shard) project(c *cluster.Cluster, a *answer, includeRecords bool, max 
 	}
 	a.recs = make(map[uint64]metadata.File, len(ids))
 	for _, id := range ids {
-		if f, ok := c.FileByID(id); ok {
+		if f, ok := s.cluster.FileByID(id); ok {
 			a.recs[id] = *f
 		}
 	}
@@ -308,8 +231,8 @@ func (s *Shard) fileByID(id uint64) (metadata.File, bool) {
 	ok := false
 	// The id index may be lazily built here — cluster-state mutation
 	// needing the same serialization as queries.
-	_ = s.runQueryCtx(context.Background(), s.primary, func() error {
-		if f, found := s.primary.FileByID(id); found {
+	_ = s.runQueryCtx(context.Background(), func() error {
+		if f, found := s.cluster.FileByID(id); found {
 			out = *f
 			ok = true
 		}
@@ -371,75 +294,36 @@ func (s *Shard) stageThen(rec wal.Record, apply func() bool) (func() error, erro
 	return wait, nil
 }
 
-// insertFilesLocked inserts files into every deployed tree, summing the
-// primary deployment's accounting across the sub-batch. The caller must
-// hold the shard's write lock.
+// insertFilesLocked inserts files into the shard's deployment, summing
+// its accounting across the sub-batch. The caller must hold the shard's
+// write lock.
 func (s *Shard) insertFilesLocked(files []*metadata.File) cluster.Result {
 	var total cluster.Result
 	for _, f := range files {
-		for _, c := range s.clusters {
-			res := c.InsertFile(f)
-			if c == s.primary {
-				total.Latency += res.Latency
-				total.Messages += res.Messages
-				total.Hops += res.Hops
-				total.UnitsSearched += res.UnitsSearched
-				total.RecordsScanned += res.RecordsScanned
-				total.VersionChecked += res.VersionChecked
-				total.VersionLatency += res.VersionLatency
-			}
-		}
+		res := s.cluster.InsertFile(f)
+		total.Latency += res.Latency
+		total.Messages += res.Messages
+		total.Hops += res.Hops
+		total.UnitsSearched += res.UnitsSearched
+		total.RecordsScanned += res.RecordsScanned
+		total.VersionChecked += res.VersionChecked
+		total.VersionLatency += res.VersionLatency
 	}
 	return total
-}
-
-// deleteLocked removes a file by id from every deployed tree. The
-// caller must hold the shard's write lock.
-func (s *Shard) deleteLocked(id uint64) (cluster.Result, bool) {
-	var rep cluster.Result
-	found := false
-	for _, c := range s.clusters {
-		res, ok := c.DeleteFile(id)
-		if c == s.primary {
-			rep = res
-			found = ok
-		}
-	}
-	return rep, found
-}
-
-// modifyLocked updates a file's attributes in every deployed tree. The
-// caller must hold the shard's write lock.
-func (s *Shard) modifyLocked(f *metadata.File) (cluster.Result, bool) {
-	var rep cluster.Result
-	found := false
-	for _, c := range s.clusters {
-		res, ok := c.ModifyFile(f)
-		if c == s.primary {
-			rep = res
-			found = ok
-		}
-	}
-	return rep, found
 }
 
 // flush propagates all pending changes on this shard, reporting whether
 // anything was pending (the condition for an epoch bump). An effectual
 // flush is logged (OpFlush, body-free) before propagating, so a
-// recovered shard replays the same epoch trajectory and replica-state
-// evolution the pre-crash shard went through; a no-op flush logs
-// nothing and bumps nothing.
+// recovered shard replays the same epoch trajectory and propagates at
+// the same points of its log; a no-op flush logs nothing and bumps
+// nothing.
 func (s *Shard) flush() (bool, error) {
 	s.mu.Lock()
 	changed := false
-	for _, c := range s.clusters {
-		for _, g := range c.Tree.FirstLevelIndexUnits() {
-			if c.PendingCount(g) > 0 {
-				changed = true
-				break
-			}
-		}
-		if changed {
+	for _, g := range s.cluster.Tree.FirstLevelIndexUnits() {
+		if s.cluster.PendingCount(g) > 0 {
+			changed = true
 			break
 		}
 	}
@@ -452,9 +336,7 @@ func (s *Shard) flush() (bool, error) {
 			return false, err
 		}
 	}
-	for _, c := range s.clusters {
-		c.PropagateAll()
-	}
+	s.cluster.PropagateAll()
 	if changed {
 		s.epoch.Add(1)
 	}
@@ -475,7 +357,7 @@ type ShardStats struct {
 	IndexUnits int    `json:"index_units"`
 	TreeHeight int    `json:"tree_height"`
 	Files      int    `json:"files"`
-	Trees      int    `json:"trees"` // 1 + kept specialized trees
+	Trees      int    `json:"trees"` // always 1: one semantic R-tree per shard
 	Epoch      uint64 `json:"epoch"`
 }
 
@@ -501,26 +383,23 @@ type Stats struct {
 func (s *Shard) stats() ShardStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	storage, index := s.primary.Tree.CountNodes()
+	storage, index := s.cluster.Tree.CountNodes()
 	return ShardStats{
 		Shard:      s.id,
 		Units:      storage,
 		IndexUnits: index,
-		TreeHeight: s.primary.Tree.Height(),
-		Files:      s.primary.Tree.TotalFiles(),
-		Trees:      len(s.clusters),
+		TreeHeight: s.cluster.Tree.Height(),
+		Files:      s.cluster.Tree.TotalFiles(),
+		Trees:      1,
 		Epoch:      s.epoch.Load(),
 	}
 }
 
-// indexBytes sizes the shard's index: every deployed tree in total,
-// and the primary deployment's share per storage node. Only the
-// store-wide Stats reports them.
+// indexBytes sizes the shard's index: the whole tree, and the
+// deployment's share per storage node. Only the store-wide Stats
+// reports them.
 func (s *Shard) indexBytes() (total, perNode int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, c := range s.clusters {
-		total += c.Tree.SizeBytes()
-	}
-	return total, s.primary.IndexSizeBytes()
+	return s.cluster.Tree.SizeBytes(), s.cluster.IndexSizeBytes()
 }

@@ -115,8 +115,8 @@ const (
 // Config parameterizes Build.
 type Config struct {
 	// Shards is the number of independent engine shards the deployment
-	// is partitioned into. Each shard owns its own semantic R-tree
-	// forest, cluster deployment, virtual-time state and lock, so
+	// is partitioned into. Each shard owns one semantic R-tree, its
+	// cluster deployment, virtual-time state and lock, so
 	// operations on different shards never contend; queries fan out to
 	// the relevant shards in parallel and merge. Default 1, which
 	// reproduces the unsharded store exactly. Must not exceed Units.
@@ -137,13 +137,6 @@ type Config struct {
 	// LazyUpdateThreshold is the replica-refresh change fraction
 	// (§3.4; 0 → 0.05).
 	LazyUpdateThreshold float64
-	// AutoConfig additionally builds specialized semantic R-trees over
-	// attribute subsets (§2.4) and routes each query to the tree whose
-	// attributes match best.
-	AutoConfig bool
-	// AutoConfigThreshold is the index-unit-count difference ratio for
-	// keeping a specialized tree (§5.1 uses 10%; 0 → 0.10).
-	AutoConfigThreshold float64
 	// MaxChildren / MinChildren bound semantic R-tree fan-out (§4.1).
 	MaxChildren, MinChildren int
 	// BaseThreshold overrides the sampled level-1 admission threshold.
@@ -201,12 +194,10 @@ type Config struct {
 // engineConfig maps the public configuration onto the engine layer's.
 func (cfg Config) engineConfig() engine.Config {
 	return engine.Config{
-		Shards:              cfg.Shards,
-		Units:               cfg.Units,
-		Attrs:               cfg.Attrs,
-		Online:              cfg.Mode == OnLine,
-		AutoConfig:          cfg.AutoConfig,
-		AutoConfigThreshold: cfg.AutoConfigThreshold,
+		Shards: cfg.Shards,
+		Units:  cfg.Units,
+		Attrs:  cfg.Attrs,
+		Online: cfg.Mode == OnLine,
 		Tree: semtree.Config{
 			Attrs:         cfg.Attrs,
 			BaseThreshold: cfg.BaseThreshold,
@@ -229,8 +220,8 @@ func (cfg Config) engineConfig() engine.Config {
 //
 // A Store is a facade over the sharded engine (internal/engine): the
 // deployment is partitioned into Config.Shards independent shards, each
-// with its own semantic R-tree forest, cluster deployment, virtual-time
-// state and lock. A Store is safe for concurrent use — queries take
+// with one semantic R-tree, its cluster deployment, virtual-time state
+// and lock. A Store is safe for concurrent use — queries take
 // per-shard shared locks and fan out in parallel, mutations route to
 // their owning shard (multi-shard batches lock all target shards in a
 // deadlock-free total order), and operations on different shards never
@@ -398,9 +389,10 @@ func (s *Store) ModifyAttrs(id uint64, attrs map[Attr]float64) (QueryReport, boo
 // updates are otherwise threshold-driven, §3.4). Each shard's epoch
 // advances only when that shard had something pending — propagating
 // nothing changes no query's answer. On a durable store an effectual
-// flush is logged before propagating (so recovery replays the same
-// replica-state and epoch evolution); a returned error means a WAL
-// append failed and that shard's replicas were left untouched.
+// flush is logged before propagating (so recovery propagates at the
+// same point of the log and replays the same epochs); a returned error
+// means a WAL append failed and that shard's replicas were left
+// untouched.
 func (s *Store) Flush() error {
 	if err := s.eng.Flush(); err != nil {
 		return fmt.Errorf("smartstore: %w", err)

@@ -211,28 +211,6 @@ func TestFlushMakesInsertsVisibleWithoutVersioning(t *testing.T) {
 	}
 }
 
-func TestAutoConfigRoutesQueries(t *testing.T) {
-	store, set := buildStore(t, 600, smartstore.Config{
-		Units: 10, AutoConfig: true, AutoConfigThreshold: 0.01,
-	})
-	st := store.Stats()
-	if st.Trees < 2 {
-		t.Skip("no specialized trees kept at this threshold")
-	}
-	// A size-only query routes somewhere and returns sound results.
-	lo, hi := set.Norm.Bounds(smartstore.AttrSize)
-	ids, _ := store.RangeQuery(
-		[]smartstore.Attr{smartstore.AttrSize},
-		[]float64{lo}, []float64{lo + (hi-lo)*0.2},
-	)
-	q := query.NewRange([]smartstore.Attr{smartstore.AttrSize},
-		[]float64{lo}, []float64{lo + (hi-lo)*0.2})
-	want := query.RangeTruth(set.Files, q)
-	if len(want) > 0 && stats.Recall(want, ids) < 0.5 {
-		t.Fatalf("autoconfig size-query recall = %v", stats.Recall(want, ids))
-	}
-}
-
 func TestVirtualScaleRaisesLatency(t *testing.T) {
 	small, set := buildStore(t, 500, smartstore.Config{Units: 10, Seed: 3})
 	big, err := smartstore.Build(set.Files, smartstore.Config{Units: 10, Seed: 3, VirtualScale: 1e6})

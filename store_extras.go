@@ -16,8 +16,9 @@ import (
 // deadlock-free total order) before touching any shard, so a snapshot
 // taken during a concurrent InsertBatch is never torn: it observes
 // either all of a batch or none of it. A store restored with Load
-// answers queries identically. Specialized auto-configuration trees are
-// not persisted.
+// answers queries identically once the saved store was flushed: the
+// snapshot carries files, not the deployment's unpropagated changes,
+// so those become visible on restore (DESIGN.md §7).
 //
 // Save writes to an arbitrary sink (an export, a backup) and does NOT
 // truncate a durable store's write-ahead logs — only Checkpoint, which
