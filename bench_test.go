@@ -11,6 +11,7 @@
 package smartstore_test
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"sync/atomic"
@@ -268,10 +269,11 @@ var servedAttrs = []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrReadByt
 
 func BenchmarkServedRangeQuery_Uncached(b *testing.B) {
 	cl := newServedBench(b, -1) // cache disabled: every request executes
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Range(servedAttrs,
-			[]float64{0, 0, 0}, []float64{40000 + float64(i%64), 4e7, 8e7}); err != nil {
+		if _, err := cl.Query(ctx, smartstore.NewRangeQuery(servedAttrs,
+			[]float64{0, 0, 0}, []float64{40000 + float64(i%64), 4e7, 8e7})); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,13 +281,15 @@ func BenchmarkServedRangeQuery_Uncached(b *testing.B) {
 
 func BenchmarkServedRangeQuery_Cached(b *testing.B) {
 	cl := newServedBench(b, 1024)
+	ctx := context.Background()
+	q := smartstore.NewRangeQuery(servedAttrs, []float64{0, 0, 0}, []float64{40000, 4e7, 8e7})
 	// Prime the cache, then every iteration is a hit.
-	if _, err := cl.Range(servedAttrs, []float64{0, 0, 0}, []float64{40000, 4e7, 8e7}); err != nil {
+	if _, err := cl.Query(ctx, q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := cl.Range(servedAttrs, []float64{0, 0, 0}, []float64{40000, 4e7, 8e7})
+		resp, err := cl.Query(ctx, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +309,7 @@ func BenchmarkServedTopK_Concurrent(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			p := []float64{40000 + float64(seq.Add(1)), 3e7, 6e7}
-			if _, err := cl.TopK(servedAttrs, p, 8); err != nil {
+			if _, err := cl.Query(context.Background(), smartstore.NewTopKQuery(servedAttrs, p, 8)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -329,13 +333,13 @@ func BenchmarkServedSharded_Concurrent(b *testing.B) {
 					n := seq.Add(1)
 					if n%2 == 0 {
 						p := []float64{40000 + float64(n), 3e7, 6e7}
-						if _, err := cl.TopK(servedAttrs, p, 8); err != nil {
+						if _, err := cl.Query(context.Background(), smartstore.NewTopKQuery(servedAttrs, p, 8)); err != nil {
 							b.Fatal(err)
 						}
 					} else {
 						hi := 40000 + float64(n%512)
-						if _, err := cl.Range(servedAttrs,
-							[]float64{0, 0, 0}, []float64{hi, 4e7, 8e7}); err != nil {
+						if _, err := cl.Query(context.Background(), smartstore.NewRangeQuery(servedAttrs,
+							[]float64{0, 0, 0}, []float64{hi, 4e7, 8e7})); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -11,60 +11,28 @@ import (
 )
 
 // Durability selects when write-ahead-log appends reach stable storage
-// on a durable store (Config.DataDir set).
-type Durability int
+// on a durable store (Config.DataDir set): it is the WAL's own sync
+// policy.
+type Durability = wal.SyncPolicy
 
 const (
 	// DurabilityAlways fsyncs every WAL append before the mutation is
 	// acknowledged — the default, and the only policy that survives
 	// power loss with zero acknowledged-mutation loss.
-	DurabilityAlways Durability = iota
+	DurabilityAlways = wal.SyncAlways
 	// DurabilityInterval batches fsyncs on a background timer
 	// (Config.SyncInterval): full throughput, bounded loss window on
 	// power failure, zero loss on a process crash.
-	DurabilityInterval
+	DurabilityInterval = wal.SyncInterval
 	// DurabilityNever leaves flushing entirely to the OS page cache:
 	// zero loss on a process crash, no guarantee on power failure.
-	DurabilityNever
+	DurabilityNever = wal.SyncNever
 )
-
-// String returns the policy's flag spelling.
-func (d Durability) String() string {
-	switch d {
-	case DurabilityAlways:
-		return "always"
-	case DurabilityInterval:
-		return "interval"
-	case DurabilityNever:
-		return "never"
-	}
-	return fmt.Sprintf("durability(%d)", int(d))
-}
 
 // ParseDurability resolves a policy's flag spelling ("always",
 // "interval", "never") — the inverse of String, shared with the
 // daemon's -fsync flag.
-func ParseDurability(s string) (Durability, error) {
-	switch s {
-	case "always":
-		return DurabilityAlways, nil
-	case "interval":
-		return DurabilityInterval, nil
-	case "never":
-		return DurabilityNever, nil
-	}
-	return 0, fmt.Errorf("smartstore: unknown durability %q (want always, interval or never)", s)
-}
-
-func (d Durability) syncPolicy() wal.SyncPolicy {
-	switch d {
-	case DurabilityInterval:
-		return wal.SyncInterval
-	case DurabilityNever:
-		return wal.SyncNever
-	}
-	return wal.SyncAlways
-}
+func ParseDurability(s string) (Durability, error) { return wal.ParseSyncPolicy(s) }
 
 // snapshotFileName is the recovery-base snapshot inside a data dir;
 // shard WAL segment directories sit beside it.
@@ -98,7 +66,7 @@ func (s *Store) initDataDir() error {
 		return fmt.Errorf("smartstore: %w", err)
 	}
 	sweepStaleTemp(dir)
-	logs, tails, err := openLogs(dir, s.eng.Shards(), s.cfg.Durability.syncPolicy(), s.cfg.WALSegmentBytes)
+	logs, tails, err := openLogs(dir, s.eng.Shards(), s.cfg.Durability, s.cfg.WALSegmentBytes)
 	if err != nil {
 		return err
 	}
@@ -154,16 +122,11 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	epochs := snap.ShardEpochs()
-	if err := s.eng.SetShardEpochs(epochs); err != nil {
-		return nil, fmt.Errorf("smartstore: %w", err)
-	}
-	logs, tails, err := openLogs(cfg.DataDir, s.eng.Shards(), cfg.Durability.syncPolicy(), cfg.WALSegmentBytes)
+	logs, tails, err := openLogs(cfg.DataDir, s.eng.Shards(), cfg.Durability, cfg.WALSegmentBytes)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.eng.Recover(tails, epochs); err != nil {
+	if _, err := s.eng.Recover(tails, snap.ShardEpochs()); err != nil {
 		closeLogs(logs)
 		return nil, fmt.Errorf("smartstore: %w", err)
 	}

@@ -19,15 +19,17 @@ import (
 // retired everything.
 const segHeaderOnly = int64(wal.SegmentHeaderSize)
 
-// buildDurableStore deploys a 4-shard durable store over a synthesized
-// corpus in a fresh data dir.
+// buildDurableStore deploys a durable store over a synthesized corpus
+// in a fresh data dir. The store holds copies of set.Files: Modify
+// rewrites a stored record in place, and the tests read set.Files from
+// other goroutines.
 func buildDurableStore(t testing.TB, dir string, files, units, shards int) (*smartstore.Store, *smartstore.TraceSet) {
 	t.Helper()
 	set, err := smartstore.GenerateTrace("MSN", files, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := smartstore.Build(set.Files, smartstore.Config{
+	store, err := smartstore.Build(cloneFiles(set.Files), smartstore.Config{
 		Units:      units,
 		Shards:     shards,
 		Seed:       17,

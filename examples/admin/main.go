@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -52,10 +53,13 @@ func main() {
 
 	// One range query over (mtime, write volume) — no directory walk.
 	attrs := []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrWriteBytes}
-	ids, rep := store.RangeQuery(attrs,
+	res, err := store.Do(context.Background(), smartstore.NewRangeQuery(attrs,
 		[]float64{t0, 64 << 10},
 		[]float64{t1, 1 << 40},
-	)
+	))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	found := 0
 	dirs := map[string]int{}
@@ -63,7 +67,7 @@ func main() {
 	for _, f := range set.Files {
 		byID[f.ID] = f
 	}
-	for _, id := range ids {
+	for _, id := range res.IDs {
 		if touched[id] {
 			found++
 		}
@@ -78,8 +82,8 @@ func main() {
 
 	fmt.Printf("files touched by install:  %d\n", len(touched))
 	fmt.Printf("range query returned:      %d (recall %.1f%%)\n",
-		len(ids), 100*float64(found)/float64(len(touched)))
+		len(res.IDs), 100*float64(found)/float64(len(touched)))
 	fmt.Printf("query cost:                %.4fs, %d messages, %d hop(s)\n",
-		rep.Latency, rep.Messages, rep.Hops)
+		res.Report.Latency, res.Report.Messages, res.Report.Hops)
 	fmt.Printf("directories spanned:       %d (a directory walk would visit the whole tree)\n", len(dirs))
 }

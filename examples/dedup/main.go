@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,15 +56,19 @@ func main() {
 		byID[f.ID] = f
 	}
 
+	ctx := context.Background()
 	found := 0
 	var totalLatency float64
 	const k = 16
 	for _, dupID := range dupIDs {
 		dup := byID[dupID]
 		point := []float64{dup.Attrs[smartstore.AttrSize], dup.Attrs[smartstore.AttrCTime]}
-		ids, rep := store.TopKQuery(attrs, point, k)
-		totalLatency += rep.Latency
-		for _, id := range ids {
+		res, err := store.Do(ctx, smartstore.NewTopKQuery(attrs, point, k))
+		if err != nil {
+			log.Fatal(err)
+		}
+		totalLatency += res.Report.Latency
+		for _, id := range res.IDs {
 			if id == originals[dupID] {
 				found++
 				break

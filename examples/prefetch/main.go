@@ -10,6 +10,7 @@ package main
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"log"
 
@@ -66,6 +67,7 @@ func main() {
 	// the measurement the paper cites (§1.1: "the probability of
 	// inter-file access is found to be up to 80%" in Nexus/FARMER).
 	attrsStream := []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrReadBytes, smartstore.AttrWriteBytes}
+	ctx := context.Background()
 	rng := stats.NewRNG(13)
 	zipf := stats.NewZipfGen(rng, 1.1, len(set.Files))
 	neighborCache := map[uint64][]*smartstore.File{}
@@ -78,15 +80,15 @@ func main() {
 			f.Attrs[smartstore.AttrReadBytes],
 			f.Attrs[smartstore.AttrWriteBytes],
 		}
-		ids, _ := store.TopKQuery(attrsStream, point, 12)
-		byID := map[uint64]*smartstore.File{}
-		for _, x := range set.Files {
-			byID[x.ID] = x
+		res, err := store.Do(ctx, smartstore.NewTopKQuery(attrsStream, point, 12).
+			WithOptions(smartstore.QueryOptions{IncludeRecords: true}))
+		if err != nil {
+			log.Fatal(err)
 		}
 		var ns []*smartstore.File
-		for _, id := range ids {
-			if id != f.ID {
-				ns = append(ns, byID[id])
+		for i := range res.Records {
+			if res.Records[i].ID != f.ID {
+				ns = append(ns, &res.Records[i])
 			}
 		}
 		neighborCache[f.ID] = ns
@@ -127,8 +129,11 @@ func main() {
 				f.Attrs[smartstore.AttrReadBytes],
 				f.Attrs[smartstore.AttrWriteBytes],
 			}
-			ids, _ := store.TopKQuery(attrs, point, prefetchK)
-			for _, id := range ids {
+			res, err := store.Do(ctx, smartstore.NewTopKQuery(attrs, point, prefetchK))
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, id := range res.IDs {
 				cache.insert(id)
 			}
 		}

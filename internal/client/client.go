@@ -3,8 +3,7 @@
 // mirrors the root library API: Query and QueryBatch take
 // smartstore.Query values — kind, dimensions, per-query options — and
 // round-trip them through the unified POST /v1/query endpoint, with
-// context cancellation aborting the HTTP exchange. The legacy Point,
-// Range and TopK helpers remain as thin wrappers over Query.
+// context cancellation aborting the HTTP exchange.
 //
 // Queries default to the length-prefixed binary codec with automatic
 // JSON fallback: the client always advertises the codec via Accept,
@@ -416,24 +415,6 @@ func (c *Client) QueryBatch(ctx context.Context, qs []smartstore.Query) (*server
 		return nil, err
 	}
 	return out, nil
-}
-
-// Point looks up file metadata by exact pathname. It is a wrapper over
-// Query.
-func (c *Client) Point(path string) (*server.QueryResponse, error) {
-	return c.Query(context.Background(), smartstore.NewPointQuery(path))
-}
-
-// Range finds all files whose attrs[i] lies within [lo[i], hi[i]], in
-// raw attribute units. It is a wrapper over Query.
-func (c *Client) Range(attrs []smartstore.Attr, lo, hi []float64) (*server.QueryResponse, error) {
-	return c.Query(context.Background(), smartstore.NewRangeQuery(attrs, lo, hi))
-}
-
-// TopK finds the k files whose attributes are closest to point. It is a
-// wrapper over Query.
-func (c *Client) TopK(attrs []smartstore.Attr, point []float64, k int) (*server.QueryResponse, error) {
-	return c.Query(context.Background(), smartstore.NewTopKQuery(attrs, point, k))
 }
 
 // Insert inserts a batch of files in one request. Files with a zero ID

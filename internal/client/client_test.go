@@ -33,6 +33,7 @@ func newServedStore(t testing.TB) (*Client, *smartstore.Store, *smartstore.Trace
 
 func TestClientQueriesMatchLibrary(t *testing.T) {
 	cl, store, set := newServedStore(t)
+	ctx := context.Background()
 
 	if !cl.Healthy() {
 		t.Fatal("daemon not healthy")
@@ -40,7 +41,7 @@ func TestClientQueriesMatchLibrary(t *testing.T) {
 
 	// Point.
 	want := set.Files[42]
-	pt, err := cl.Point(want.Path)
+	pt, err := cl.Query(ctx, smartstore.NewPointQuery(want.Path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +54,19 @@ func TestClientQueriesMatchLibrary(t *testing.T) {
 	attrs := []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrReadBytes}
 	lo := []float64{0, 0}
 	hi := []float64{5e8, 1e12}
-	got, err := cl.Range(attrs, lo, hi)
+	got, err := cl.Query(ctx, smartstore.NewRangeQuery(attrs, lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _ := store.RangeQuery(attrs, lo, hi)
-	if len(got.IDs) != len(direct) {
-		t.Fatalf("remote range %d ids, library %d", len(got.IDs), len(direct))
+	direct, err := store.Do(ctx, smartstore.NewRangeQuery(attrs, lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.IDs) != len(direct.IDs) {
+		t.Fatalf("remote range %d ids, library %d", len(got.IDs), len(direct.IDs))
 	}
 	directSet := map[uint64]bool{}
-	for _, id := range direct {
+	for _, id := range direct.IDs {
 		directSet[id] = true
 	}
 	for _, id := range got.IDs {
@@ -72,8 +76,8 @@ func TestClientQueriesMatchLibrary(t *testing.T) {
 	}
 
 	// Top-k.
-	tk, err := cl.TopK(attrs, []float64{want.Attrs[smartstore.AttrMTime],
-		want.Attrs[smartstore.AttrReadBytes]}, 5)
+	tk, err := cl.Query(ctx, smartstore.NewTopKQuery(attrs, []float64{want.Attrs[smartstore.AttrMTime],
+		want.Attrs[smartstore.AttrReadBytes]}, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestClientMutations(t *testing.T) {
 	if _, err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	pt, err := cl.Point("/client/new.dat")
+	pt, err := cl.Query(context.Background(), smartstore.NewPointQuery("/client/new.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +148,12 @@ func TestClientCachedBit(t *testing.T) {
 	attrs := []smartstore.Attr{smartstore.AttrMTime}
 	lo, hi := []float64{0}, []float64{1e9}
 
-	first, err := cl.Range(attrs, lo, hi)
+	q := smartstore.NewRangeQuery(attrs, lo, hi)
+	first, err := cl.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.Range(attrs, lo, hi)
+	second, err := cl.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +227,7 @@ func TestClientErrors(t *testing.T) {
 	cl, _, _ := newServedStore(t)
 
 	// Server-side validation surfaces as a typed error.
-	if _, err := cl.TopK([]smartstore.Attr{smartstore.AttrMTime}, []float64{0}, 0); err == nil {
+	if _, err := cl.Query(context.Background(), smartstore.NewTopKQuery([]smartstore.Attr{smartstore.AttrMTime}, []float64{0}, 0)); err == nil {
 		t.Fatal("k=0 top-k did not error")
 	}
 

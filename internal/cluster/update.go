@@ -58,39 +58,29 @@ func (c *Cluster) ModifyFile(f *metadata.File) (Result, bool) {
 	return res, true
 }
 
-// DeleteFile removes a file from the cluster, recording the deletion.
+// DeleteFile removes a file from the cluster, recording the deletion
+// in the owning group's version chain. The tree refreshes the leaf's
+// summaries on the root path, as it does for a modify.
 func (c *Cluster) DeleteFile(id uint64) (Result, bool) {
 	var res Result
-	for _, leaf := range c.Tree.Leaves() {
-		var target *metadata.File
-		for _, f := range leaf.Unit.Files {
-			if f.ID == id {
-				target = f
-				break
-			}
-		}
-		if target == nil {
-			continue
-		}
-		if !leaf.Unit.RemoveFile(id) {
-			return res, false
-		}
-		if c.byID != nil {
-			delete(c.byID, id)
-		}
-		g := c.Tree.GroupOf(leaf)
-		c.ensureGroup(g)
-		delete(c.pending[g], id)
-		c.deleted[g][id] = true
-		c.chains[g].Record(version.Change{Kind: version.Delete, File: target})
-		res.Latency = c.insertLatency(leaf)
-		res.Messages = 2
-		if c.shouldPropagate(g) {
-			res.Messages += c.Propagate(g)
-		}
-		return res, true
+	leaf, target, ok := c.Tree.DeleteFile(id)
+	if !ok {
+		return res, false
 	}
-	return res, false
+	if c.byID != nil {
+		delete(c.byID, id)
+	}
+	g := c.Tree.GroupOf(leaf)
+	c.ensureGroup(g)
+	delete(c.pending[g], id)
+	c.deleted[g][id] = true
+	c.chains[g].Record(version.Change{Kind: version.Delete, File: target})
+	res.Latency = c.insertLatency(leaf)
+	res.Messages = 2
+	if c.shouldPropagate(g) {
+		res.Messages += c.Propagate(g)
+	}
+	return res, true
 }
 
 // insertLatency models one metadata update round trip: client → unit,

@@ -87,8 +87,8 @@ func TestBudgetAtLeastShardCountIsExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(gotK.Targets) != shards {
-				t.Fatalf("shards=%d topk query %d: exhaustive budget targeted %d shards", shards, i, len(gotK.Targets))
+			if len(gotK.Shards) != shards {
+				t.Fatalf("shards=%d topk query %d: exhaustive budget targeted %d shards", shards, i, len(gotK.Shards))
 			}
 			if r := stats.Recall(wantK, gotK.IDs); r != 1 {
 				t.Fatalf("shards=%d topk query %d: offline recall %.3f with exhaustive budget", shards, i, r)

@@ -28,20 +28,6 @@ func (e *Engine) AttachWAL(logs []*wal.Log) error {
 	return nil
 }
 
-// SetShardEpochs restores per-shard mutation epochs from a snapshot, so
-// a recovered deployment resumes its pre-crash epoch trajectory rather
-// than restarting at zero. Call before the engine is shared.
-func (e *Engine) SetShardEpochs(epochs []uint64) error {
-	if len(epochs) != len(e.shards) {
-		return fmt.Errorf("engine: %d epochs for %d shards", len(epochs), len(e.shards))
-	}
-	for i, s := range e.shards {
-		s.epoch.Store(epochs[i])
-	}
-	e.setReplBase(epochs)
-	return nil
-}
-
 // Recover replays per-shard WAL tails against a freshly restored
 // engine, bringing it to the last acknowledged pre-crash state. base
 // holds each shard's snapshot epoch (the truncation point): records at

@@ -184,19 +184,28 @@ func Build(files []*metadata.File, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Restore wraps an engine around trees restored from a snapshot, one
-// shard per tree, rebuilding the id index and placement centroids from
-// the persisted populations.
-func Restore(trees []*semtree.Tree, cfg Config) (*Engine, error) {
+// Restore deploys an engine from a snapshot, one shard per persisted
+// tree, rebuilding the id index and placement centroids from the
+// persisted populations. Each shard resumes the snapshot's epoch, which
+// is also the replication base: recovery replays its WAL tail past that
+// epoch, and a follower pulls the leader's log from it.
+func Restore(snap *snapshot.Snapshot, cfg Config) (*Engine, error) {
+	trees, err := snap.RestoreShards()
+	if err != nil {
+		return nil, err
+	}
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("engine: no shards to restore")
 	}
 	cfg.Shards = len(trees)
 	cfg.Attrs = trees[0].Attrs
 	e := newEngine(cfg, trees[0].Norm, 0)
+	epochs := snap.ShardEpochs()
 	for i, t := range trees {
 		e.deploy(i, t, t.AllFiles())
+		e.shards[i].epoch.Store(epochs[i])
 	}
+	e.setReplBase(epochs)
 	return e, nil
 }
 

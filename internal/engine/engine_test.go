@@ -202,11 +202,7 @@ func TestSnapshotRoundTripKeepsAssignment(t *testing.T) {
 	if snap.ShardCount() != 3 {
 		t.Fatalf("captured %d shards", snap.ShardCount())
 	}
-	trees, err := snap.RestoreShards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Restore(trees, testConfig(12, 3))
+	back, err := Restore(snap, testConfig(12, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +243,8 @@ func TestTopKIncludeDistsAndTargets(t *testing.T) {
 			t.Fatalf("dists not ascending: %v", ans.Dists)
 		}
 	}
-	if len(ans.Targets) != 4 {
-		t.Fatalf("on-line top-k targeted %d shards, want all 4", len(ans.Targets))
+	if len(ans.Shards) != 4 {
+		t.Fatalf("on-line top-k targeted %d shards, want all 4", len(ans.Shards))
 	}
 
 	// Without IncludeDists the answer carries no distances.
@@ -266,8 +262,8 @@ func TestTopKIncludeDistsAndTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(off.Targets) != e.offlineMaxShards() {
-		t.Fatalf("off-line top-k targeted %d shards, want %d", len(off.Targets), e.offlineMaxShards())
+	if len(off.Shards) != e.offlineMaxShards() {
+		t.Fatalf("off-line top-k targeted %d shards, want %d", len(off.Shards), e.offlineMaxShards())
 	}
 	if len(off.Dists) != len(off.IDs) {
 		t.Fatalf("off-line: %d dists for %d ids", len(off.Dists), len(off.IDs))

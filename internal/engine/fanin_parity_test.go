@@ -29,7 +29,7 @@ func hashReport(h hash.Hash, r Report) {
 }
 
 func hashAnswer(h hash.Hash, a Answer) {
-	fmt.Fprintf(h, "targets %v ids %v trunc %v dists", a.Targets, a.IDs, a.Truncated)
+	fmt.Fprintf(h, "targets %v ids %v trunc %v dists", a.Shards, a.IDs, a.Truncated)
 	for _, d := range a.Dists {
 		fmt.Fprintf(h, " %x", math.Float64bits(d))
 	}

@@ -79,21 +79,27 @@ type QueryOpts struct {
 	IncludeDists bool
 }
 
-// Answer is the merged result of one engine query.
+// Answer is the merged result of one engine query — the root package's
+// Result.
 type Answer struct {
+	// IDs are the matching file ids (for top-k, in ascending distance).
 	IDs []uint64
 	// Dists holds, aligned with IDs, each candidate's true normalized
 	// squared distance for top-k queries run with IncludeDists.
-	Dists     []float64
-	Records   []metadata.File
+	Dists []float64
+	// Records carries the full metadata record per id, in IDs order,
+	// for queries run with IncludeRecords.
+	Records []metadata.File
+	// Truncated reports that Limit cut the answer.
 	Truncated bool
-	Report    Report
-	// Targets lists the shard indices the query fanned out to — the
+	// Report is the virtual-time accounting of the execution.
+	Report Report
+	// Shards lists the shard indices the query fanned out to — the
 	// exact shard set whose state the answer is a function of (pruning
-	// happens inside a target; a shard outside Targets was excluded by
+	// happens inside a target; a shard outside Shards was excluded by
 	// data-independent routing over frozen centroids). Serving-layer
 	// caches key invalidation on these shards' epochs.
-	Targets []int
+	Shards []int
 }
 
 // allShards returns every shard index — the target set of exhaustive
@@ -257,7 +263,7 @@ func (e *Engine) mergeUnion(answers []answer, targets []int, opts QueryOpts) Ans
 // finish applies the limit, projects records for the final ids from the
 // owning shards' captures, and aggregates the per-shard reports.
 func (e *Engine) finish(ids []uint64, targets []int, answers []answer, opts QueryOpts) Answer {
-	out := Answer{Targets: targets}
+	out := Answer{Shards: targets}
 	if opts.Limit > 0 && len(ids) > opts.Limit {
 		ids = ids[:opts.Limit]
 		out.Truncated = true

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	smartstore "repro"
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 )
 
 // queryAttrs is the placement predicate every store in these tests
@@ -420,6 +422,74 @@ func TestGatewayStatsAggregate(t *testing.T) {
 	}
 	if sum != len(fed.files) {
 		t.Fatalf("per-backend files sum to %d, corpus holds %d", sum, len(fed.files))
+	}
+}
+
+// TestGatewayStatsComposeLikeEngine: /v1/stats composes
+// index_bytes_per_node across members as the engine composes it across
+// shards, weighted by unit count — two one-shard members of unequal size
+// report through a gateway what one two-shard store holding the same two
+// partitions reports. Every store is loaded from a snapshot so the
+// members and the joined store deploy identical trees.
+func TestGatewayStatsComposeLikeEngine(t *testing.T) {
+	set, err := smartstore.GenerateTrace("MSN", 600, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := smartstore.FitNormalizer(set.Files)
+	load := func(snap *snapshot.Snapshot) *smartstore.Store {
+		var buf bytes.Buffer
+		if err := snap.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		st, err := smartstore.Load(&buf, smartstore.Config{Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var snaps []*snapshot.Snapshot
+	var urls []string
+	var perNode []int
+	for _, m := range []struct{ lo, hi, units int }{{0, 400, 12}, {400, 600, 4}} {
+		built, err := smartstore.Build(set.Files[m.lo:m.hi], smartstore.Config{Units: m.units, Seed: 17, Normalizer: norm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := built.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+		member := load(snap)
+		perNode = append(perNode, member.Stats().IndexBytesPerNode)
+		ts := httptest.NewServer(server.New(member, server.Options{}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	if perNode[0] == perNode[1] {
+		t.Fatalf("members report equal index bytes per node (%d): the fixture cannot tell a mean from a max", perNode[0])
+	}
+	joined := *snaps[0]
+	joined.Shards = []snapshot.ShardRecord{snaps[0].Shards[0], snaps[1].Shards[0]}
+	want := load(&joined).Stats().IndexBytesPerNode
+
+	gw, err := New(Options{Backends: urls, Timeout: 10 * time.Second, HealthEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateSrv := httptest.NewServer(gw)
+	t.Cleanup(gateSrv.Close)
+	st, err := client.New(gateSrv.URL).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Store.IndexBytesPerNode; got != want {
+		t.Fatalf("gateway index_bytes_per_node %d, two-shard store %d (members %v)", got, want, perNode)
 	}
 }
 

@@ -234,9 +234,10 @@ func (g *Gateway) Flush(ctx context.Context) (server.FlushResponse, error) {
 }
 
 // Stats aggregates the healthy backends' store stats (sums for sizes
-// and the composed epoch, max for heights) and adds the gateway's own
-// membership section. Down members appear in the membership rows with
-// zeroed stats — the gap is visible, not elided.
+// and the composed epoch, max for heights, the unit-weighted mean for
+// index bytes per node, as the engine composes shards) and adds the
+// gateway's own membership section. Down members appear in the
+// membership rows with zeroed stats — the gap is visible, not elided.
 func (g *Gateway) Stats(context.Context) (server.StatsResponse, error) {
 	stats := make([]*server.StatsResponse, len(g.backends))
 	var wg sync.WaitGroup
@@ -258,6 +259,7 @@ func (g *Gateway) Stats(context.Context) (server.StatsResponse, error) {
 	wg.Wait()
 
 	out := server.StatsResponse{Gateway: &server.GatewayWire{}}
+	weightedBytes := 0
 	for i, b := range g.backends {
 		row := server.BackendWire{
 			Backend:    b.name,
@@ -277,9 +279,12 @@ func (g *Gateway) Stats(context.Context) (server.StatsResponse, error) {
 			out.Store.Epoch += st.Store.Epoch
 			out.Store.Shards += st.Store.Shards
 			out.Store.TreeHeight = max(out.Store.TreeHeight, st.Store.TreeHeight)
-			out.Store.IndexBytesPerNode = max(out.Store.IndexBytesPerNode, st.Store.IndexBytesPerNode)
+			weightedBytes += st.Store.IndexBytesPerNode * st.Store.Units
 		}
 		out.Gateway.Backends = append(out.Gateway.Backends, row)
+	}
+	if out.Store.Units > 0 {
+		out.Store.IndexBytesPerNode = weightedBytes / out.Store.Units
 	}
 	return out, nil
 }

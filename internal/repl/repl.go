@@ -78,10 +78,10 @@ func (o Options) withDefaults() Options {
 // Bootstrap produces the follower's local store for leader: if dataDir
 // already holds an initialized replica it recovers locally (the pull
 // resumes from the recovered epochs — no snapshot transfer), otherwise
-// it fetches the leader's current snapshot and loads it with
-// LoadReplica, adopting the leader's epoch trajectory. cfg is the
-// follower's deployment config; its DataDir field is overridden by
-// dataDir (which may be empty for an in-memory follower).
+// it fetches the leader's current snapshot and loads it with Load, which
+// resumes the leader's epoch trajectory. cfg is the follower's
+// deployment config; its DataDir field is overridden by dataDir (which
+// may be empty for an in-memory follower).
 //
 // A recovered replica can have fallen behind the leader's replication
 // base — a checkpoint truncated the segments that covered its
@@ -143,7 +143,7 @@ func replicaStale(ctx context.Context, leader string, st *smartstore.Store, opts
 }
 
 // fetchSnapshot streams GET /v1/repl/snapshot from the leader into
-// LoadReplica.
+// Load.
 func fetchSnapshot(ctx context.Context, leader string, cfg smartstore.Config, opts Options) (*smartstore.Store, error) {
 	sctx, cancel := context.WithTimeout(ctx, 10*opts.Timeout)
 	defer cancel()
@@ -159,7 +159,7 @@ func fetchSnapshot(ctx context.Context, leader string, cfg smartstore.Config, op
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("repl: leader snapshot: status %d", resp.StatusCode)
 	}
-	st, err := smartstore.LoadReplica(resp.Body, cfg)
+	st, err := smartstore.Load(resp.Body, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("repl: loading leader snapshot: %w", err)
 	}

@@ -95,10 +95,10 @@ func TestStorageUnitAddRemove(t *testing.T) {
 	if got := u.LookupPath(f.Path); len(got) != 1 || got[0].ID != f.ID {
 		t.Fatalf("LookupPath = %v", got)
 	}
-	if !u.RemoveFile(f.ID) {
-		t.Fatal("RemoveFile failed")
+	if got := u.RemoveFile(f.ID); got != f {
+		t.Fatalf("RemoveFile returned %v, want the stored file", got)
 	}
-	if u.RemoveFile(f.ID) {
+	if u.RemoveFile(f.ID) != nil {
 		t.Fatal("double remove succeeded")
 	}
 	if got := u.LookupPath(f.Path); len(got) != 0 {
@@ -383,10 +383,10 @@ func TestInsertDeleteFile(t *testing.T) {
 	if len(got) != 1 || got[0] != nf.ID {
 		t.Fatalf("inserted file not findable: %v", got)
 	}
-	if !tree.DeleteFile(nf.ID) {
-		t.Fatal("DeleteFile failed")
+	if del, got, ok := tree.DeleteFile(nf.ID); !ok || got != nf || del != leaf {
+		t.Fatalf("DeleteFile = %v, %v, %v", del, got, ok)
 	}
-	if tree.DeleteFile(nf.ID) {
+	if _, _, ok := tree.DeleteFile(nf.ID); ok {
 		t.Fatal("double DeleteFile succeeded")
 	}
 	if tree.TotalFiles() != 300 {

@@ -507,15 +507,16 @@ func (t *Tree) ModifyFile(f *metadata.File) (*Node, *metadata.File, bool) {
 }
 
 // DeleteFile removes the file with the given id from the unit that
-// holds it, reporting success.
-func (t *Tree) DeleteFile(id uint64) bool {
+// holds it and, like ModifyFile, refreshes the unit's summaries on the
+// root path. It returns the removed record and its leaf.
+func (t *Tree) DeleteFile(id uint64) (*Node, *metadata.File, bool) {
 	for _, leaf := range t.leaves {
-		if leaf.Unit.RemoveFile(id) {
+		if f := leaf.Unit.RemoveFile(id); f != nil {
 			leaf.refreshUp(t.Norm, t.Attrs)
-			return true
+			return leaf, f, true
 		}
 	}
-	return false
+	return nil, nil, false
 }
 
 // Validate checks the structural invariants of the tree: parent/child

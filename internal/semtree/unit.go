@@ -59,11 +59,11 @@ func (u *StorageUnit) addFile(f *metadata.File) {
 // AddFile inserts f into the unit, updating the Bloom filter and MBR.
 func (u *StorageUnit) AddFile(f *metadata.File) { u.addFile(f) }
 
-// RemoveFile removes the file with the given id, reporting whether it
-// was present. The Bloom filter intentionally retains the name (Bloom
-// filters cannot delete); §5.4.1 accounts the resulting false positives.
-// The MBR is recomputed exactly.
-func (u *StorageUnit) RemoveFile(id uint64) bool {
+// RemoveFile removes the file with the given id, returning it, or nil
+// when it was absent. The Bloom filter intentionally retains the name
+// (Bloom filters cannot delete); §5.4.1 accounts the resulting false
+// positives. The MBR is recomputed exactly.
+func (u *StorageUnit) RemoveFile(id uint64) *metadata.File {
 	for i, f := range u.Files {
 		if f.ID != id {
 			continue
@@ -80,9 +80,9 @@ func (u *StorageUnit) RemoveFile(id uint64) bool {
 			delete(u.byPath, f.Path)
 		}
 		u.recomputeMBR()
-		return true
+		return f
 	}
-	return false
+	return nil
 }
 
 func (u *StorageUnit) recomputeMBR() {

@@ -15,7 +15,6 @@ import (
 	smartstore "repro"
 	"repro/internal/metadata"
 	"repro/internal/obs"
-	"repro/internal/version"
 	"repro/internal/wire"
 )
 
@@ -68,7 +67,7 @@ type Core struct {
 	cfg     CoreConfig
 	mux     *http.ServeMux
 	start   time.Time
-	build   version.BuildInfo
+	build   BuildWire
 
 	sem chan struct{}
 	// inflight counts admitted-or-waiting requests; bounded by
@@ -88,7 +87,7 @@ func NewCore(backend Backend, cfg CoreConfig) *Core {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		build:   version.Build(),
+		build:   readBuild(),
 		sem:     make(chan struct{}, cfg.Workers),
 	}
 	if !cfg.DisableMetrics {
@@ -498,13 +497,7 @@ func (c *Core) handleStats(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	st.Build = BuildWire{
-		GoVersion: c.build.GoVersion,
-		Module:    c.build.Module,
-		Version:   c.build.Version,
-		Revision:  c.build.Revision,
-		Dirty:     c.build.Dirty,
-	}
+	st.Build = c.build
 	st.Server.UptimeSec = time.Since(c.start).Seconds()
 	st.Server.Requests = c.requests.Load()
 	st.Server.Rejected = c.rejected.Load()

@@ -99,9 +99,12 @@ func TestRangeEndpointMatchesDirectQuery(t *testing.T) {
 		WireQuery{Kind: "range", Attrs: []string{"mtime", "read_bytes"}, Lo: lo, Hi: hi}, &resp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	direct, _ := store.RangeQuery(attrs, lo, hi)
-	if len(resp.IDs) != len(direct) {
-		t.Fatalf("served %d ids, direct query %d", len(resp.IDs), len(direct))
+	direct, err := store.Do(context.Background(), smartstore.NewRangeQuery(attrs, lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.IDs) != len(direct.IDs) {
+		t.Fatalf("served %d ids, direct query %d", len(resp.IDs), len(direct.IDs))
 	}
 	if resp.Count != len(resp.IDs) {
 		t.Fatalf("count %d != len(ids) %d", resp.Count, len(resp.IDs))

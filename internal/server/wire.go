@@ -10,6 +10,9 @@
 package server
 
 import (
+	"runtime"
+	"runtime/debug"
+
 	smartstore "repro"
 	"repro/internal/metadata"
 	"repro/internal/wire"
@@ -170,11 +173,32 @@ type StatsResponse struct {
 	Build     BuildWire      `json:"build"`
 }
 
-// BuildWire identifies the serving binary.
+// BuildWire identifies the serving binary: the Go toolchain it was
+// built with and the main module's path and version, plus the VCS stamp
+// when the build had one. Fields the build did not stamp stay empty.
 type BuildWire struct {
 	GoVersion string `json:"go_version"`
 	Module    string `json:"module,omitempty"`
 	Version   string `json:"version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
 	Dirty     bool   `json:"dirty,omitempty"`
+}
+
+// readBuild reads the binary's embedded build information.
+func readBuild() BuildWire {
+	b := BuildWire{GoVersion: runtime.Version()}
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return b
+	}
+	b.Module, b.Version = bi.Main.Path, bi.Main.Version
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			b.Revision = s.Value
+		case "vcs.modified":
+			b.Dirty = s.Value == "true"
+		}
+	}
+	return b
 }

@@ -63,6 +63,33 @@ const (
 	SyncNever
 )
 
+// String returns the policy's flag spelling.
+func (p SyncPolicy) String() string {
+	switch p {
+	case SyncAlways:
+		return "always"
+	case SyncInterval:
+		return "interval"
+	case SyncNever:
+		return "never"
+	}
+	return fmt.Sprintf("SyncPolicy(%d)", int(p))
+}
+
+// ParseSyncPolicy resolves a policy's flag spelling ("always",
+// "interval", "never") — the inverse of String.
+func ParseSyncPolicy(s string) (SyncPolicy, error) {
+	switch s {
+	case "always":
+		return SyncAlways, nil
+	case "interval":
+		return SyncInterval, nil
+	case "never":
+		return SyncNever, nil
+	}
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
+}
+
 // Options tunes a log beyond its sync policy. The zero value selects
 // defaults.
 type Options struct {

@@ -59,8 +59,7 @@ func ParseQueryKind(name string) (QueryKind, error) {
 }
 
 // QueryMode optionally overrides the store's configured execution path
-// for one query. The zero value defers to the store default, so plain
-// Query literals behave like the legacy methods.
+// for one query. The zero value defers to the store default.
 type QueryMode int
 
 const (
@@ -100,8 +99,7 @@ func ParseQueryMode(name string) (QueryMode, error) {
 }
 
 // QueryOptions carries per-query execution options. The zero value
-// reproduces the legacy behaviour: store-default mode, no limit, ids
-// only.
+// asks for the store-default mode, no limit, ids only.
 type QueryOptions struct {
 	// Mode overrides the store's configured query path for this query.
 	Mode QueryMode
@@ -196,39 +194,21 @@ func (q Query) Validate() error {
 	return fmt.Errorf("%w: unknown kind %d", ErrInvalidQuery, int(q.Kind))
 }
 
-// Result is the answer to one Query.
-type Result struct {
-	// IDs are the matching file ids (for top-k, in ascending distance).
-	IDs []uint64
-	// Dists carries, aligned with IDs, each candidate's true normalized
-	// squared distance for top-k queries run with
-	// QueryOptions.IncludeDists.
-	Dists []float64
-	// Records carries the full metadata record per id, in IDs order,
-	// when QueryOptions.IncludeRecords is set.
-	Records []File
-	// Truncated reports that QueryOptions.Limit cut the answer.
-	Truncated bool
-	// Report is the virtual-time accounting of the execution.
-	Report QueryReport
-	// Shards lists the engine shard indices the query fanned out to —
-	// the exact shard set whose state the answer is a function of. The
-	// set is data-independent (routing reads only the query and the
-	// frozen placement centroids), so a cache keyed on these shards'
-	// epochs can never serve a stale answer.
-	Shards []int
-}
+// Result is the answer to one Query: the engine's own answer. Its
+// Shards field lists the engine shards the query fanned out to — a set
+// that depends only on the query and the frozen placement centroids, so
+// a cache keyed on those shards' epochs can never serve a stale answer.
+type Result = engine.Answer
 
-// Do executes one query. It is the single entry point all query paths
-// share: PointQuery, RangeQuery and TopKQuery are thin wrappers, and
-// the wire layer's /v1/query endpoint calls it directly.
+// Do executes one query. It is the single entry point every query path
+// shares — the wire layer's /v1/query endpoint calls it directly.
 //
-// Do validates before touching the store and returns errors — wrapping
-// ErrInvalidQuery — where the legacy constructors panicked. The query
-// then fans out to the relevant engine shards in parallel: range
-// queries skip shards whose root MBR misses the query rectangle, top-k
-// answers merge by true normalized distance, and the report aggregates
-// max-latency / summed-messages across shards. The context is honoured
+// Do validates before touching the store and returns errors wrapping
+// ErrInvalidQuery. The query then fans out to the relevant engine
+// shards in parallel: range queries skip shards whose root MBR misses
+// the query rectangle, top-k answers merge by true normalized distance,
+// and the report aggregates max-latency / summed-messages across
+// shards. The context is honoured
 // between routing phases: before admission, while each shard waits for
 // its deployment's query slot, and again between query execution and
 // record projection; a cancelled context returns ctx.Err().
@@ -254,67 +234,19 @@ func (s *Store) Do(ctx context.Context, q Query) (Result, error) {
 		IncludeDists:   q.Options.IncludeDists,
 	}
 
-	var ans engine.Answer
-	var err error
 	switch q.Kind {
 	case KindPoint:
-		ans, err = s.eng.Point(ctx, query.Point{Filename: q.Path}, opts)
+		return s.eng.Point(ctx, query.Point{Filename: q.Path}, opts)
 	case KindRange:
-		rq, qerr := query.MakeRange(q.Attrs, q.Lo, q.Hi)
-		if qerr != nil {
-			return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, qerr)
+		rq, err := query.MakeRange(q.Attrs, q.Lo, q.Hi)
+		if err != nil {
+			return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 		}
-		ans, err = s.eng.Range(ctx, rq, opts)
-	case KindTopK:
-		tq, qerr := query.MakeTopK(q.Attrs, q.Point, q.K)
-		if qerr != nil {
-			return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, qerr)
-		}
-		ans, err = s.eng.TopK(ctx, tq, opts)
+		return s.eng.Range(ctx, rq, opts)
 	}
+	tq, err := query.MakeTopK(q.Attrs, q.Point, q.K)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
-	return Result{
-		IDs:       ans.IDs,
-		Dists:     ans.Dists,
-		Records:   ans.Records,
-		Truncated: ans.Truncated,
-		Report:    ans.Report,
-		Shards:    ans.Targets,
-	}, nil
-}
-
-// PointQuery looks up file metadata by exact pathname (§3.3.3). It is a
-// compatibility wrapper over Do.
-func (s *Store) PointQuery(filename string) ([]uint64, QueryReport) {
-	r, err := s.Do(context.Background(), NewPointQuery(filename))
-	if err != nil {
-		panic(err.Error())
-	}
-	return r.IDs, r.Report
-}
-
-// RangeQuery finds all files whose attrs[i] lies within [lo[i], hi[i]]
-// (§3.3.1). Values are in raw attribute units. It is a compatibility
-// wrapper over Do and keeps the legacy contract of panicking on
-// mismatched dimensions; use Do for error returns.
-func (s *Store) RangeQuery(attrs []Attr, lo, hi []float64) ([]uint64, QueryReport) {
-	r, err := s.Do(context.Background(), NewRangeQuery(attrs, lo, hi))
-	if err != nil {
-		panic(err.Error())
-	}
-	return r.IDs, r.Report
-}
-
-// TopKQuery finds the k files whose attributes are closest to the given
-// point (§3.3.2). It is a compatibility wrapper over Do and keeps the
-// legacy contract of panicking on invalid dimensions or k; use Do for
-// error returns.
-func (s *Store) TopKQuery(attrs []Attr, point []float64, k int) ([]uint64, QueryReport) {
-	r, err := s.Do(context.Background(), NewTopKQuery(attrs, point, k))
-	if err != nil {
-		panic(err.Error())
-	}
-	return r.IDs, r.Report
+	return s.eng.TopK(ctx, tq, opts)
 }

@@ -52,43 +52,6 @@ func TestDoCancelledContext(t *testing.T) {
 	}
 }
 
-func TestDoMatchesLegacyWrappers(t *testing.T) {
-	store, set := buildStore(t, 800, smartstore.Config{Units: 12})
-	ctx := context.Background()
-	attrs := []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrReadBytes}
-	lo := []float64{0, 0}
-	hi := []float64{1e9, 1e12}
-
-	legacyIDs, _ := store.RangeQuery(attrs, lo, hi)
-	res, err := store.Do(ctx, smartstore.NewRangeQuery(attrs, lo, hi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) != len(legacyIDs) {
-		t.Fatalf("Do range %d ids, legacy %d", len(res.IDs), len(legacyIDs))
-	}
-
-	f := set.Files[33]
-	legacyIDs, _ = store.PointQuery(f.Path)
-	res, err = store.Do(ctx, smartstore.NewPointQuery(f.Path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) != len(legacyIDs) {
-		t.Fatalf("Do point %d ids, legacy %d", len(res.IDs), len(legacyIDs))
-	}
-
-	point := []float64{f.Attrs[smartstore.AttrMTime], f.Attrs[smartstore.AttrReadBytes]}
-	legacyIDs, _ = store.TopKQuery(attrs, point, 7)
-	res, err = store.Do(ctx, smartstore.NewTopKQuery(attrs, point, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) != len(legacyIDs) {
-		t.Fatalf("Do topk %d ids, legacy %d", len(res.IDs), len(legacyIDs))
-	}
-}
-
 func TestDoIncludeRecordsProjection(t *testing.T) {
 	store, set := buildStore(t, 600, smartstore.Config{Units: 10})
 	f := set.Files[100]

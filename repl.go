@@ -2,49 +2,16 @@ package smartstore
 
 import (
 	"fmt"
-	"io"
 
-	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
 
 // Replication facade: the leader-side read path (ReplTail — ship a
-// shard's log past an epoch watermark) and the follower-side apply
-// path (LoadReplica — bootstrap from a leader snapshot preserving its
-// epochs; ApplyReplicated — fold shipped records in). The protocol and
-// its invariants are documented in DESIGN.md §11; the wire framing
-// lives in internal/wal (TailResponse and its codec).
-
-// LoadReplica restores a store from a leader snapshot for use as a
-// replication follower. It differs from Load in one way that matters:
-// the snapshot's per-shard epochs are adopted (Load restarts them at
-// zero), so the follower resumes the leader's epoch trajectory and its
-// first tail pull — "records with epoch past the snapshot's" — lines
-// up exactly with what the leader's log still holds.
-//
-// With cfg.DataDir set the follower becomes durable itself: the dir is
-// freshly initialized with an initial checkpoint carrying the adopted
-// epochs, so a follower restart recovers locally and re-joins the pull
-// from where it left off instead of re-fetching the full snapshot.
-func LoadReplica(r io.Reader, cfg Config) (*Store, error) {
-	snap, err := snapshot.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	s, err := restoreFromSnapshot(snap, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.eng.SetShardEpochs(snap.ShardEpochs()); err != nil {
-		return nil, fmt.Errorf("smartstore: %w", err)
-	}
-	if cfg.DataDir != "" {
-		if err := s.initDataDir(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
+// shard's log past an epoch watermark) and the follower-side apply path
+// (ApplyReplicated — fold shipped records in). A follower bootstraps with
+// Load of a leader snapshot, which resumes the leader's epochs. The
+// protocol and its invariants are documented in DESIGN.md §11; the wire
+// framing lives in internal/wal (TailResponse and its codec).
 
 // ReplTail serves one pull of shard's log for a follower: every record
 // with epoch past after, up to roughly maxBytes encoded (0 selects the
@@ -53,7 +20,7 @@ func LoadReplica(r io.Reader, cfg Config) (*Store, error) {
 // when after predates it the response carries SnapshotRequired instead
 // of records: a checkpoint has truncated the segments that covered the
 // follower's watermark, so the follower must re-bootstrap from a fresh
-// snapshot (Save + LoadReplica) and resume pulling from its epochs.
+// snapshot (Save + Load) and resume pulling from its epochs.
 //
 // The base is read *after* the log scan: a checkpoint landing between
 // the two can only raise the base, so a stale-watermark pull racing a

@@ -3,7 +3,7 @@ package smartstore_test
 import (
 	"bytes"
 	"fmt"
-	"io"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -17,12 +17,11 @@ import (
 // other than the grouping predicate — and returns every answer's ids.
 // Ids, not reports: a report depends on how many home-unit draws came
 // before it, which differs between a store and its restored copy.
-func restoreAnswers(s *smartstore.Store, set *smartstore.TraceSet) [][]uint64 {
+func restoreAnswers(t *testing.T, s *smartstore.Store, set *smartstore.TraceSet) [][]uint64 {
 	var out [][]uint64
 	pg := trace.NewQueryGen(set, stats.Uniform, nil, 5)
 	for i := 0; i < 20; i++ {
-		ids, _ := s.PointQuery(pg.Point(0.8).Filename)
-		out = append(out, ids)
+		out = append(out, ask(t, s, smartstore.NewPointQuery(pg.Point(0.8).Filename)).IDs)
 	}
 	subsets := [][]smartstore.Attr{
 		{smartstore.AttrSize},
@@ -33,12 +32,10 @@ func restoreAnswers(s *smartstore.Store, set *smartstore.TraceSet) [][]uint64 {
 	for i, attrs := range subsets {
 		gen := trace.NewQueryGen(set, stats.Zipf, attrs, uint64(100+i))
 		for j := 0; j < 10; j++ {
-			r := gen.Range(0.1)
-			ids, _ := s.RangeQuery(r.Attrs, r.Lo, r.Hi)
-			out = append(out, ids)
-			k := gen.TopK(8)
-			ids, _ = s.TopKQuery(k.Attrs, k.Point, 8)
-			out = append(out, ids)
+			r, k := gen.Range(0.1), gen.TopK(8)
+			out = append(out,
+				ask(t, s, smartstore.NewRangeQuery(r.Attrs, r.Lo, r.Hi)).IDs,
+				ask(t, s, smartstore.NewTopKQuery(k.Attrs, k.Point, 8)).IDs)
 		}
 	}
 	return out
@@ -47,9 +44,12 @@ func restoreAnswers(s *smartstore.Store, set *smartstore.TraceSet) [][]uint64 {
 // TestRestoreAnswersMatch pins what a restart preserves: a store with no
 // unflushed changes, restored through each path under each deployment
 // configuration, answers a fixed query stream with exactly the ids the
-// original did, and the epoch-adopting paths resume the original's
-// shard epochs. The knobs a snapshot does not carry (Mode, Versioning,
-// Seed, OfflineGroupBudget) are passed identically on both sides.
+// original did and resumes the original's shard epochs. The paths are
+// crash recovery (Checkpoint, Close, Open), an in-memory Load of a Save,
+// and a Load of a Save into a fresh data dir — how a durable replication
+// follower bootstraps. The knobs a snapshot does not carry (Mode,
+// Versioning, Seed, OfflineGroupBudget) are passed identically on both
+// sides.
 //
 // The "unflushed" row pins today's behaviour when the store does hold
 // unpropagated changes (ROADMAP item 10, "restore is an implicit
@@ -59,11 +59,10 @@ func restoreAnswers(s *smartstore.Store, set *smartstore.TraceSet) [][]uint64 {
 // epoch-keyed cache cannot tell apart.
 func TestRestoreAnswersMatch(t *testing.T) {
 	paths := []struct {
-		name        string
-		keepsEpochs bool
-		restore     restorer
+		name    string
+		restore restorer
 	}{
-		{"checkpoint-close-open", true, func(t *testing.T, s *smartstore.Store, cfg smartstore.Config) *smartstore.Store {
+		{"checkpoint-close-open", func(t *testing.T, s *smartstore.Store, cfg smartstore.Config) *smartstore.Store {
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -77,8 +76,8 @@ func TestRestoreAnswersMatch(t *testing.T) {
 			t.Cleanup(func() { r.Close() })
 			return r
 		}},
-		{"save-load", false, viaSave(smartstore.Load)},
-		{"save-load-replica", true, viaSave(smartstore.LoadReplica)},
+		{"save-load", viaSave("")},
+		{"save-load-replica", viaSave("replica")},
 	}
 	configs := []struct {
 		name      string
@@ -107,22 +106,22 @@ func TestRestoreAnswersMatch(t *testing.T) {
 					}
 					t.Cleanup(func() { s.Close() })
 					if c.unflushed {
-						checkUnflushedRestore(t, s, set, cfg, p.restore, p.keepsEpochs)
+						checkUnflushedRestore(t, s, set, cfg, p.restore)
 						return
 					}
 					mutateForRestore(t, s, set)
 					if err := s.Flush(); err != nil {
 						t.Fatal(err)
 					}
-					want, epochs := restoreAnswers(s, set), s.ShardEpochs()
+					want, epochs := restoreAnswers(t, s, set), s.ShardEpochs()
 					r := p.restore(t, s, cfg)
-					got := restoreAnswers(r, set)
+					got := restoreAnswers(t, r, set)
 					for i := range want {
 						if !slices.Equal(got[i], want[i]) {
 							t.Fatalf("query %d: restored ids %v, original %v", i, got[i], want[i])
 						}
 					}
-					if p.keepsEpochs && !slices.Equal(r.ShardEpochs(), epochs) {
+					if !slices.Equal(r.ShardEpochs(), epochs) {
 						t.Fatalf("restored epochs %v, original %v", r.ShardEpochs(), epochs)
 					}
 				})
@@ -134,27 +133,30 @@ func TestRestoreAnswersMatch(t *testing.T) {
 // restorer brings a store back from its persisted state under cfg.
 type restorer func(t *testing.T, s *smartstore.Store, cfg smartstore.Config) *smartstore.Store
 
-// viaSave restores an in-memory copy of s from its Save output.
-func viaSave(load func(io.Reader, smartstore.Config) (*smartstore.Store, error)) restorer {
+// viaSave loads a copy of s from its Save output: in memory when dir is
+// empty, otherwise into a fresh data dir named dir.
+func viaSave(dir string) restorer {
 	return func(t *testing.T, s *smartstore.Store, cfg smartstore.Config) *smartstore.Store {
 		var buf bytes.Buffer
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		cfg.DataDir = ""
-		r, err := load(&buf, cfg)
+		if dir != "" {
+			cfg.DataDir = filepath.Join(t.TempDir(), dir)
+		}
+		r, err := smartstore.Load(&buf, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { r.Close() })
 		return r
 	}
 }
 
 // mutateForRestore gives a store some history before its snapshot:
-// inserts of fresh files and modifies of original ones. Deletes are left
-// out on purpose: a delete leaves its group's centroid and MBR stale
-// until a restore recomputes them, which moves off-line routing across
-// a restart (ROADMAP item 10).
+// inserts of fresh files, modifies of original ones, and deletes of
+// both.
 func mutateForRestore(t *testing.T, s *smartstore.Store, set *smartstore.TraceSet) {
 	t.Helper()
 	for i := 0; i < 30; i++ {
@@ -171,29 +173,40 @@ func mutateForRestore(t *testing.T, s *smartstore.Store, set *smartstore.TraceSe
 			t.Fatal(err)
 		}
 	}
+	var gone []uint64
+	for i := 0; i < 30; i++ {
+		gone = append(gone, set.Files[i*19+3].ID)
+	}
+	for i := 0; i < 30; i += 3 {
+		gone = append(gone, uint64(900000+i))
+	}
+	for _, id := range gone {
+		if _, found, err := s.Delete(id); err != nil || !found {
+			t.Fatalf("delete %d: found=%v err=%v", id, found, err)
+		}
+	}
 }
 
 // checkUnflushedRestore inserts one file without flushing, restores,
 // and asserts the documented behaviour: the original hides the insert,
-// the restored store shows it, and epoch-adopting paths report the
-// same shard epochs for both.
+// the restored store shows it, and both report the same shard epochs.
 func checkUnflushedRestore(t *testing.T, s *smartstore.Store, set *smartstore.TraceSet, cfg smartstore.Config,
-	restore restorer, keepsEpochs bool) {
+	restore restorer) {
 	t.Helper()
 	nf := *set.Files[0]
 	nf.ID, nf.Path = 990000, "/restore/unflushed.bin"
 	if _, err := s.Insert(&nf); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := s.PointQuery(nf.Path); slices.Contains(ids, nf.ID) {
+	if slices.Contains(ask(t, s, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
 		t.Fatal("unflushed insert visible on the original")
 	}
 	epochs := s.ShardEpochs()
 	r := restore(t, s, cfg)
-	if ids, _ := r.PointQuery(nf.Path); !slices.Contains(ids, nf.ID) {
+	if !slices.Contains(ask(t, r, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
 		t.Fatal("unflushed insert hidden after restore; update ROADMAP item 10 and DESIGN §7/§11 if this is now fixed")
 	}
-	if keepsEpochs && !slices.Equal(r.ShardEpochs(), epochs) {
+	if !slices.Equal(r.ShardEpochs(), epochs) {
 		t.Fatalf("restored epochs %v, original %v", r.ShardEpochs(), epochs)
 	}
 }

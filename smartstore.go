@@ -24,8 +24,8 @@
 //	if err != nil { ... }
 //	fmt.Println(len(res.Records), res.Report.Latency)
 //
-// PointQuery, RangeQuery and TopKQuery remain as thin compatibility
-// wrappers over Do.
+// Point, range and top-k queries (§3.3.3, §3.3.1, §3.3.2) all go through
+// Do; Correlated and DuplicateCandidates compose two Do calls.
 //
 // # Durability
 //

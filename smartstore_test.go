@@ -1,6 +1,8 @@
 package smartstore_test
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	smartstore "repro"
@@ -20,6 +22,17 @@ func buildStore(t testing.TB, n int, cfg smartstore.Config) (*smartstore.Store, 
 		t.Fatal(err)
 	}
 	return store, set
+}
+
+// ask runs q through Do and reports an error on t, which is safe from
+// any goroutine; a failed query answers the zero Result.
+func ask(t testing.TB, s *smartstore.Store, q smartstore.Query) smartstore.Result {
+	t.Helper()
+	res, err := s.Do(context.Background(), q)
+	if err != nil {
+		t.Errorf("Do(%+v): %v", q, err)
+	}
+	return res
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -88,9 +101,9 @@ func TestPointQuery(t *testing.T) {
 	store, set := buildStore(t, 500, smartstore.Config{Units: 10})
 	for i := 0; i < 50; i++ {
 		f := set.Files[(i*17)%len(set.Files)]
-		ids, rep := store.PointQuery(f.Path)
+		res := ask(t, store, smartstore.NewPointQuery(f.Path))
 		found := false
-		for _, id := range ids {
+		for _, id := range res.IDs {
 			if id == f.ID {
 				found = true
 			}
@@ -98,8 +111,8 @@ func TestPointQuery(t *testing.T) {
 		if !found {
 			t.Fatalf("point query missed %q", f.Path)
 		}
-		if rep.Latency <= 0 || rep.Messages == 0 {
-			t.Fatalf("report = %+v", rep)
+		if res.Report.Latency <= 0 || res.Report.Messages == 0 {
+			t.Fatalf("report = %+v", res.Report)
 		}
 	}
 }
@@ -111,12 +124,12 @@ func TestRangeQueryOfflineAndOnline(t *testing.T) {
 		var rec stats.Summary
 		for i := 0; i < 30; i++ {
 			q := gen.Range(0.08)
-			ids, _ := store.RangeQuery(q.Attrs, q.Lo, q.Hi)
+			res := ask(t, store, smartstore.NewRangeQuery(q.Attrs, q.Lo, q.Hi))
 			want := query.RangeTruth(set.Files, q)
 			if len(want) == 0 {
 				continue
 			}
-			rec.Add(stats.Recall(want, ids))
+			rec.Add(stats.Recall(want, res.IDs))
 		}
 		if rec.N() > 0 && mode == smartstore.OnLine && rec.Mean() != 1 {
 			t.Fatalf("online recall = %v, want 1", rec.Mean())
@@ -132,11 +145,11 @@ func TestTopKQueryReturnsK(t *testing.T) {
 	gen := trace.NewQueryGen(set, stats.Gauss, nil, 11)
 	for i := 0; i < 20; i++ {
 		q := gen.TopK(6)
-		ids, rep := store.TopKQuery(q.Attrs, q.Point, 6)
-		if len(ids) != 6 {
-			t.Fatalf("topk returned %d, want 6", len(ids))
+		res := ask(t, store, smartstore.NewTopKQuery(q.Attrs, q.Point, 6))
+		if len(res.IDs) != 6 {
+			t.Fatalf("topk returned %d, want 6", len(res.IDs))
 		}
-		if rep.Latency <= 0 {
+		if res.Report.Latency <= 0 {
 			t.Fatal("no latency accounted")
 		}
 	}
@@ -159,14 +172,7 @@ func TestInsertDeleteModifyLifecycle(t *testing.T) {
 	if _, err := store.Insert(nf); err == nil {
 		t.Fatal("re-inserting an existing id did not error")
 	}
-	ids, _ := store.PointQuery(nf.Path)
-	found := false
-	for _, id := range ids {
-		if id == nf.ID {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(ask(t, store, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
 		t.Fatal("inserted file not findable with versioning on")
 	}
 
@@ -192,21 +198,11 @@ func TestFlushMakesInsertsVisibleWithoutVersioning(t *testing.T) {
 	if _, err := store.Insert(nf); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	ids, _ := store.PointQuery(nf.Path)
-	for _, id := range ids {
-		if id == nf.ID {
-			t.Fatal("unpropagated insert visible without versioning")
-		}
+	if slices.Contains(ask(t, store, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
+		t.Fatal("unpropagated insert visible without versioning")
 	}
 	store.Flush()
-	ids, _ = store.PointQuery(nf.Path)
-	found := false
-	for _, id := range ids {
-		if id == nf.ID {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(ask(t, store, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
 		t.Fatal("insert invisible after Flush")
 	}
 }
@@ -220,8 +216,8 @@ func TestVirtualScaleRaisesLatency(t *testing.T) {
 	// A full-space window guarantees records are scanned.
 	attrs := []smartstore.Attr{smartstore.AttrSize}
 	lo, hi := set.Norm.Bounds(smartstore.AttrSize)
-	_, rs := small.RangeQuery(attrs, []float64{lo}, []float64{hi})
-	_, rb := big.RangeQuery(attrs, []float64{lo}, []float64{hi})
+	q := smartstore.NewRangeQuery(attrs, []float64{lo}, []float64{hi})
+	rs, rb := ask(t, small, q).Report, ask(t, big, q).Report
 	if rb.Latency <= rs.Latency {
 		t.Fatalf("scaled latency %v not above unscaled %v", rb.Latency, rs.Latency)
 	}

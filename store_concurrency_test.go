@@ -57,19 +57,19 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 				f := set.Files[(r*131+i*17)%len(set.Files)]
 				switch i % 5 {
 				case 0:
-					ids, rep := store.RangeQuery(attrs,
-						[]float64{0, 0}, []float64{f.Attrs[smartstore.AttrMTime], 1e12})
-					if rep.Messages == 0 && len(ids) > 0 {
+					res := ask(t, store, smartstore.NewRangeQuery(attrs,
+						[]float64{0, 0}, []float64{f.Attrs[smartstore.AttrMTime], 1e12}))
+					if res.Report.Messages == 0 && len(res.IDs) > 0 {
 						t.Error("range query returned ids with zero messages")
 					}
 				case 1:
-					ids, _ := store.TopKQuery(attrs,
-						[]float64{f.Attrs[smartstore.AttrMTime], f.Attrs[smartstore.AttrReadBytes]}, 4)
-					if len(ids) > 4 {
-						t.Errorf("top-4 returned %d ids", len(ids))
+					res := ask(t, store, smartstore.NewTopKQuery(attrs,
+						[]float64{f.Attrs[smartstore.AttrMTime], f.Attrs[smartstore.AttrReadBytes]}, 4))
+					if len(res.IDs) > 4 {
+						t.Errorf("top-4 returned %d ids", len(res.IDs))
 					}
 				case 2:
-					store.PointQuery(f.Path)
+					ask(t, store, smartstore.NewPointQuery(f.Path))
 				case 3:
 					if st := store.Stats(); st.Units == 0 || st.Files == 0 {
 						t.Errorf("stats degenerate mid-run: %+v", st)
@@ -166,8 +166,8 @@ func TestEpochAdvancesPerMutation(t *testing.T) {
 		t.Fatalf("no-op mutations advanced epoch to %d", store.Epoch())
 	}
 	// Queries must not advance the epoch.
-	store.PointQuery("/epoch/a.dat")
-	store.RangeQuery([]smartstore.Attr{smartstore.AttrMTime}, []float64{0}, []float64{1})
+	ask(t, store, smartstore.NewPointQuery("/epoch/a.dat"))
+	ask(t, store, smartstore.NewRangeQuery([]smartstore.Attr{smartstore.AttrMTime}, []float64{0}, []float64{1}))
 	if store.Epoch() != 4 {
 		t.Fatalf("read path advanced epoch to %d", store.Epoch())
 	}
@@ -196,7 +196,7 @@ func TestEpochAdvancesPerMutation(t *testing.T) {
 	if store.Epoch() != 4 {
 		t.Fatalf("rejected batches advanced epoch to %d", store.Epoch())
 	}
-	if ids, _ := store.PointQuery("/epoch/x.dat"); len(ids) != 0 {
+	if ids := ask(t, store, smartstore.NewPointQuery("/epoch/x.dat")).IDs; len(ids) != 0 {
 		t.Fatal("rejected batch partially inserted")
 	}
 }

@@ -20,8 +20,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Point queries answer identically.
 	for i := 0; i < 30; i++ {
 		f := set.Files[(i*41)%len(set.Files)]
-		a, _ := store.PointQuery(f.Path)
-		b, _ := restored.PointQuery(f.Path)
+		a := ask(t, store, smartstore.NewPointQuery(f.Path)).IDs
+		b := ask(t, restored, smartstore.NewPointQuery(f.Path)).IDs
 		if len(a) != len(b) {
 			t.Fatalf("point answers differ for %q: %d vs %d", f.Path, len(a), len(b))
 		}

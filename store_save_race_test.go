@@ -7,6 +7,7 @@ package smartstore_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,14 +116,7 @@ func TestSaveUnderConcurrentInsertIsNeverTorn(t *testing.T) {
 		t.Fatalf("restored %d files (base %d)", got, len(set.Files))
 	}
 	f := set.Files[99]
-	ids, _ := restored.PointQuery(f.Path)
-	found := false
-	for _, id := range ids {
-		if id == f.ID {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(ask(t, restored, smartstore.NewPointQuery(f.Path)).IDs, f.ID) {
 		t.Fatalf("restored store cannot find %q", f.Path)
 	}
 }
