@@ -6,9 +6,119 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/snapshot"
 	"repro/internal/wal"
 )
+
+// ErrInvalidBatch tags InsertBatch's validation failures (a zero or
+// duplicate id) the same way; any other InsertBatch error is the
+// store's own — on a durable store, a WAL failure.
+var ErrInvalidBatch = engine.ErrInvalidBatch
+
+// Insert routes a new file's metadata to its semantically placed shard.
+// Like InsertBatch, it rejects a zero id or an id that is already
+// stored — the serving layer treats ids as unique, so every insert path
+// enforces the invariant.
+func (s *Store) Insert(f *File) (QueryReport, error) {
+	return s.InsertBatch([]*File{f})
+}
+
+// InsertBatch inserts files in one admission: the whole batch is
+// validated first (a violation rejects the batch before anything is
+// inserted; validation is serialized with every other insert's routing
+// phase, so the uniqueness check cannot race another writer), files
+// are routed to shards by semantic placement, and every target shard
+// is write-locked before any insert lands — so each shard, and any
+// snapshot (which locks all shards), observes the batch atomically. A
+// query fanning out across shards takes per-shard read locks
+// independently and therefore sees per-shard, not cross-shard, batch
+// atomicity. Per-shard sub-batches execute in parallel, and each
+// affected shard bumps its epoch once. The returned report aggregates
+// virtual latency (max across shards, summed within each shard's
+// sub-batch) and messages over the whole batch.
+func (s *Store) InsertBatch(files []*File) (QueryReport, error) {
+	rep, err := s.eng.InsertBatch(files)
+	if err != nil {
+		return QueryReport{}, fmt.Errorf("smartstore: %w", err)
+	}
+	s.noteMutation()
+	return rep, nil
+}
+
+// Delete removes a file by id, reporting whether it existed. The id →
+// shard index routes the delete directly to the owning shard; the
+// shard's epoch advances only when a file was actually removed — a
+// no-op delete must not invalidate query caches. On a durable store
+// the delete is logged before it applies; a returned error means the
+// WAL rejected the record and nothing changed.
+func (s *Store) Delete(id uint64) (QueryReport, bool, error) {
+	rep, found, err := s.eng.Delete(id)
+	if err != nil {
+		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+	}
+	s.noteMutation()
+	return rep, found, nil
+}
+
+// Modify updates an existing file's attributes on its owning shard. The
+// epoch advances only when the file existed. On a durable store the
+// modify is logged before it applies; a returned error means the WAL
+// rejected the record and nothing changed.
+func (s *Store) Modify(f *File) (QueryReport, bool, error) {
+	rep, found, err := s.eng.Modify(f)
+	if err != nil {
+		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+	}
+	s.noteMutation()
+	return rep, found, nil
+}
+
+// ModifyAttrs sets the named attributes of an existing file and keeps
+// the rest, merging under the owning shard's write lock — the form a
+// partial update takes when other writers may be modifying the same
+// file. Logging and errors are Modify's.
+func (s *Store) ModifyAttrs(id uint64, attrs map[Attr]float64) (QueryReport, bool, error) {
+	rep, found, err := s.eng.ModifyAttrs(id, attrs)
+	if err != nil {
+		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+	}
+	s.noteMutation()
+	return rep, found, nil
+}
+
+// Flush propagates all pending changes to replicas on every shard (lazy
+// updates are otherwise threshold-driven, §3.4). Each shard's epoch
+// advances only when that shard had something pending — propagating
+// nothing changes no query's answer. On a durable store an effectual
+// flush is logged before propagating (so recovery propagates at the
+// same point of the log and replays the same epochs); a returned error
+// means a WAL append failed and that shard's replicas were left
+// untouched.
+func (s *Store) Flush() error {
+	if err := s.eng.Flush(); err != nil {
+		return fmt.Errorf("smartstore: %w", err)
+	}
+	s.noteMutation()
+	return nil
+}
+
+// noteMutation is the post-mutation hook of WAL-size-triggered
+// checkpointing: cheap (one atomic-free size sum on a durable store,
+// nothing otherwise), it kicks the checkpoint loop when the logs have
+// outgrown Config.CheckpointBytes.
+func (s *Store) noteMutation() {
+	if s.ckptKick == nil {
+		return
+	}
+	if s.walBytes() < s.cfg.CheckpointBytes {
+		return
+	}
+	select {
+	case s.ckptKick <- struct{}{}:
+	default: // a kick is already pending; the loop coalesces them
+	}
+}
 
 // Durability selects when write-ahead-log appends reach stable storage
 // on a durable store (Config.DataDir set): it is the WAL's own sync
@@ -89,70 +199,6 @@ func (s *Store) initDataDir() error {
 	s.startSyncLoop()
 	s.startCheckpointLoop()
 	return nil
-}
-
-// Open recovers a durable store from cfg.DataDir: the checkpoint
-// snapshot is loaded, each shard's WAL tail — every mutation
-// acknowledged since that checkpoint — is replayed independently and
-// in parallel past the snapshot's per-shard epoch truncation points,
-// and a fresh checkpoint is written before the store is returned. No
-// acknowledged mutation is lost across a crash, torn final records are
-// discarded, and a multi-shard insert batch that did not reach every
-// target's log (never acknowledged) is dropped atomically.
-//
-// Like Load, cfg's structural fields (Units, Attrs, Shards, fan-out,
-// threshold) come from the snapshot; cfg supplies the deployment knobs
-// (Seed, Versioning, Mode, ...) and the durability policy.
-func Open(cfg Config) (*Store, error) {
-	if cfg.DataDir == "" {
-		return nil, fmt.Errorf("smartstore: Open needs Config.DataDir")
-	}
-	sweepStaleTemp(cfg.DataDir)
-	f, err := os.Open(snapshotPath(cfg.DataDir))
-	if err != nil {
-		return nil, fmt.Errorf("smartstore: data dir %s has no snapshot (initialize it with Build): %w",
-			cfg.DataDir, err)
-	}
-	snap, err := snapshot.Read(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	s, err := restoreFromSnapshot(snap, cfg)
-	if err != nil {
-		return nil, err
-	}
-	logs, tails, err := openLogs(cfg.DataDir, s.eng.Shards(), cfg.Durability, cfg.WALSegmentBytes)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.eng.Recover(tails, snap.ShardEpochs()); err != nil {
-		closeLogs(logs)
-		return nil, fmt.Errorf("smartstore: %w", err)
-	}
-	if err := s.eng.AttachWAL(logs); err != nil {
-		closeLogs(logs)
-		return nil, fmt.Errorf("smartstore: %w", err)
-	}
-	s.logs = logs
-	// Checkpoint the recovered state immediately when the logs held
-	// anything: the replayed tail folds into the snapshot and the logs
-	// restart empty, so this boot's batch ids cannot collide with
-	// records from the last one. After a clean shutdown every tail is
-	// empty — the snapshot is already current and no batch id can
-	// linger, so the boot skips the redundant full-store write.
-	for _, tail := range tails {
-		if len(tail) > 0 {
-			if err := s.Checkpoint(); err != nil {
-				closeLogs(logs)
-				return nil, err
-			}
-			break
-		}
-	}
-	s.startSyncLoop()
-	s.startCheckpointLoop()
-	return s, nil
 }
 
 // openLogs opens (creating if absent) one segmented WAL per shard under
@@ -238,23 +284,6 @@ func (s *Store) startCheckpointLoop() {
 			}
 		}
 	}()
-}
-
-// noteMutation is the post-mutation hook of WAL-size-triggered
-// checkpointing: cheap (one atomic-free size sum on a durable store,
-// nothing otherwise), it kicks the checkpoint loop when the logs have
-// outgrown Config.CheckpointBytes.
-func (s *Store) noteMutation() {
-	if s.ckptKick == nil {
-		return
-	}
-	if s.walBytes() < s.cfg.CheckpointBytes {
-		return
-	}
-	select {
-	case s.ckptKick <- struct{}{}:
-	default: // a kick is already pending; the loop coalesces them
-	}
 }
 
 // walBytes sums the live WAL size across shards.

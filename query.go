@@ -14,11 +14,6 @@ import (
 // errors.Is while other failures stay server-side.
 var ErrInvalidQuery = errors.New("invalid query")
 
-// ErrInvalidBatch tags InsertBatch's validation failures (a zero or
-// duplicate id) the same way; any other InsertBatch error is the
-// store's own — on a durable store, a WAL failure.
-var ErrInvalidBatch = engine.ErrInvalidBatch
-
 // QueryKind selects which of the three paper query classes a Query is.
 type QueryKind int
 
@@ -249,4 +244,50 @@ func (s *Store) Do(ctx context.Context, q Query) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
 	return s.eng.TopK(ctx, tq, opts)
+}
+
+// Correlated returns the k files most semantically correlated with the
+// file at the given path — the semantic-prefetching primitive of §1.1
+// ("when a file is visited, we can execute a top-k query to find its k
+// most correlated files to be prefetched"), measured on the store's
+// grouping predicate. It returns ok=false when the path is unknown.
+func (s *Store) Correlated(path string, k int) (ids []uint64, rep QueryReport, ok bool) {
+	return s.nearestTo(path, s.cfg.Attrs, k)
+}
+
+// DuplicateCandidates returns, for the file at the given path, up to k
+// files whose physical attributes (size, creation time) are nearest —
+// the deduplication narrowing of §1.1. The caller confirms true
+// duplicates by content comparison.
+func (s *Store) DuplicateCandidates(path string, k int) (ids []uint64, rep QueryReport, ok bool) {
+	return s.nearestTo(path, []Attr{AttrSize, AttrCTime}, k)
+}
+
+// nearestTo resolves path to its record with a point query, then asks a
+// top-k query over attrs around that record for k+1 files and drops the
+// anchor itself. The two queries are separate engine admissions, so a
+// mutation landing between them is observed; prefetch and dedup hints
+// tolerate that staleness by nature.
+func (s *Store) nearestTo(path string, attrs []Attr, k int) ([]uint64, QueryReport, bool) {
+	ctx := context.Background()
+	pt, err := s.Do(ctx, NewPointQuery(path).WithOptions(QueryOptions{IncludeRecords: true}))
+	if err != nil || len(pt.Records) == 0 {
+		return nil, QueryReport{}, false
+	}
+	anchor := pt.Records[0]
+	point := make([]float64, len(attrs))
+	for i, a := range attrs {
+		point[i] = anchor.Attrs[a]
+	}
+	res, err := s.Do(ctx, NewTopKQuery(attrs, point, k+1))
+	if err != nil {
+		return nil, QueryReport{}, false
+	}
+	out := make([]uint64, 0, k)
+	for _, id := range res.IDs {
+		if id != anchor.ID && len(out) < k {
+			out = append(out, id)
+		}
+	}
+	return out, res.Report, true
 }

@@ -47,6 +47,9 @@ package smartstore
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +57,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/metadata"
+	"repro/internal/obs"
 	"repro/internal/semtree"
 	"repro/internal/simnet"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -247,39 +252,6 @@ type Store struct {
 	closeErr               error
 }
 
-// Epoch returns the store's composed mutation epoch: the sum of the
-// per-shard epochs, each of which increments on every mutation that can
-// change a query's answer — inserts, effectual deletes, modifies, and
-// flushes (no-ops leave it untouched). The sum is monotonic for any
-// observer, so a cache keyed on query content can pair each entry with
-// the epoch observed before computing it and treat any mismatch as
-// invalidation.
-func (s *Store) Epoch() uint64 { return s.eng.Epoch() }
-
-// ShardEpochs snapshots every shard's mutation epoch in shard order.
-// Each entry is individually monotonic, so a result cache can pair each
-// entry with the epochs of exactly the shards the query targeted
-// (Result.Shards) and survive writes that landed elsewhere.
-func (s *Store) ShardEpochs() []uint64 { return s.eng.ShardEpochs() }
-
-// PlacementInfo summarizes the store's semantic placement for a
-// federating layer: the placement attributes, the file-count-weighted
-// centroid in raw attribute units, and the raw normalization bounds per
-// attribute.
-type PlacementInfo = engine.Placement
-
-// Placement reports the store's placement summary — what a gateway
-// reads at bootstrap to route writes and off-line queries by
-// frozen-centroid distance, one level above the engine's shard routing.
-func (s *Store) Placement() PlacementInfo { return s.eng.Placement() }
-
-// QueryReport carries the accounting of one operation: virtual latency
-// in seconds, network messages, routing hops (groups beyond the first),
-// and version-chain work. For operations fanned out across shards,
-// latency is the slowest shard (they run in parallel) while messages
-// and per-node work sum.
-type QueryReport = engine.Report
-
 // Build constructs and deploys a SmartStore over the given corpus. An
 // invalid configuration — fan-out bounds violating 2 ≤ m ≤ M/2, a shard
 // count exceeding the unit count — returns an error rather than
@@ -314,92 +286,170 @@ func Build(files []*File, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Insert routes a new file's metadata to its semantically placed shard.
-// Like InsertBatch, it rejects a zero id or an id that is already
-// stored — the serving layer treats ids as unique, so every insert path
-// enforces the invariant.
-func (s *Store) Insert(f *File) (QueryReport, error) {
-	return s.InsertBatch([]*File{f})
+// Save persists the store's deployment — every shard's partition, the
+// shard assignment, the normalizer, and the construction configuration
+// — to w. The capture takes every shard's read lock (in the engine's
+// deadlock-free total order) before touching any shard, so a snapshot
+// taken during a concurrent InsertBatch is never torn: it observes
+// either all of a batch or none of it. A store restored with Load
+// answers queries identically once the saved store was flushed: the
+// snapshot carries files, not the deployment's unpropagated changes,
+// so those become visible on restore (DESIGN.md §7).
+//
+// Save writes to an arbitrary sink (an export, a backup) and does NOT
+// truncate a durable store's write-ahead logs — only Checkpoint, which
+// pairs the snapshot write with the truncation inside one lock hold,
+// may discard log records.
+func (s *Store) Save(w io.Writer) error {
+	return s.eng.Snapshot().Write(w)
 }
 
-// InsertBatch inserts files in one admission: the whole batch is
-// validated first (a violation rejects the batch before anything is
-// inserted; validation is serialized with every other insert's routing
-// phase, so the uniqueness check cannot race another writer), files
-// are routed to shards by semantic placement, and every target shard
-// is write-locked before any insert lands — so each shard, and any
-// snapshot (which locks all shards), observes the batch atomically. A
-// query fanning out across shards takes per-shard read locks
-// independently and therefore sees per-shard, not cross-shard, batch
-// atomicity. Per-shard sub-batches execute in parallel, and each
-// affected shard bumps its epoch once. The returned report aggregates
-// virtual latency (max across shards, summed within each shard's
-// sub-batch) and messages over the whole batch.
-func (s *Store) InsertBatch(files []*File) (QueryReport, error) {
-	rep, err := s.eng.InsertBatch(files)
+// Load restores a store previously written with Save. The cluster
+// deployments (server mapping, replicas) are regenerated from cfg's
+// seed; cfg's structural fields (Units, Attrs, Shards, fan-out,
+// threshold) are taken from the snapshot and ignored in cfg. Every
+// shard resumes the snapshot's epoch, so a replication follower loaded
+// from its leader's snapshot pulls the leader's log from exactly where
+// the snapshot ends (DESIGN.md §11).
+//
+// With cfg.DataDir set, the loaded store becomes durable: the data dir
+// is freshly initialized (it must not already hold a deployment) with
+// an initial checkpoint and empty per-shard WALs — the path for
+// seeding a durable daemon from an exported snapshot, and for a durable
+// follower, which then recovers locally on restart. To recover a data
+// dir that already has state, use Open.
+func Load(r io.Reader, cfg Config) (*Store, error) {
+	snap, err := snapshot.Read(r)
 	if err != nil {
-		return QueryReport{}, fmt.Errorf("smartstore: %w", err)
+		return nil, err
 	}
-	s.noteMutation()
-	return rep, nil
-}
-
-// Delete removes a file by id, reporting whether it existed. The id →
-// shard index routes the delete directly to the owning shard; the
-// shard's epoch advances only when a file was actually removed — a
-// no-op delete must not invalidate query caches. On a durable store
-// the delete is logged before it applies; a returned error means the
-// WAL rejected the record and nothing changed.
-func (s *Store) Delete(id uint64) (QueryReport, bool, error) {
-	rep, found, err := s.eng.Delete(id)
+	s, err := restoreFromSnapshot(snap, cfg)
 	if err != nil {
-		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+		return nil, err
 	}
-	s.noteMutation()
-	return rep, found, nil
+	if cfg.DataDir != "" {
+		if err := s.initDataDir(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
-// Modify updates an existing file's attributes on its owning shard. The
-// epoch advances only when the file existed. On a durable store the
-// modify is logged before it applies; a returned error means the WAL
-// rejected the record and nothing changed.
-func (s *Store) Modify(f *File) (QueryReport, bool, error) {
-	rep, found, err := s.eng.Modify(f)
+// Open recovers a durable store from cfg.DataDir: the checkpoint
+// snapshot is loaded, each shard's WAL tail — every mutation
+// acknowledged since that checkpoint — is replayed independently and
+// in parallel past the snapshot's per-shard epoch truncation points,
+// and a fresh checkpoint is written before the store is returned. No
+// acknowledged mutation is lost across a crash, torn final records are
+// discarded, and a multi-shard insert batch that did not reach every
+// target's log (never acknowledged) is dropped atomically.
+//
+// Like Load, cfg's structural fields (Units, Attrs, Shards, fan-out,
+// threshold) come from the snapshot; cfg supplies the deployment knobs
+// (Seed, Versioning, Mode, ...) and the durability policy.
+func Open(cfg Config) (*Store, error) {
+	if cfg.DataDir == "" {
+		return nil, fmt.Errorf("smartstore: Open needs Config.DataDir")
+	}
+	sweepStaleTemp(cfg.DataDir)
+	f, err := os.Open(snapshotPath(cfg.DataDir))
 	if err != nil {
-		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+		return nil, fmt.Errorf("smartstore: data dir %s has no snapshot (initialize it with Build): %w",
+			cfg.DataDir, err)
 	}
-	s.noteMutation()
-	return rep, found, nil
-}
-
-// ModifyAttrs sets the named attributes of an existing file and keeps
-// the rest, merging under the owning shard's write lock — the form a
-// partial update takes when other writers may be modifying the same
-// file. Logging and errors are Modify's.
-func (s *Store) ModifyAttrs(id uint64, attrs map[Attr]float64) (QueryReport, bool, error) {
-	rep, found, err := s.eng.ModifyAttrs(id, attrs)
+	snap, err := snapshot.Read(f)
+	f.Close()
 	if err != nil {
-		return QueryReport{}, false, fmt.Errorf("smartstore: %w", err)
+		return nil, err
 	}
-	s.noteMutation()
-	return rep, found, nil
+	s, err := restoreFromSnapshot(snap, cfg)
+	if err != nil {
+		return nil, err
+	}
+	logs, tails, err := openLogs(cfg.DataDir, s.eng.Shards(), cfg.Durability, cfg.WALSegmentBytes)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.eng.Recover(tails, snap.ShardEpochs()); err != nil {
+		closeLogs(logs)
+		return nil, fmt.Errorf("smartstore: %w", err)
+	}
+	if err := s.eng.AttachWAL(logs); err != nil {
+		closeLogs(logs)
+		return nil, fmt.Errorf("smartstore: %w", err)
+	}
+	s.logs = logs
+	// Checkpoint the recovered state immediately when the logs held
+	// anything: the replayed tail folds into the snapshot and the logs
+	// restart empty, so this boot's batch ids cannot collide with
+	// records from the last one. After a clean shutdown every tail is
+	// empty — the snapshot is already current and no batch id can
+	// linger, so the boot skips the redundant full-store write.
+	for _, tail := range tails {
+		if len(tail) > 0 {
+			if err := s.Checkpoint(); err != nil {
+				closeLogs(logs)
+				return nil, err
+			}
+			break
+		}
+	}
+	s.startSyncLoop()
+	s.startCheckpointLoop()
+	return s, nil
 }
 
-// Flush propagates all pending changes to replicas on every shard (lazy
-// updates are otherwise threshold-driven, §3.4). Each shard's epoch
-// advances only when that shard had something pending — propagating
-// nothing changes no query's answer. On a durable store an effectual
-// flush is logged before propagating (so recovery propagates at the
-// same point of the log and replays the same epochs); a returned error
-// means a WAL append failed and that shard's replicas were left
-// untouched.
-func (s *Store) Flush() error {
-	if err := s.eng.Flush(); err != nil {
-		return fmt.Errorf("smartstore: %w", err)
+// restoreFromSnapshot is the one restore pipeline of Load and Open:
+// rebuild the shard trees, resume the snapshot's per-shard epochs, adopt
+// its structural fields over cfg's, and regenerate the deployments from
+// cfg's seed. Any change to how a snapshot maps onto a store belongs
+// here, so export (Load), replication bootstrap (Load of a leader's
+// snapshot) and crash recovery (Open) can never restore differently.
+func restoreFromSnapshot(snap *snapshot.Snapshot, cfg Config) (*Store, error) {
+	if cfg.VersionRatio < 0 || cfg.LazyUpdateThreshold < 0 {
+		return nil, fmt.Errorf("smartstore: invalid config")
 	}
-	s.noteMutation()
-	return nil
+	cfg.Shards = snap.ShardCount()
+	cfg.Attrs = snap.Attrs
+	eng, err := engine.Restore(snap, cfg.engineConfig())
+	if err != nil {
+		return nil, fmt.Errorf("smartstore: %w", err)
+	}
+	return &Store{cfg: cfg, eng: eng}, nil
 }
+
+// Epoch returns the store's composed mutation epoch: the sum of the
+// per-shard epochs, each of which increments on every mutation that can
+// change a query's answer — inserts, effectual deletes, modifies, and
+// flushes (no-ops leave it untouched). The sum is monotonic for any
+// observer, so a cache keyed on query content can pair each entry with
+// the epoch observed before computing it and treat any mismatch as
+// invalidation.
+func (s *Store) Epoch() uint64 { return s.eng.Epoch() }
+
+// ShardEpochs snapshots every shard's mutation epoch in shard order.
+// Each entry is individually monotonic, so a result cache can pair each
+// entry with the epochs of exactly the shards the query targeted
+// (Result.Shards) and survive writes that landed elsewhere.
+func (s *Store) ShardEpochs() []uint64 { return s.eng.ShardEpochs() }
+
+// PlacementInfo summarizes the store's semantic placement for a
+// federating layer: the placement attributes, the file-count-weighted
+// centroid in raw attribute units, and the raw normalization bounds per
+// attribute.
+type PlacementInfo = engine.Placement
+
+// Placement reports the store's placement summary — what a gateway
+// reads at bootstrap to route writes and off-line queries by
+// frozen-centroid distance, one level above the engine's shard routing.
+func (s *Store) Placement() PlacementInfo { return s.eng.Placement() }
+
+// QueryReport carries the accounting of one operation: virtual latency
+// in seconds, network messages, routing hops (groups beyond the first),
+// and version-chain work. For operations fanned out across shards,
+// latency is the slowest shard (they run in parallel) while messages
+// and per-node work sum.
+type QueryReport = engine.Report
 
 // Stats summarizes the deployment and ShardStats is one shard's slice
 // of it; both are the engine's own structs, which also go on the wire.
@@ -451,3 +501,94 @@ func ParseAttr(name string) (Attr, error) { return metadata.ParseAttr(name) }
 // DefaultCostModel exposes the calibrated virtual cost model so callers
 // can reason about reported latencies.
 func DefaultCostModel() simnet.CostModel { return simnet.DefaultCostModel() }
+
+// Instrument attaches the store's metric sinks and registers its
+// families on reg. The serving layer calls it once when it builds its
+// registry; the store runs uninstrumented (and unmeasured — every hook
+// is a nil check) until then. Histograms are shared across shards so
+// the exposition shows one distribution per subsystem; per-shard skew
+// is carried by the labeled counters.
+func (s *Store) Instrument(reg *obs.Registry) {
+	eo := &engine.Obs{
+		ShardQueryNs:  &obs.Histogram{},
+		ShardsVisited: &obs.Counter{},
+		ShardsPruned:  &obs.Counter{},
+		ShardInserts:  make([]*obs.Counter, s.Shards()),
+		CkptLockNs:    &obs.Histogram{},
+		CkptPersistNs: &obs.Histogram{},
+		CkptRetireNs:  &obs.Histogram{},
+	}
+	reg.RegisterHistogram("smartstore_shard_query_duration_seconds", "",
+		"Per-shard query execution wall time, one observation per shard per fan-out.",
+		obs.ScaleNanos, eo.ShardQueryNs)
+	reg.RegisterCounter("smartstore_shards_visited_total", "",
+		"Fan-out shard visits that executed the query.", eo.ShardsVisited)
+	reg.RegisterCounter("smartstore_shards_pruned_total", "",
+		"Fan-out shard visits pruned by root MBR/Bloom rejection.", eo.ShardsPruned)
+	for i := range eo.ShardInserts {
+		c := &obs.Counter{}
+		eo.ShardInserts[i] = c
+		reg.RegisterCounter("smartstore_shard_inserts_total",
+			obs.Labels("shard", strconv.Itoa(i)),
+			"Files routed to each shard by semantic placement.", c)
+	}
+	for _, p := range []struct {
+		phase string
+		hist  *obs.Histogram
+	}{
+		{"lock", eo.CkptLockNs},
+		{"persist", eo.CkptPersistNs},
+		{"retire", eo.CkptRetireNs},
+	} {
+		reg.RegisterHistogram("smartstore_checkpoint_phase_duration_seconds",
+			obs.Labels("phase", p.phase),
+			"Checkpoint phase durations: lock (capture+rotate under shard locks), persist (snapshot encode+fsync), retire (sealed-segment deletion).",
+			obs.ScaleNanos, p.hist)
+	}
+	s.eng.SetObs(eo)
+
+	reg.RegisterGaugeFunc("smartstore_files", "",
+		"Files currently stored.", func() float64 { return float64(s.Stats().Files) })
+	reg.RegisterGaugeFunc("smartstore_epoch", "",
+		"Composed mutation epoch (sum of per-shard epochs; monotonic).",
+		func() float64 { return float64(s.Epoch()) })
+	reg.RegisterGaugeFunc("smartstore_shards", "",
+		"Engine shard count.", func() float64 { return float64(s.Shards()) })
+
+	if s.logs == nil {
+		return
+	}
+	wo := &wal.Observer{
+		AppendNs:   &obs.Histogram{},
+		FsyncNs:    &obs.Histogram{},
+		Fsyncs:     &obs.Counter{},
+		GroupBatch: &obs.Histogram{},
+	}
+	for _, l := range s.logs {
+		l.SetObserver(wo)
+	}
+	reg.RegisterHistogram("smartstore_wal_append_duration_seconds", "",
+		"WAL append latency including the group-commit fsync wait.",
+		obs.ScaleNanos, wo.AppendNs)
+	reg.RegisterHistogram("smartstore_wal_fsync_duration_seconds", "",
+		"Duration of serving-path WAL fsyncs.", obs.ScaleNanos, wo.FsyncNs)
+	reg.RegisterCounter("smartstore_wal_fsyncs_total", "",
+		"Serving-path WAL fsyncs issued.", wo.Fsyncs)
+	reg.RegisterHistogram("smartstore_wal_group_commit_batch_size", "",
+		"Appends acknowledged per group-commit fsync.", 1, wo.GroupBatch)
+	reg.RegisterGaugeFunc("smartstore_wal_bytes", "",
+		"Total valid WAL length across shards.", func() float64 { return float64(s.WALStats().Bytes) })
+	reg.RegisterGaugeFunc("smartstore_wal_segments", "",
+		"Live WAL segment files across shards.", func() float64 { return float64(s.WALStats().Segments) })
+	reg.RegisterCounterFunc("smartstore_wal_rotations_total", "",
+		"WAL segment rotations (capacity- and checkpoint-triggered).",
+		func() float64 { return float64(s.WALStats().Rotations) })
+	reg.RegisterCounterFunc("smartstore_wal_group_commits_total", "",
+		"Group-commit fsync batches issued.", func() float64 { return float64(s.WALStats().GroupCommits) })
+	reg.RegisterCounterFunc("smartstore_wal_grouped_records_total", "",
+		"Appends acknowledged by group-commit batches.", func() float64 { return float64(s.WALStats().GroupedRecords) })
+	reg.RegisterCounterFunc("smartstore_checkpoints_auto_total", "",
+		"Checkpoints triggered by the WAL-size threshold.", func() float64 { return float64(s.autoCheckpoints.Load()) })
+	reg.RegisterCounterFunc("smartstore_checkpoint_failures_total", "",
+		"Auto-triggered checkpoints that failed.", func() float64 { return float64(s.autoCheckpointFailures.Load()) })
+}
