@@ -12,8 +12,8 @@ import (
 )
 
 // ErrInvalidBatch tags InsertBatch's validation failures (a zero or
-// duplicate id) the same way; any other InsertBatch error is the
-// store's own — on a durable store, a WAL failure.
+// duplicate id) as ErrInvalidQuery tags Do's; any other InsertBatch
+// error is the store's own — on a durable store, a WAL failure.
 var ErrInvalidBatch = engine.ErrInvalidBatch
 
 // Insert routes a new file's metadata to its semantically placed shard.

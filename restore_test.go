@@ -3,7 +3,6 @@ package smartstore_test
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -76,8 +75,8 @@ func TestRestoreAnswersMatch(t *testing.T) {
 			t.Cleanup(func() { r.Close() })
 			return r
 		}},
-		{"save-load", viaSave("")},
-		{"save-load-replica", viaSave("replica")},
+		{"save-load", viaSave(false)},
+		{"save-load-replica", viaSave(true)},
 	}
 	configs := []struct {
 		name      string
@@ -133,17 +132,17 @@ func TestRestoreAnswersMatch(t *testing.T) {
 // restorer brings a store back from its persisted state under cfg.
 type restorer func(t *testing.T, s *smartstore.Store, cfg smartstore.Config) *smartstore.Store
 
-// viaSave loads a copy of s from its Save output: in memory when dir is
-// empty, otherwise into a fresh data dir named dir.
-func viaSave(dir string) restorer {
+// viaSave loads a copy of s from its Save output, in memory or, when
+// durable, into a fresh data dir.
+func viaSave(durable bool) restorer {
 	return func(t *testing.T, s *smartstore.Store, cfg smartstore.Config) *smartstore.Store {
 		var buf bytes.Buffer
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		cfg.DataDir = ""
-		if dir != "" {
-			cfg.DataDir = filepath.Join(t.TempDir(), dir)
+		if durable {
+			cfg.DataDir = t.TempDir()
 		}
 		r, err := smartstore.Load(&buf, cfg)
 		if err != nil {
