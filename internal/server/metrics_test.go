@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -201,6 +202,13 @@ func TestStatsBuildInfo(t *testing.T) {
 	}
 	if st.Build.GoVersion == "" {
 		t.Fatal("stats build info missing go version")
+	}
+}
+
+// TestReadBuild asserts readBuild names the toolchain the binary runs on.
+func TestReadBuild(t *testing.T) {
+	if got, want := readBuild().GoVersion, runtime.Version(); got != want {
+		t.Fatalf("readBuild().GoVersion = %q, want %q", got, want)
 	}
 }
 
