@@ -1,4 +1,4 @@
-package eval
+package main
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 
 	smartstore "repro"
 	"repro/internal/client"
+	"repro/internal/eval"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -93,7 +94,7 @@ func Run(ctx context.Context, scn Scenario, opts Options) (*ScenarioResult, erro
 // mutating scenarios against one long-lived endpoint: the mirror's
 // final population is exactly what the endpoint holds, so it seeds the
 // next scenario's corpus.
-func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResult, *Truth, error) {
+func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResult, *eval.Truth, error) {
 	opts = opts.withDefaults()
 	if opts.Client == nil || opts.Set == nil {
 		return nil, nil, fmt.Errorf("eval: Client and Set are required")
@@ -108,7 +109,7 @@ func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResul
 	}
 
 	ops := scn.Ops(opts.Set, opts.Ops, opts.Seed)
-	truth := NewTruth(opts.Set.Files, opts.Set.Norm)
+	truth := eval.NewTruth(opts.Set.Files, opts.Set.Norm)
 	st := &runState{lat: map[string][]float64{}, errs: map[string]int{}}
 
 	start := time.Now()
@@ -174,7 +175,7 @@ func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResul
 // runRound executes one replay round: the round's queries concurrently
 // under the worker pool (optionally paced by arrival offset), then its
 // mutations in stream order, then one flush if anything mutated.
-func runRound(ctx context.Context, ops []trace.Op, truth *Truth, st *runState, opts Options) error {
+func runRound(ctx context.Context, ops []trace.Op, truth *eval.Truth, st *runState, opts Options) error {
 	var queries, mutations []trace.Op
 	for _, op := range ops {
 		switch op.Kind {
@@ -240,7 +241,7 @@ func runRound(ctx context.Context, ops []trace.Op, truth *Truth, st *runState, o
 
 // runQuery executes one query op against the endpoint, measures its
 // latency, and scores it against the exact truth.
-func runQuery(ctx context.Context, op trace.Op, truth *Truth, st *runState, opts Options) {
+func runQuery(ctx context.Context, op trace.Op, truth *eval.Truth, st *runState, opts Options) {
 	var q smartstore.Query
 	switch op.Kind {
 	case trace.OpPoint:
@@ -299,7 +300,7 @@ func runQuery(ctx context.Context, op trace.Op, truth *Truth, st *runState, opts
 // runMutation applies one mutation to the served store and mirrors it
 // into the truth, cross-checking the two verdicts. Mutation latency
 // lands in the same per-op stats as queries.
-func runMutation(ctx context.Context, op trace.Op, truth *Truth, st *runState, opts Options) error {
+func runMutation(ctx context.Context, op trace.Op, truth *eval.Truth, st *runState, opts Options) error {
 	st.mutations++
 	switch op.Kind {
 	case trace.OpInsert:

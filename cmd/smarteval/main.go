@@ -1,5 +1,5 @@
 // Command smarteval is the batch evaluation harness: it replays the
-// scenario mixes of internal/eval — Zipf-hot vs uniform-scan anchors,
+// scenario mixes of scenario.go — Zipf-hot vs uniform-scan anchors,
 // steady vs bursty arrivals, scan-heavy vs insert-heavy balances,
 // multi-tenant attribute mixes — against a served deployment and
 // reports, per scenario, client-observed throughput and latency
@@ -18,6 +18,13 @@
 // smartgate; -trace/-files/-seed must match the daemon's bootstrap,
 // and mutating scenarios carry the evolved corpus forward so the
 // ground truth tracks the daemon across scenarios.
+//
+// Every mutation is mirrored into the internal/eval ground truth. The
+// replay is round-based: each round's queries run concurrently
+// (latency is measured there), then the round's mutations apply — to
+// the served store and the mirror — followed by a flush, so replica
+// propagation can never make the comparison ambiguous: every query
+// races only queries, never an unpropagated write. See DESIGN.md §10.
 //
 // Recall floors turn the report into a gate: with -floor-range /
 // -floor-topk set, any scenario whose mean recall drops below its
@@ -38,7 +45,6 @@ import (
 
 	smartstore "repro"
 	"repro/internal/client"
-	"repro/internal/eval"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -65,16 +71,16 @@ type options struct {
 
 // report is the EVAL_report.json envelope.
 type report struct {
-	Tool       string                 `json:"tool"`
-	Remote     string                 `json:"remote,omitempty"`
-	Files      int                    `json:"files"`
-	Seed       uint64                 `json:"seed"`
-	Ops        int                    `json:"ops"`
-	Clients    int                    `json:"clients"`
-	FloorRange float64                `json:"floor_range,omitempty"`
-	FloorTopK  float64                `json:"floor_topk,omitempty"`
-	Results    []*eval.ScenarioResult `json:"results"`
-	Violations []string               `json:"violations,omitempty"`
+	Tool       string            `json:"tool"`
+	Remote     string            `json:"remote,omitempty"`
+	Files      int               `json:"files"`
+	Seed       uint64            `json:"seed"`
+	Ops        int               `json:"ops"`
+	Clients    int               `json:"clients"`
+	FloorRange float64           `json:"floor_range,omitempty"`
+	FloorTopK  float64           `json:"floor_topk,omitempty"`
+	Results    []*ScenarioResult `json:"results"`
+	Violations []string          `json:"violations,omitempty"`
 }
 
 func main() {
@@ -115,7 +121,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "smarteval: %v\n", err)
 		return 2
 	}
-	scns, err := eval.ByNames(o.scenarios)
+	scns, err := ByNames(o.scenarios)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smarteval: %v\n", err)
 		return 2
@@ -169,7 +175,7 @@ func run() int {
 // runRemote replays every scenario sequentially against one live
 // daemon, carrying the truth mirror's evolved corpus forward so
 // mutating scenarios leave the ground truth in sync with the endpoint.
-func runRemote(ctx context.Context, scns []eval.Scenario, o options, rep *report) error {
+func runRemote(ctx context.Context, scns []Scenario, o options, rep *report) error {
 	if o.trace == "" {
 		return fmt.Errorf("-remote needs -trace naming the daemon's bootstrap trace")
 	}
@@ -182,8 +188,8 @@ func runRemote(ctx context.Context, scns []eval.Scenario, o options, rep *report
 		return fmt.Errorf("no healthy daemon at %s", o.remote)
 	}
 	for _, scn := range scns {
-		cfg := eval.Config{Endpoint: o.remote, Wire: wireName(o.wire), Mode: "remote"}
-		res, truth, err := eval.RunTracked(ctx, scn, evalOptions(cl, set, o, cfg))
+		cfg := Config{Endpoint: o.remote, Wire: wireName(o.wire), Mode: "remote"}
+		res, truth, err := RunTracked(ctx, scn, evalOptions(cl, set, o, cfg))
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", scn.Name, err)
 		}
@@ -197,7 +203,7 @@ func runRemote(ctx context.Context, scns []eval.Scenario, o options, rep *report
 
 // runSweep runs every scenario in every shards × budget cell against a
 // fresh in-process store, so cells are directly comparable.
-func runSweep(ctx context.Context, scns []eval.Scenario, o options, rep *report) error {
+func runSweep(ctx context.Context, scns []Scenario, o options, rep *report) error {
 	sets := map[string]*trace.Set{}
 	for _, shards := range o.shards {
 		for _, budget := range o.budgets {
@@ -224,7 +230,7 @@ func runSweep(ctx context.Context, scns []eval.Scenario, o options, rep *report)
 
 // runCell builds one store, serves it on a loopback listener, replays
 // one scenario against it and tears everything down.
-func runCell(ctx context.Context, scn eval.Scenario, set *trace.Set, shards, budget int, o options) (*eval.ScenarioResult, error) {
+func runCell(ctx context.Context, scn Scenario, set *trace.Set, shards, budget int, o options) (*ScenarioResult, error) {
 	cfg := smartstore.Config{
 		Units: o.units, Shards: shards, Seed: o.seed,
 		OfflineGroupBudget: budget,
@@ -258,15 +264,15 @@ func runCell(ctx context.Context, scn eval.Scenario, set *trace.Set, shards, bud
 
 	addr := ln.Addr().String()
 	cl := client.NewWithOptions(addr, client.Options{Wire: o.wire})
-	ecfg := eval.Config{
+	ecfg := Config{
 		Endpoint: addr, Shards: shards, Fsync: o.fsync,
 		Wire: wireName(o.wire), OfflineBudget: budget, Mode: "inproc",
 	}
-	return eval.Run(ctx, scn, evalOptions(cl, set, o, ecfg))
+	return Run(ctx, scn, evalOptions(cl, set, o, ecfg))
 }
 
-func evalOptions(cl *client.Client, set *trace.Set, o options, cfg eval.Config) eval.Options {
-	return eval.Options{
+func evalOptions(cl *client.Client, set *trace.Set, o options, cfg Config) Options {
+	return Options{
 		Client: cl, Set: set,
 		Ops: o.ops, Clients: o.clients, Seed: o.seed,
 		RoundSize: o.round, Pace: o.pace, Config: cfg,
@@ -282,7 +288,7 @@ func wireName(m client.WireMode) string {
 	return m.String()
 }
 
-func printResult(r *eval.ScenarioResult) {
+func printResult(r *ScenarioResult) {
 	line := fmt.Sprintf("%-13s shards=%-2d budget=%-3d wire=%-6s %8.0f ops/s",
 		r.Scenario, r.Config.Shards, r.Config.OfflineBudget, r.Config.Wire, r.Throughput)
 	if st, ok := r.PerOp["range"]; ok && st.Count > 0 {

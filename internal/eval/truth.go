@@ -1,16 +1,9 @@
-// Package eval is the batch evaluation harness behind cmd/smarteval: it
-// replays diverse scenario workloads against a live smartstored or
-// smartgate endpoint through internal/client while mirroring every
-// mutation into a single union ground-truth corpus, and measures — per
-// scenario — client-observed throughput and latency percentiles plus
-// range/top-k recall with the paper's Fig. 10/12 methodology
-// (recall = |T(q) ∩ A(q)| / |T(q)|, empty truth counting as 1).
-//
-// The replay is round-based: each round's queries run concurrently
-// (latency is measured there), then the round's mutations apply — to
-// the served store and the mirror — followed by a flush, so replica
-// propagation can never make the comparison ambiguous: every query
-// races only queries, never an unpropagated write. See DESIGN.md §10.
+// Package eval is the ground-truth oracle the evaluation harnesses
+// (cmd/smarteval and the bench module) score served answers against: a
+// single union corpus that mirrors every acknowledged mutation and
+// answers queries exactly by scan, for recall as the paper's Fig. 10/12
+// methodology defines it (recall = |T(q) ∩ A(q)| / |T(q)|, empty truth
+// counting as 1).
 package eval
 
 import (
