@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -59,28 +60,45 @@ func BenchmarkTable3_EECSScaleUp(b *testing.B) {
 	}
 }
 
+// cells reads the numeric cells of the first table row whose leading
+// cells equal key.
+func cells(tb *experiments.Table, key ...string) []float64 {
+	for _, row := range tb.Rows {
+		if slices.Equal(row[:len(key)], key) {
+			out := make([]float64, len(row)-len(key))
+			for i, c := range row[len(key):] {
+				fmt.Sscanf(c, "%f", &out[i])
+			}
+			return out
+		}
+	}
+	return nil
+}
+
 func BenchmarkTable4_QueryLatency(b *testing.B) {
 	p := benchParams()
 	p.Queries = 40
-	var cells map[string]experiments.LatencyCell
+	var tb *experiments.Table
 	for i := 0; i < b.N; i++ {
-		cells = experiments.QueryLatencyNumbers(trace.MSN(), 120, p)
+		tb = experiments.QueryLatency(p)
 	}
-	b.ReportMetric(cells["range"].DBMS, "dbms_range_s")
-	b.ReportMetric(cells["range"].RTree, "rtree_range_s")
-	b.ReportMetric(cells["range"].SmartStore, "smart_range_s")
-	b.ReportMetric(cells["range"].DBMS/cells["range"].SmartStore, "dbms_over_smart")
+	c := cells(tb, "MSN", "120", "range")
+	b.ReportMetric(c[0], "dbms_range_s")
+	b.ReportMetric(c[1], "rtree_range_s")
+	b.ReportMetric(c[2], "smart_range_s")
+	b.ReportMetric(c[0]/c[2], "dbms_over_smart")
 }
 
 func BenchmarkFigure7_SpaceOverhead(b *testing.B) {
 	p := benchParams()
-	var smart, rtree, dbms int
+	var tb *experiments.Table
 	for i := 0; i < b.N; i++ {
-		smart, rtree, dbms = experiments.SpaceOverheadNumbers(trace.MSN(), p)
+		tb = experiments.SpaceOverhead(p)
 	}
-	b.ReportMetric(float64(smart)/1024, "smart_KB_per_node")
-	b.ReportMetric(float64(rtree)/1024, "rtree_KB")
-	b.ReportMetric(float64(dbms)/1024, "dbms_KB")
+	c := cells(tb, "MSN")
+	b.ReportMetric(c[0], "smart_KB_per_node")
+	b.ReportMetric(c[1], "rtree_KB")
+	b.ReportMetric(c[2], "dbms_KB")
 }
 
 func BenchmarkFigure8_RoutingHops(b *testing.B) {

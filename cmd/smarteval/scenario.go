@@ -40,19 +40,6 @@ func (s Scenario) Ops(set *trace.Set, n int, seed uint64) []trace.Op {
 	return trace.Interleave(seed, per...)
 }
 
-// Spec resolves the scenario's trace generator.
-func (s Scenario) Spec() (*trace.Spec, error) {
-	switch strings.ToUpper(s.Trace) {
-	case "HP":
-		return trace.HP(), nil
-	case "MSN":
-		return trace.MSN(), nil
-	case "EECS":
-		return trace.EECS(), nil
-	}
-	return nil, fmt.Errorf("eval: scenario %s: unknown trace %q", s.Name, s.Trace)
-}
-
 // Scenarios is the built-in registry, covering the diversity axes of
 // the evaluation: id skew (Zipf vs uniform), arrival shape (steady vs
 // bursty), op balance (scan-heavy vs insert-heavy) and tenancy

@@ -39,16 +39,6 @@ type Result struct {
 	RecordsExamined int64 // virtual records touched
 }
 
-// System is the query interface shared by both baselines (and satisfied
-// by adapter code for SmartStore in the experiments harness).
-type System interface {
-	Name() string
-	Point(q query.Point) ([]uint64, Result)
-	Range(q query.Range) ([]uint64, Result)
-	TopK(q query.TopK) ([]uint64, Result)
-	SizeBytes() int
-}
-
 // Config parameterizes a baseline build.
 type Config struct {
 	// Cost is the virtual cost model (zero value → default).
@@ -107,9 +97,6 @@ func NewDBMS(files []*metadata.File, norm *metadata.Normalizer, cfg Config) *DBM
 	}
 	return d
 }
-
-// Name implements System.
-func (d *DBMS) Name() string { return "DBMS" }
 
 // Point scans the flat pathname column: without a string index (the
 // unoptimized configuration of §5.1) every record is compared until the
@@ -185,8 +172,6 @@ func (d *DBMS) SizeBytes() int {
 	return size
 }
 
-var _ System = (*DBMS)(nil)
-
 // RTree is the centralized non-semantic R-tree baseline. Filename point
 // queries go through a companion B+-tree keyed by pathname hash (an
 // R-tree cannot exact-match an attribute uncorrelated with its spatial
@@ -232,9 +217,6 @@ func (r *RTree) point(f *metadata.File) []float64 {
 	p[metadata.NumAttrs] = pathHash(f.Path)
 	return p
 }
-
-// Name implements System.
-func (r *RTree) Name() string { return "R-tree" }
 
 // liftRange embeds a range query in the (D+1)-dim normalized space.
 func (r *RTree) liftRange(q query.Range) rtree.Rect {
@@ -318,8 +300,6 @@ func (r *RTree) visitCost(results int) Result {
 
 // SizeBytes reports the centralized index footprint.
 func (r *RTree) SizeBytes() int { return r.tree.SizeBytes() }
-
-var _ System = (*RTree)(nil)
 
 // pathHash maps a pathname to a [0,1] index coordinate via MD5.
 func pathHash(path string) float64 {

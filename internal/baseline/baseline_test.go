@@ -14,19 +14,19 @@ func corpus(t testing.TB, n int, seed uint64) *trace.Set {
 	return trace.MSN().Generate(n, seed)
 }
 
+// System is the query interface both baselines share.
+type System interface {
+	Point(q query.Point) ([]uint64, Result)
+	Range(q query.Range) ([]uint64, Result)
+	TopK(q query.TopK) ([]uint64, Result)
+	SizeBytes() int
+}
+
 func systems(t testing.TB, set *trace.Set, cfg Config) []System {
 	t.Helper()
 	return []System{
 		NewDBMS(set.Files, set.Norm, cfg),
 		NewRTree(set.Files, set.Norm, cfg),
-	}
-}
-
-func TestNames(t *testing.T) {
-	set := corpus(t, 50, 1)
-	sys := systems(t, set, Config{})
-	if sys[0].Name() != "DBMS" || sys[1].Name() != "R-tree" {
-		t.Fatalf("names = %q/%q", sys[0].Name(), sys[1].Name())
 	}
 }
 
@@ -43,16 +43,16 @@ func TestPointQueryCorrect(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("%s: point query missed %q", s.Name(), f.Path)
+				t.Fatalf("%T: point query missed %q", s, f.Path)
 			}
 			if res.Latency <= 0 || res.RecordsExamined <= 0 {
-				t.Fatalf("%s: empty cost accounting", s.Name())
+				t.Fatalf("%T: empty cost accounting", s)
 			}
 		}
 		// Absent name → no results.
 		got, _ := s.Point(query.Point{Filename: "/absent/file"})
 		if len(got) != 0 {
-			t.Fatalf("%s: absent point query returned %v", s.Name(), got)
+			t.Fatalf("%T: absent point query returned %v", s, got)
 		}
 	}
 }
@@ -66,10 +66,10 @@ func TestRangeQueryExact(t *testing.T) {
 			got, _ := s.Range(q)
 			want := query.RangeTruth(set.Files, q)
 			if r := stats.Recall(want, got); r != 1 {
-				t.Fatalf("%s: range recall %v, want 1 (baselines are exact)", s.Name(), r)
+				t.Fatalf("%T: range recall %v, want 1 (baselines are exact)", s, r)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s: range returned %d, truth %d (no extras allowed)", s.Name(), len(got), len(want))
+				t.Fatalf("%T: range returned %d, truth %d (no extras allowed)", s, len(got), len(want))
 			}
 		}
 	}

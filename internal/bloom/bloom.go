@@ -27,10 +27,9 @@ const (
 
 // Filter is a Bloom filter for string membership.
 type Filter struct {
-	bits   []uint64
-	nbits  uint32
-	k      int
-	nAdded int
+	bits  []uint64
+	nbits uint32
+	k     int
 }
 
 // New returns a filter with nbits bits and k hash functions.
@@ -70,7 +69,6 @@ func (f *Filter) Add(key string) {
 		pos := (h1 + uint32(i)*h2) % f.nbits
 		f.bits[pos/64] |= 1 << (pos % 64)
 	}
-	f.nAdded++
 }
 
 // Contains reports whether key may be in the set. False positives occur
@@ -97,14 +95,13 @@ func (f *Filter) Union(other *Filter) {
 	for i := range f.bits {
 		f.bits[i] |= other.bits[i]
 	}
-	f.nAdded += other.nAdded
 }
 
 // Clone returns a deep copy of f.
 func (f *Filter) Clone() *Filter {
 	b := make([]uint64, len(f.bits))
 	copy(b, f.bits)
-	return &Filter{bits: b, nbits: f.nbits, k: f.k, nAdded: f.nAdded}
+	return &Filter{bits: b, nbits: f.nbits, k: f.k}
 }
 
 // Reset clears all bits.
@@ -112,17 +109,10 @@ func (f *Filter) Reset() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
-	f.nAdded = 0
 }
 
 // Bits returns the filter size in bits.
 func (f *Filter) Bits() int { return int(f.nbits) }
-
-// Hashes returns the number of hash functions k.
-func (f *Filter) Hashes() int { return f.k }
-
-// Added returns the number of Add calls (summed across unions).
-func (f *Filter) Added() int { return f.nAdded }
 
 // PopCount returns the number of set bits.
 func (f *Filter) PopCount() int {
@@ -148,16 +138,3 @@ func (f *Filter) EstimatedFalsePositiveRate() float64 {
 // SizeBytes returns the in-memory size of the bit array, used by the
 // space-overhead accounting of Fig. 7.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
-// OptimalHashes returns the k minimizing the false-positive rate for a
-// filter of m bits holding n keys: k = (m/n)·ln2, at least 1.
-func OptimalHashes(m, n int) int {
-	if n <= 0 {
-		return 1
-	}
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return k
-}

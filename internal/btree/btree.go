@@ -18,23 +18,14 @@ const DefaultOrder = 64
 
 // Tree is a B+-tree mapping float64 keys to sets of uint64 item ids.
 type Tree struct {
-	root   node
-	order  int // max keys per node
-	height int
-	nKeys  int // number of distinct keys
-	nItems int // number of (key,id) pairs
+	root  node
+	order int // max keys per node
 }
 
 type node interface {
 	// insert returns a new right sibling and its separator key when the
 	// node split, else nil.
-	insert(key float64, id uint64, order int) (node, float64, bool) // sibling, sepKey, addedNewKey
-	// remove deletes id under key; returns whether the (key,id) pair
-	// existed and whether the key vanished entirely. Underflow is
-	// tolerated (lazy deletion) — fine for an index baseline that is
-	// bulk-built and rarely shrunk.
-	remove(key float64, id uint64) (removedPair, removedKey bool)
-	firstLeaf() *leaf
+	insert(key float64, id uint64, order int) (node, float64)
 	findLeaf(key float64) *leaf
 }
 
@@ -55,53 +46,17 @@ func New(order int) *Tree {
 	if order < 3 {
 		panic(fmt.Sprintf("btree: order %d too small", order))
 	}
-	return &Tree{root: &leaf{}, order: order, height: 1}
+	return &Tree{root: &leaf{}, order: order}
 }
 
 // NewDefault returns an empty tree of DefaultOrder.
 func NewDefault() *Tree { return New(DefaultOrder) }
 
-// Len returns the number of (key,id) pairs stored.
-func (t *Tree) Len() int { return t.nItems }
-
-// DistinctKeys returns the number of distinct keys stored.
-func (t *Tree) DistinctKeys() int { return t.nKeys }
-
-// Height returns the tree height (1 for a lone leaf).
-func (t *Tree) Height() int { return t.height }
-
 // Insert files id under key.
 func (t *Tree) Insert(key float64, id uint64) {
-	sibling, sep, added := t.root.insert(key, id, t.order)
-	t.nItems++
-	if added {
-		t.nKeys++
-	}
-	if sibling != nil {
+	if sibling, sep := t.root.insert(key, id, t.order); sibling != nil {
 		t.root = &internal{keys: []float64{sep}, children: []node{t.root, sibling}}
-		t.height++
 	}
-}
-
-// Delete removes id from under key, reporting whether the pair existed.
-func (t *Tree) Delete(key float64, id uint64) bool {
-	removedPair, removedKey := t.root.remove(key, id)
-	if removedPair {
-		t.nItems--
-	}
-	if removedKey {
-		t.nKeys--
-	}
-	// Collapse a root with a single child.
-	for {
-		in, ok := t.root.(*internal)
-		if !ok || len(in.children) > 1 {
-			break
-		}
-		t.root = in.children[0]
-		t.height--
-	}
-	return removedPair
 }
 
 // Get returns the ids filed under exactly key (nil if none).
@@ -138,57 +93,6 @@ func (t *Tree) Range(dst []uint64, lo, hi float64) ([]uint64, int) {
 	return dst, visited
 }
 
-// Scan walks every (key,id) pair in key order, calling fn; fn returning
-// false stops the walk. It is the brute-force path of the DBMS baseline.
-func (t *Tree) Scan(fn func(key float64, id uint64) bool) {
-	for lf := t.root.firstLeaf(); lf != nil; lf = lf.next {
-		for i, k := range lf.keys {
-			for _, id := range lf.ids[i] {
-				if !fn(k, id) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// Min returns the smallest key, or ok=false when empty.
-func (t *Tree) Min() (key float64, ok bool) {
-	lf := t.root.firstLeaf()
-	for lf != nil {
-		if len(lf.keys) > 0 {
-			return lf.keys[0], true
-		}
-		lf = lf.next
-	}
-	return 0, false
-}
-
-// Max returns the largest key, or ok=false when empty.
-func (t *Tree) Max() (key float64, ok bool) {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *internal:
-			n = v.children[len(v.children)-1]
-		case *leaf:
-			// Walk backward through a potentially empty rightmost leaf is
-			// not possible without parent links; since lazy deletion can
-			// empty a leaf, fall back to a scan when that happens.
-			if len(v.keys) > 0 {
-				return v.keys[len(v.keys)-1], true
-			}
-			var best float64
-			found := false
-			t.Scan(func(k float64, _ uint64) bool {
-				best, found = k, true
-				return true
-			})
-			return best, found
-		}
-	}
-}
-
 // SizeBytes estimates the in-memory footprint of the tree for the space
 // accounting of Fig. 7: 8 bytes per key, 8 per id, 16 per node header,
 // 8 per child pointer.
@@ -216,11 +120,9 @@ func (t *Tree) SizeBytes() int {
 // --- leaf ---
 
 func (l *leaf) findLeaf(float64) *leaf { return l }
-func (l *leaf) firstLeaf() *leaf       { return l }
 
-func (l *leaf) insert(key float64, id uint64, order int) (node, float64, bool) {
+func (l *leaf) insert(key float64, id uint64, order int) (node, float64) {
 	i := sort.SearchFloat64s(l.keys, key)
-	added := false
 	if i < len(l.keys) && l.keys[i] == key {
 		l.ids[i] = append(l.ids[i], id)
 	} else {
@@ -230,10 +132,9 @@ func (l *leaf) insert(key float64, id uint64, order int) (node, float64, bool) {
 		l.ids = append(l.ids, nil)
 		copy(l.ids[i+1:], l.ids[i:])
 		l.ids[i] = []uint64{id}
-		added = true
 	}
 	if len(l.keys) <= order {
-		return nil, 0, added
+		return nil, 0
 	}
 	// Split.
 	mid := len(l.keys) / 2
@@ -245,27 +146,7 @@ func (l *leaf) insert(key float64, id uint64, order int) (node, float64, bool) {
 	l.keys = l.keys[:mid]
 	l.ids = l.ids[:mid]
 	l.next = right
-	return right, right.keys[0], added
-}
-
-func (l *leaf) remove(key float64, id uint64) (bool, bool) {
-	i := sort.SearchFloat64s(l.keys, key)
-	if i >= len(l.keys) || l.keys[i] != key {
-		return false, false
-	}
-	ids := l.ids[i]
-	for j, v := range ids {
-		if v == id {
-			l.ids[i] = append(ids[:j], ids[j+1:]...)
-			if len(l.ids[i]) == 0 {
-				l.keys = append(l.keys[:i], l.keys[i+1:]...)
-				l.ids = append(l.ids[:i], l.ids[i+1:]...)
-				return true, true
-			}
-			return true, false
-		}
-	}
-	return false, false
+	return right, right.keys[0]
 }
 
 // --- internal ---
@@ -273,8 +154,6 @@ func (l *leaf) remove(key float64, id uint64) (bool, bool) {
 func (in *internal) findLeaf(key float64) *leaf {
 	return in.children[in.childIndex(key)].findLeaf(key)
 }
-
-func (in *internal) firstLeaf() *leaf { return in.children[0].firstLeaf() }
 
 func (in *internal) childIndex(key float64) int {
 	// First separator strictly greater than key determines the child:
@@ -286,11 +165,11 @@ func (in *internal) childIndex(key float64) int {
 	return i
 }
 
-func (in *internal) insert(key float64, id uint64, order int) (node, float64, bool) {
+func (in *internal) insert(key float64, id uint64, order int) (node, float64) {
 	ci := in.childIndex(key)
-	sibling, sep, added := in.children[ci].insert(key, id, order)
+	sibling, sep := in.children[ci].insert(key, id, order)
 	if sibling == nil {
-		return nil, 0, added
+		return nil, 0
 	}
 	in.keys = append(in.keys, 0)
 	copy(in.keys[ci+1:], in.keys[ci:])
@@ -299,7 +178,7 @@ func (in *internal) insert(key float64, id uint64, order int) (node, float64, bo
 	copy(in.children[ci+2:], in.children[ci+1:])
 	in.children[ci+1] = sibling
 	if len(in.keys) <= order {
-		return nil, 0, added
+		return nil, 0
 	}
 	mid := len(in.keys) / 2
 	sepUp := in.keys[mid]
@@ -309,9 +188,5 @@ func (in *internal) insert(key float64, id uint64, order int) (node, float64, bo
 	}
 	in.keys = in.keys[:mid]
 	in.children = in.children[:mid+1]
-	return right, sepUp, added
-}
-
-func (in *internal) remove(key float64, id uint64) (bool, bool) {
-	return in.children[in.childIndex(key)].remove(key, id)
+	return right, sepUp
 }

@@ -1,25 +1,33 @@
 package btree
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// scan returns every (key,id) pair in leaf-chain order, the order
+// Range walks.
+func scan(tr *Tree) (keys []float64, ids []uint64) {
+	for lf := tr.root.findLeaf(math.Inf(-1)); lf != nil; lf = lf.next {
+		for i, k := range lf.keys {
+			for _, id := range lf.ids[i] {
+				keys, ids = append(keys, k), append(ids, id)
+			}
+		}
+	}
+	return keys, ids
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := NewDefault()
-	if tr.Len() != 0 || tr.DistinctKeys() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree stats wrong: %d/%d/%d", tr.Len(), tr.DistinctKeys(), tr.Height())
+	if keys, _ := scan(tr); len(keys) != 0 {
+		t.Fatalf("empty tree holds %d pairs", len(keys))
 	}
 	if ids := tr.Get(5); ids != nil {
 		t.Fatalf("Get on empty = %v, want nil", ids)
-	}
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty should report !ok")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty should report !ok")
 	}
 }
 
@@ -39,8 +47,8 @@ func TestInsertGetSingle(t *testing.T) {
 	if len(got) != 1 || got[0] != 42 {
 		t.Fatalf("Get = %v, want [42]", got)
 	}
-	if tr.Len() != 1 || tr.DistinctKeys() != 1 {
-		t.Fatalf("Len/DistinctKeys = %d/%d, want 1/1", tr.Len(), tr.DistinctKeys())
+	if keys, _ := scan(tr); len(keys) != 1 {
+		t.Fatalf("tree holds %d pairs, want 1", len(keys))
 	}
 }
 
@@ -53,8 +61,8 @@ func TestDuplicateKeys(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("Get(7) = %v, want 3 ids", got)
 	}
-	if tr.DistinctKeys() != 1 || tr.Len() != 3 {
-		t.Fatalf("DistinctKeys/Len = %d/%d, want 1/3", tr.DistinctKeys(), tr.Len())
+	if lf := tr.root.(*leaf); len(lf.keys) != 1 || len(lf.ids[0]) != 3 {
+		t.Fatalf("distinct keys/pairs = %d/%d, want 1/3", len(lf.keys), len(lf.ids[0]))
 	}
 }
 
@@ -63,8 +71,16 @@ func TestSplitGrowth(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Insert(float64(i), uint64(i))
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("height = %d after 1000 keys with order 4, expected deep tree", tr.Height())
+	height := 1
+	for n := tr.root; ; height++ {
+		in, ok := n.(*internal)
+		if !ok {
+			break
+		}
+		n = in.children[0]
+	}
+	if height < 3 {
+		t.Fatalf("height = %d after 1000 keys with order 4, expected deep tree", height)
 	}
 	for i := 0; i < 1000; i++ {
 		got := tr.Get(float64(i))
@@ -107,96 +123,18 @@ func TestRangeEmptyAndOutOfBounds(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New(4)
-	for i := 0; i < 50; i++ {
-		tr.Insert(float64(i), uint64(i))
-	}
-	if !tr.Delete(25, 25) {
-		t.Fatal("Delete(25,25) = false, want true")
-	}
-	if tr.Get(25) != nil {
-		t.Fatal("key 25 still present after delete")
-	}
-	if tr.Delete(25, 25) {
-		t.Fatal("second Delete(25,25) = true, want false")
-	}
-	if tr.Len() != 49 || tr.DistinctKeys() != 49 {
-		t.Fatalf("Len/DistinctKeys = %d/%d, want 49/49", tr.Len(), tr.DistinctKeys())
-	}
-}
-
-func TestDeleteOneOfDuplicates(t *testing.T) {
-	tr := NewDefault()
-	tr.Insert(7, 1)
-	tr.Insert(7, 2)
-	if !tr.Delete(7, 1) {
-		t.Fatal("Delete of existing duplicate failed")
-	}
-	got := tr.Get(7)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Get(7) = %v, want [2]", got)
-	}
-	if tr.DistinctKeys() != 1 {
-		t.Fatal("key should survive while one id remains")
-	}
-}
-
-func TestDeleteMissingID(t *testing.T) {
-	tr := NewDefault()
-	tr.Insert(7, 1)
-	if tr.Delete(7, 99) {
-		t.Fatal("Delete of missing id reported true")
-	}
-	if tr.Delete(8, 1) {
-		t.Fatal("Delete of missing key reported true")
-	}
-}
-
 func TestScanOrdered(t *testing.T) {
 	tr := New(4)
 	rng := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < 500; i++ {
 		tr.Insert(rng.Float64()*1000, uint64(i))
 	}
-	var keys []float64
-	tr.Scan(func(k float64, _ uint64) bool {
-		keys = append(keys, k)
-		return true
-	})
+	keys, _ := scan(tr)
 	if len(keys) != 500 {
 		t.Fatalf("Scan visited %d pairs, want 500", len(keys))
 	}
 	if !sort.Float64sAreSorted(keys) {
 		t.Fatal("Scan not in key order")
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	tr := NewDefault()
-	for i := 0; i < 10; i++ {
-		tr.Insert(float64(i), uint64(i))
-	}
-	count := 0
-	tr.Scan(func(float64, uint64) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("Scan early stop visited %d, want 3", count)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	tr := New(4)
-	for _, k := range []float64{5, 1, 9, 3, 7} {
-		tr.Insert(k, uint64(k))
-	}
-	if mn, ok := tr.Min(); !ok || mn != 1 {
-		t.Fatalf("Min = %v/%v, want 1/true", mn, ok)
-	}
-	if mx, ok := tr.Max(); !ok || mx != 9 {
-		t.Fatalf("Max = %v/%v, want 9/true", mx, ok)
 	}
 }
 
@@ -211,8 +149,8 @@ func TestSizeBytesGrows(t *testing.T) {
 	}
 }
 
-// Property: the tree agrees with a reference map across random
-// insert/delete sequences.
+// Property: the tree agrees with a reference map across random insert
+// sequences.
 func TestPropertyAgainstReferenceModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, seed+99))
@@ -221,27 +159,11 @@ func TestPropertyAgainstReferenceModel(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			key := float64(rng.Uint64() % 50)
 			id := rng.Uint64() % 20
-			if rng.Float64() < 0.7 {
-				tr.Insert(key, id)
-				if ref[key] == nil {
-					ref[key] = map[uint64]bool{}
-				}
-				ref[key][id] = true // model treats duplicates as a set; see below
-			} else {
-				got := tr.Delete(key, id)
-				want := ref[key][id]
-				// The tree allows true duplicates of (key,id); the model
-				// doesn't, so only verify deletions the model can decide.
-				if want && !got {
-					return false
-				}
-				if got {
-					delete(ref[key], id)
-					if len(ref[key]) == 0 {
-						delete(ref, key)
-					}
-				}
+			tr.Insert(key, id)
+			if ref[key] == nil {
+				ref[key] = map[uint64]bool{}
 			}
+			ref[key][id] = true // the tree keeps duplicate (key,id) pairs; the model a set
 		}
 		for key, ids := range ref {
 			got := tr.Get(key)
@@ -275,12 +197,12 @@ func TestPropertyRangeMatchesScan(t *testing.T) {
 		hi := lo + float64(rng.Uint64()%40)
 		got, _ := tr.Range(nil, lo, hi)
 		var want []uint64
-		tr.Scan(func(k float64, id uint64) bool {
+		keys, ids := scan(tr)
+		for i, k := range keys {
 			if k >= lo && k <= hi {
-				want = append(want, id)
+				want = append(want, ids[i])
 			}
-			return true
-		})
+		}
 		if len(got) != len(want) {
 			return false
 		}

@@ -1,9 +1,9 @@
 // Package client is the typed Go client of the smartstored HTTP
 // metadata service. It speaks the wire format of internal/wire and
-// mirrors the root library API: Query and QueryBatch take
-// smartstore.Query values — kind, dimensions, per-query options — and
-// round-trip them through the unified POST /v1/query endpoint, with
-// context cancellation aborting the HTTP exchange.
+// mirrors the root library API: Query takes a smartstore.Query value —
+// kind, dimensions, per-query options — and round-trips it through the
+// unified POST /v1/query endpoint, with context cancellation aborting
+// the HTTP exchange.
 //
 // Queries default to the length-prefixed binary codec with automatic
 // JSON fallback: the client always advertises the codec via Accept,
@@ -244,12 +244,6 @@ func (c *Client) roundTrip(ctx context.Context, path string, idempotent bool, at
 	}
 }
 
-// post round-trips one JSON POST; out may be nil. Only idempotent
-// requests retry.
-func (c *Client) post(path string, in, out any, idempotent bool) error {
-	return c.postCtx(context.Background(), path, in, out, idempotent)
-}
-
 // postCtx round-trips one JSON POST under ctx; out may be nil.
 func (c *Client) postCtx(ctx context.Context, path string, in, out any, idempotent bool) error {
 	body, err := json.Marshal(in)
@@ -307,15 +301,18 @@ func (c *Client) finish(path string, resp *http.Response, out any) error {
 	return nil
 }
 
-// postQuery round-trips POST /v1/query in the negotiated codec. The
-// request body is binary when the wire mode says so (forced, or
+// Query executes one composable query through the unified POST
+// /v1/query endpoint. Per-query options (mode override, limit, record
+// projection) travel with the query; cancelling ctx aborts the
+// round trip. Queries are idempotent and retry per Options.
+//
+// The request body is binary when the wire mode says so (forced, or
 // auto-latched); the response decoder dispatches on the reply's
 // Content-Type, so either codec is accepted regardless of what was
-// sent. Non-200 replies are always JSON. Exactly one of single/batch
-// is non-nil per the request shape.
-func (c *Client) postQuery(ctx context.Context, qreq server.QueryRequest) (single *server.QueryResponse, batch *server.BatchQueryResponse, err error) {
+// sent. Non-200 replies are always JSON.
+func (c *Client) Query(ctx context.Context, q smartstore.Query) (out *server.QueryResponse, err error) {
 	const path = "/v1/query"
-	wantBatch := len(qreq.Queries) > 0
+	qreq := server.QueryRequest{WireQuery: server.QueryToWire(q)}
 	var body []byte
 	var contentType string
 	if c.BinaryNegotiated() {
@@ -326,7 +323,7 @@ func (c *Client) postQuery(ctx context.Context, qreq server.QueryRequest) (singl
 		contentType = "application/json"
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: encoding %s request: %w", path, err)
+		return nil, fmt.Errorf("client: encoding %s request: %w", path, err)
 	}
 	err = c.roundTrip(ctx, path, true, func(actx context.Context) error {
 		req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
@@ -357,60 +354,16 @@ func (c *Client) postQuery(ctx context.Context, qreq server.QueryRequest) (singl
 			if c.opts.Wire == WireAuto {
 				c.binOK.Store(true)
 			}
-			if wantBatch {
-				batch, err = wire.DecodeBatchResponse(resp.Body)
-			} else {
-				single, err = wire.DecodeResponse(resp.Body)
-			}
+			out, err = wire.DecodeResponse(resp.Body)
 		} else {
-			dec := json.NewDecoder(resp.Body)
-			if wantBatch {
-				batch = &server.BatchQueryResponse{}
-				err = dec.Decode(batch)
-			} else {
-				single = &server.QueryResponse{}
-				err = dec.Decode(single)
-			}
+			out = &server.QueryResponse{}
+			err = json.NewDecoder(resp.Body).Decode(out)
 		}
 		if err != nil {
 			return fmt.Errorf("client: decoding %s response: %w", path, err)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return single, batch, nil
-}
-
-// Query executes one composable query through the unified POST
-// /v1/query endpoint. Per-query options (mode override, limit, record
-// projection) travel with the query; cancelling ctx aborts the
-// round trip. Queries are idempotent and retry per Options.
-func (c *Client) Query(ctx context.Context, q smartstore.Query) (*server.QueryResponse, error) {
-	req := server.QueryRequest{WireQuery: server.QueryToWire(q)}
-	out, _, err := c.postQuery(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryBatch executes several queries in one request; the server runs
-// them concurrently under a single admission ticket and answers in
-// request order. Per-query failures after admission surface in the
-// matching result's Error field.
-func (c *Client) QueryBatch(ctx context.Context, qs []smartstore.Query) (*server.BatchQueryResponse, error) {
-	// An empty batch needs no round trip — and would misencode as a
-	// malformed single query (the queries field is omitempty).
-	if len(qs) == 0 {
-		return &server.BatchQueryResponse{}, nil
-	}
-	wqs := make([]server.WireQuery, len(qs))
-	for i, q := range qs {
-		wqs[i] = server.QueryToWire(q)
-	}
-	_, out, err := c.postQuery(ctx, server.QueryRequest{Queries: wqs})
 	if err != nil {
 		return nil, err
 	}

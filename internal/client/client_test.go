@@ -192,15 +192,12 @@ func TestClientUnifiedQueryAndBatch(t *testing.T) {
 	}
 
 	// A mixed batch answers in order.
-	batch, err := cl.QueryBatch(ctx, []smartstore.Query{
+	batch := postBatch(t, cl.base, []smartstore.Query{
 		smartstore.NewPointQuery(anchor.Path),
 		smartstore.NewTopKQuery(attrs, []float64{
 			anchor.Attrs[smartstore.AttrMTime],
 			anchor.Attrs[smartstore.AttrReadBytes]}, 5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, false)
 	if len(batch.Results) != 2 {
 		t.Fatalf("%d results for 2 queries", len(batch.Results))
 	}

@@ -1,7 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -28,6 +31,50 @@ func newServedStoreWire(t testing.TB, mode WireMode) (*Client, string, *smartsto
 	ts := httptest.NewServer(server.New(store, server.Options{}))
 	t.Cleanup(ts.Close)
 	return NewWithOptions(ts.URL, Options{Wire: mode}), ts.URL, set
+}
+
+// postBatch posts qs to the daemon at url as one /v1/query batch, in
+// the binary codec both ways or in JSON, and decodes the answer.
+func postBatch(t *testing.T, url string, qs []smartstore.Query, binary bool) *server.BatchQueryResponse {
+	t.Helper()
+	req := server.QueryRequest{Queries: make([]server.WireQuery, len(qs))}
+	for i, q := range qs {
+		req.Queries[i] = server.QueryToWire(q)
+	}
+	body, err := json.Marshal(req)
+	contentType := "application/json"
+	if binary {
+		body, err = wire.EncodeRequest(&req)
+		contentType = wire.ContentType
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", contentType)
+	hreq.Header.Set("Accept", contentType)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, %v: %s", resp.StatusCode, err, raw)
+	}
+	out := &server.BatchQueryResponse{}
+	if binary {
+		out, err = wire.DecodeBatchResponseBytes(raw)
+	} else {
+		err = json.Unmarshal(raw, out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestClientWireModes: the three modes return identical answers; auto
@@ -76,14 +123,8 @@ func TestClientWireModes(t *testing.T) {
 		smartstore.NewPointQuery(set.Files[1].Path),
 		q,
 	}
-	bAuto, err := clAuto.QueryBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bJSON, err := clJSON.QueryBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bAuto := postBatch(t, url, qs, true)
+	bJSON := postBatch(t, url, qs, false)
 	for i := range bAuto.Results {
 		bAuto.Results[i].Cached = false
 		bJSON.Results[i].Cached = false

@@ -208,15 +208,6 @@ func (c *Cluster) HomeUnit() *semtree.Node {
 	return leaves[c.rng.IntN(len(leaves))]
 }
 
-// NodeOf returns the simulated server hosting a leaf.
-func (c *Cluster) NodeOf(leaf *semtree.Node) *simnet.Node { return c.unitNode[leaf] }
-
-// HostOf returns the simulated server hosting an index unit.
-func (c *Cluster) HostOf(iu *semtree.Node) *simnet.Node { return c.hostOf[iu] }
-
-// RootReplicas returns the servers holding root replicas.
-func (c *Cluster) RootReplicas() []*simnet.Node { return c.rootRe }
-
 // Result aggregates the accounting of one operation.
 type Result struct {
 	Latency        simnet.Time

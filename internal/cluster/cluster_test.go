@@ -6,6 +6,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/query"
 	"repro/internal/semtree"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -22,25 +23,25 @@ func deploy(t testing.TB, nFiles, nUnits int, seed uint64, cfg Config) (*Cluster
 func TestDeploymentMapping(t *testing.T) {
 	c, _ := deploy(t, 600, 12, 1, Config{Seed: 1})
 	// Every leaf has its own server; client is distinct.
-	seen := map[int]bool{}
+	seen := map[*simnet.Node]bool{}
 	for _, l := range c.Tree.Leaves() {
-		n := c.NodeOf(l)
+		n := c.unitNode[l]
 		if n == nil {
 			t.Fatal("leaf without server")
 		}
-		if n.ID() == 0 {
+		if n == c.client {
 			t.Fatal("leaf mapped to client node")
 		}
-		if seen[n.ID()] {
-			t.Fatalf("server %d hosts two units", n.ID())
+		if seen[n] {
+			t.Fatalf("unit %d shares its server", l.ID)
 		}
-		seen[n.ID()] = true
+		seen[n] = true
 	}
 	// First-level index units are hosted by one of their own child
 	// storage units (§4.2: "randomly mapped to one of its child nodes");
 	// higher levels may land on any remaining server.
 	for _, iu := range c.Tree.IndexUnits() {
-		host := c.HostOf(iu)
+		host := c.hostOf[iu]
 		if host == nil {
 			t.Fatalf("index unit %d unhosted", iu.ID)
 		}
@@ -51,7 +52,7 @@ func TestDeploymentMapping(t *testing.T) {
 		leaves = iu.Leaves(leaves)
 		ok := false
 		for _, l := range leaves {
-			if c.NodeOf(l) == host {
+			if c.unitNode[l] == host {
 				ok = true
 			}
 		}
@@ -67,21 +68,21 @@ func TestIndexUnitsMappedToDistinctServers(t *testing.T) {
 	if index >= storage {
 		t.Skipf("more index units (%d) than storage units (%d)", index, storage)
 	}
-	seen := map[int]bool{}
+	seen := map[*simnet.Node]bool{}
 	for _, iu := range c.Tree.IndexUnits() {
-		id := c.HostOf(iu).ID()
-		if seen[id] {
-			t.Fatalf("two index units share server %d despite spare capacity", id)
+		host := c.hostOf[iu]
+		if seen[host] {
+			t.Fatalf("index unit %d shares a server despite spare capacity", iu.ID)
 		}
-		seen[id] = true
+		seen[host] = true
 	}
 }
 
 func TestRootReplicasOnePerGroup(t *testing.T) {
 	c, _ := deploy(t, 600, 12, 5, Config{Seed: 5})
 	groups := c.Tree.FirstLevelIndexUnits()
-	if len(c.RootReplicas()) != len(groups) {
-		t.Fatalf("root replicas = %d, want one per group (%d)", len(c.RootReplicas()), len(groups))
+	if len(c.rootRe) != len(groups) {
+		t.Fatalf("root replicas = %d, want one per group (%d)", len(c.rootRe), len(groups))
 	}
 }
 
@@ -130,6 +131,7 @@ func TestRangeOfflineRecallHigh(t *testing.T) {
 	c, set := deploy(t, 1500, 15, 17, Config{Seed: 17})
 	gen := trace.NewQueryGen(set, stats.Zipf, nil, 19)
 	var rec stats.Summary
+	n := 0
 	for i := 0; i < 50; i++ {
 		q := gen.Range(0.04)
 		got, _ := c.RangeOffline(q)
@@ -138,8 +140,9 @@ func TestRangeOfflineRecallHigh(t *testing.T) {
 			continue
 		}
 		rec.Add(stats.Recall(want, got))
+		n++
 	}
-	if rec.N() == 0 {
+	if n == 0 {
 		t.Skip("no non-empty queries")
 	}
 	if rec.Mean() < 0.7 {
@@ -344,17 +347,5 @@ func TestIndexSizeBytes(t *testing.T) {
 	c, _ := deploy(t, 500, 10, 73, Config{Seed: 73})
 	if c.IndexSizeBytes() <= 0 {
 		t.Fatal("IndexSizeBytes must be positive")
-	}
-}
-
-func TestInsertUnitIntoCluster(t *testing.T) {
-	c, _ := deploy(t, 500, 10, 79, Config{Seed: 79})
-	extra := trace.MSN().Generate(50, 80)
-	leaf := c.InsertUnit(semtree.NewStorageUnit(500, extra.Files))
-	if leaf == nil || c.NodeOf(leaf) == nil {
-		t.Fatal("inserted unit not mapped")
-	}
-	if err := c.Tree.Validate(); err != nil {
-		t.Fatalf("tree invalid after unit insert: %v", err)
 	}
 }

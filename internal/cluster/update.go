@@ -23,7 +23,6 @@ func (c *Cluster) InsertFile(f *metadata.File) Result {
 	}
 	leaf := c.Tree.InsertFile(f)
 	g := c.Tree.GroupOf(leaf)
-	c.ensureGroup(g)
 	c.pending[g][f.ID] = f
 	c.chains[g].Record(version.Change{Kind: version.Insert, File: f})
 
@@ -47,7 +46,6 @@ func (c *Cluster) ModifyFile(f *metadata.File) (Result, bool) {
 		return res, false
 	}
 	g := c.Tree.GroupOf(leaf)
-	c.ensureGroup(g)
 	c.pending[g][f.ID] = existing
 	c.chains[g].Record(version.Change{Kind: version.Modify, File: existing})
 	res.Latency = c.insertLatency(leaf)
@@ -71,7 +69,6 @@ func (c *Cluster) DeleteFile(id uint64) (Result, bool) {
 		delete(c.byID, id)
 	}
 	g := c.Tree.GroupOf(leaf)
-	c.ensureGroup(g)
 	delete(c.pending[g], id)
 	c.deleted[g][id] = true
 	c.chains[g].Record(version.Change{Kind: version.Delete, File: target})
@@ -114,7 +111,6 @@ func (c *Cluster) shouldPropagate(g *semtree.Node) bool {
 // removal: apply locally, then multicast to remote replica holders). It
 // returns the number of messages sent.
 func (c *Cluster) Propagate(g *semtree.Node) int64 {
-	c.ensureGroup(g)
 	changes := c.chains[g].Compact()
 	c.pending[g] = make(map[uint64]*metadata.File)
 	c.deleted[g] = make(map[uint64]bool)
@@ -142,36 +138,4 @@ func (c *Cluster) PropagateAll() {
 	for _, g := range c.Tree.FirstLevelIndexUnits() {
 		c.Propagate(g)
 	}
-}
-
-// ensureGroup lazily initializes version state for groups created by
-// splits after deployment.
-func (c *Cluster) ensureGroup(g *semtree.Node) {
-	if _, ok := c.chains[g]; !ok {
-		c.chains[g] = version.NewChain(c.Cfg.VersionRatio)
-		c.pending[g] = make(map[uint64]*metadata.File)
-		c.deleted[g] = make(map[uint64]bool)
-	}
-}
-
-// InsertUnit adds a whole storage unit to the deployment (§3.2.1): the
-// tree locates the most-correlated group, simulated servers grow by one,
-// and the unit's node joins the mapping.
-func (c *Cluster) InsertUnit(u *semtree.StorageUnit) *semtree.Node {
-	// Keep the incrementally maintained id index covering the unit's
-	// files — they bypass InsertFile.
-	if c.byID != nil {
-		for _, f := range u.Files {
-			c.byID[f.ID] = f
-		}
-	}
-	leaf := c.Tree.InsertUnit(u)
-	// The simulator's node set is fixed; map the new unit onto a fresh
-	// logical server modelled by reusing the least-loaded existing one.
-	// (The paper inserts units on new physical servers; for accounting
-	// purposes only message counts matter here.)
-	c.unitNode[leaf] = c.Sim.Node(1 + (len(c.unitNode) % (len(c.Sim.Nodes()) - 1)))
-	c.ensureGroup(c.Tree.GroupOf(leaf))
-	c.mapRootReplicas()
-	return leaf
 }

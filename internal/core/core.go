@@ -7,8 +7,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/metadata"
 	"repro/internal/query"
@@ -153,10 +151,4 @@ func (in *Instance) ObserveTopK(q query.TopK, out *RecallOutcome) {
 	out.Latency.Add(float64(res.Latency))
 	out.Messages.Add(float64(res.Messages))
 	out.Hops.Add(res.Hops)
-}
-
-// String describes the instance for logs.
-func (in *Instance) String() string {
-	return fmt.Sprintf("%s×%d: %d files sampled, %d units, virtual scale %.0f",
-		in.Opt.Spec.Name, in.Opt.VirtualTIF, len(in.Set.Files), in.Opt.Units, in.VirtualScale)
 }

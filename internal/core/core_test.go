@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -42,25 +42,19 @@ func TestObserveRangeAndTopK(t *testing.T) {
 		in.ObserveRange(gen.Range(0.05), out)
 		in.ObserveTopK(gen.TopK(8), out)
 	}
-	if out.Latency.N() != 40 {
-		t.Fatalf("latency observations = %d, want 40", out.Latency.N())
-	}
-	if out.Recall.N() == 0 {
-		t.Fatal("no recall observations")
+	// Latencies are positive, so sum/mean recovers the observation count.
+	if n := math.Round(out.Latency.Sum() / out.Latency.Mean()); n != 40 {
+		t.Fatalf("latency observations = %v, want 40", n)
 	}
 	if m := out.Recall.Mean(); m < 0.5 || m > 1 {
-		t.Fatalf("recall mean = %v out of plausible range", m)
+		t.Fatalf("recall mean = %v out of plausible range (0 when none recorded)", m)
 	}
-	if out.Hops.Total() != 40 {
-		t.Fatalf("hops observations = %d, want 40", out.Hops.Total())
+	var hops float64
+	for i := 0; i < 8; i++ {
+		hops += out.Hops.Fraction(i)
 	}
-}
-
-func TestInstanceString(t *testing.T) {
-	in := NewInstance(Options{Spec: trace.HP(), BaseFiles: 300, Units: 5, Seed: 9})
-	s := in.String()
-	if !strings.Contains(s, "HP") || !strings.Contains(s, "300 files") {
-		t.Fatalf("String() = %q", s)
+	if math.Abs(hops-1) > 1e-9 {
+		t.Fatalf("hop fractions sum to %v, want 1 (no hops recorded?)", hops)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,23 @@ import (
 
 // quick returns test-scale params, deterministic.
 func quick() Params { return Quick() }
+
+// parseF reads a number back from a rendered table cell.
+func parseF(s string) float64 {
+	var v float64
+	fmt.Sscanf(s, "%f", &v)
+	return v
+}
+
+// latencyCells reads queryLatencyCell's rows as {DBMS, R-tree,
+// SmartStore} mean latencies by query kind.
+func latencyCells(tif int, p Params) map[string][3]float64 {
+	out := map[string][3]float64{}
+	for _, r := range queryLatencyCell(trace.MSN(), tif, p) {
+		out[r[2]] = [3]float64{parseF(r[3]), parseF(r[4]), parseF(r[5])}
+	}
+	return out
+}
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{ID: "x", Caption: "c", Header: []string{"a", "bb"}}
@@ -39,32 +57,34 @@ func TestQueryLatencyShape(t *testing.T) {
 	// as in the paper's 60-unit prototype.
 	p := Params{BaseFiles: 1200, Units: 40, Queries: 20, Seed: 7}
 	for _, tif := range []int{120, 160} {
-		cells := QueryLatencyNumbers(trace.MSN(), tif, p)
+		cells := latencyCells(tif, p)
 		for kind, c := range cells {
-			if !(c.DBMS > c.RTree) {
-				t.Errorf("TIF %d %s: DBMS %v not above R-tree %v", tif, kind, c.DBMS, c.RTree)
+			if !(c[0] > c[1]) {
+				t.Errorf("TIF %d %s: DBMS %v not above R-tree %v", tif, kind, c[0], c[1])
 			}
-			if !(c.RTree > c.SmartStore) {
-				t.Errorf("TIF %d %s: R-tree %v not above SmartStore %v", tif, kind, c.RTree, c.SmartStore)
+			if !(c[1] > c[2]) {
+				t.Errorf("TIF %d %s: R-tree %v not above SmartStore %v", tif, kind, c[1], c[2])
 			}
 		}
 		// Headline: ~10³× between DBMS and SmartStore for complex queries.
-		if ratio := cells["range"].DBMS / cells["range"].SmartStore; ratio < 50 {
+		if ratio := cells["range"][0] / cells["range"][2]; ratio < 50 {
 			t.Errorf("TIF %d: DBMS/SmartStore range ratio %v, want ≫ 50", tif, ratio)
 		}
 	}
-	c120 := QueryLatencyNumbers(trace.MSN(), 120, p)
-	c160 := QueryLatencyNumbers(trace.MSN(), 160, p)
-	if c160["range"].DBMS <= c120["range"].DBMS {
+	c120 := latencyCells(120, p)
+	c160 := latencyCells(160, p)
+	if c160["range"][0] <= c120["range"][0] {
 		t.Error("DBMS range latency did not grow with TIF")
 	}
 }
 
 func TestSpaceOverheadShape(t *testing.T) {
 	// Fig. 7: SmartStore per-node < R-tree central < DBMS central.
-	smart, rtree, dbms := SpaceOverheadNumbers(trace.MSN(), quick())
-	if !(smart < rtree && rtree < dbms) {
-		t.Fatalf("space ordering violated: smart=%d rtree=%d dbms=%d", smart, rtree, dbms)
+	for _, row := range SpaceOverhead(quick()).Rows {
+		smart, rtree, dbms := parseF(row[1]), parseF(row[2]), parseF(row[3])
+		if !(smart < rtree && rtree < dbms) {
+			t.Fatalf("%s: space ordering violated: smart=%v rtree=%v dbms=%v KB", row[0], smart, rtree, dbms)
+		}
 	}
 }
 

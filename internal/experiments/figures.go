@@ -37,18 +37,6 @@ func SpaceOverhead(p Params) *Table {
 	return t
 }
 
-// SpaceOverheadNumbers returns the three footprints for assertions.
-func SpaceOverheadNumbers(spec *trace.Spec, p Params) (smart, rtree, dbms int) {
-	p = p.withDefaults()
-	in := core.NewInstance(core.Options{
-		Spec: spec, BaseFiles: p.BaseFiles, Units: p.Units, Seed: p.Seed,
-	})
-	cfg := baseline.Config{VirtualScale: in.VirtualScale}
-	d := baseline.NewDBMS(in.Set.Files, in.Set.Norm, cfg)
-	r := baseline.NewRTree(in.Set.Files, in.Set.Norm, cfg)
-	return in.Cluster.IndexSizeBytes(), r.SizeBytes(), d.SizeBytes()
-}
-
 // RoutingHops reproduces Fig. 8: the distribution of routing distance
 // (groups visited beyond the first) for complex queries per trace.
 // The paper reports 87.3–90.6% of operations served by one group.

@@ -83,31 +83,3 @@ func queryLatencyCell(spec *trace.Spec, tif int, p Params) [][]string {
 		{spec.Name, tifS, "top-k", f2(kD.Mean()), f2(kR.Mean()), f3(kS.Mean())},
 	}
 }
-
-// QueryLatencyRaw returns the mean latencies for one (trace, tif) cell
-// as numbers, for assertions in tests and benches.
-type LatencyCell struct {
-	DBMS, RTree, SmartStore float64
-}
-
-// QueryLatencyNumbers computes {point, range, topk} cells for a trace
-// and TIF.
-func QueryLatencyNumbers(spec *trace.Spec, tif int, p Params) map[string]LatencyCell {
-	p = p.withDefaults()
-	rows := queryLatencyCell(spec, tif, p)
-	out := map[string]LatencyCell{}
-	for _, r := range rows {
-		out[r[2]] = LatencyCell{
-			DBMS:       parseF(r[3]),
-			RTree:      parseF(r[4]),
-			SmartStore: parseF(r[5]),
-		}
-	}
-	return out
-}
-
-func parseF(s string) float64 {
-	var v float64
-	fmt.Sscanf(s, "%f", &v)
-	return v
-}

@@ -32,13 +32,14 @@ func queryAttrs() []smartstore.Attr {
 // against one shared normalizer, all on-line, both ends served over
 // real HTTP.
 type federation struct {
-	files    []*smartstore.File
-	perNode  [][]*smartstore.File
-	single   *client.Client
-	gate     *client.Client
-	gateURL  string
-	gw       *Gateway
-	backends []*httptest.Server
+	files     []*smartstore.File
+	perNode   [][]*smartstore.File
+	single    *client.Client
+	singleURL string
+	gate      *client.Client
+	gateURL   string
+	gw        *Gateway
+	backends  []*httptest.Server
 }
 
 func buildFederation(t testing.TB, n, nBackends int) *federation {
@@ -66,9 +67,10 @@ func buildFederation(t testing.TB, n, nBackends int) *federation {
 	t.Cleanup(singleSrv.Close)
 
 	fed := &federation{
-		files:   set.Files,
-		perNode: make([][]*smartstore.File, nBackends),
-		single:  client.New(singleSrv.URL),
+		files:     set.Files,
+		perNode:   make([][]*smartstore.File, nBackends),
+		single:    client.New(singleSrv.URL),
+		singleURL: singleSrv.URL,
 	}
 	for i, f := range set.Files {
 		fed.perNode[i%nBackends] = append(fed.perNode[i%nBackends], f)
@@ -101,6 +103,41 @@ func buildFederation(t testing.TB, n, nBackends int) *federation {
 	fed.gate = client.New(gateSrv.URL)
 	fed.gateURL = gateSrv.URL
 	return fed
+}
+
+// postBatch posts qs to url as one JSON /v1/query batch, traced or not,
+// and decodes the answer.
+func postBatch(t *testing.T, url string, qs []smartstore.Query, traced bool) *server.BatchQueryResponse {
+	t.Helper()
+	req := server.QueryRequest{Queries: make([]server.WireQuery, len(qs))}
+	for i, q := range qs {
+		req.Queries[i] = server.QueryToWire(q)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	if traced {
+		hreq.Header.Set(server.TraceHeader, "1")
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d", resp.StatusCode)
+	}
+	out := &server.BatchQueryResponse{}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func toSet(ids []uint64) map[uint64]bool {
@@ -284,14 +321,8 @@ func TestGatewayMatchesSingleStore(t *testing.T) {
 		smartstore.NewRangeQuery(queryAttrs(), w[0], w[1]),
 		smartstore.NewTopKQuery(queryAttrs(), topkPoints()[1], 15),
 	}
-	gb, err := fed.gate.QueryBatch(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := fed.single.QueryBatch(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gb := postBatch(t, fed.gateURL, batch, false)
+	sb := postBatch(t, fed.singleURL, batch, false)
 	if len(gb.Results) != 3 || len(sb.Results) != 3 {
 		t.Fatalf("batch answered %d/%d results", len(gb.Results), len(sb.Results))
 	}
@@ -627,10 +658,7 @@ func TestTracedBatchMembersRunUntraced(t *testing.T) {
 		smartstore.NewRangeQuery(queryAttrs(), w[0], w[1]),
 		smartstore.NewPointQuery(set.Files[3].Path),
 	}
-	batch, err := tcl.QueryBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := postBatch(t, gate.URL, qs, true)
 	if len(batch.Results) != len(qs) {
 		t.Fatalf("batch answered %d of %d queries", len(batch.Results), len(qs))
 	}

@@ -5,9 +5,9 @@
 // An attribute–item matrix A (t attributes × n items) is decomposed with
 // the SVD, A = U Σ Vᵀ, and truncated to its p largest singular values,
 // Ap = Up Σp Vpᵀ. Each item is then represented by its p-dimensional
-// coordinates (a row of Vp Σp), and an external query vector q ∈ Rᵗ is
-// folded into the same space as q̂ = Σp⁻¹ Upᵀ q. Correlation between
-// vectors in the semantic space is their normalized inner product.
+// coordinates (a row of Vp Σp). Correlation between items in the
+// semantic space decays with their Euclidean distance
+// (DistanceCorrelation).
 package lsi
 
 import (
@@ -53,13 +53,10 @@ func forEachRow(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Model is a fitted LSI model over n items with t attributes, truncated
-// to rank p.
+// Model is a fitted LSI model over n items, truncated to rank p.
 type Model struct {
-	t, n, p int
-	up      *matrix.Dense // t×p
-	sigma   []float64     // p singular values (descending)
-	items   *matrix.Dense // n×p: row i = item i's semantic coordinates (Vp Σp)
+	n, p  int
+	items *matrix.Dense // n×p: row i = item i's semantic coordinates (Vp Σp)
 }
 
 // DefaultRank picks the truncation rank for a t×n matrix: enough to keep
@@ -122,59 +119,15 @@ func Fit(vectors [][]float64, rank int) (*Model, error) {
 			items.Set(i, j, svd.V.At(i, j)*svd.Sigma[j])
 		}
 	}
-	return &Model{t: t, n: n, p: p, up: svd.U, sigma: svd.Sigma, items: items}, nil
+	return &Model{n: n, p: p, items: items}, nil
 }
 
 // Rank returns the truncation rank p actually used.
 func (m *Model) Rank() int { return m.p }
 
-// Items returns the number of items the model was fitted on.
-func (m *Model) Items() int { return m.n }
-
-// AttrDims returns the attribute dimensionality t.
-func (m *Model) AttrDims() int { return m.t }
-
 // ItemVector returns item i's p-dimensional semantic coordinates.
 func (m *Model) ItemVector(i int) []float64 {
 	return m.items.Row(i)
-}
-
-// FoldIn projects a t-dimensional query vector into the semantic
-// subspace: q̂ = Σp⁻¹ Upᵀ q, with zero singular values contributing zero
-// coordinates. The result is then comparable (after the Σ scaling
-// below) with item vectors.
-func (m *Model) FoldIn(q []float64) []float64 {
-	if len(q) != m.t {
-		panic(fmt.Sprintf("lsi: query dims %d != model dims %d", len(q), m.t))
-	}
-	// Upᵀ q
-	proj := make([]float64, m.p)
-	for j := 0; j < m.p; j++ {
-		var s float64
-		for i := 0; i < m.t; i++ {
-			s += m.up.At(i, j) * q[i]
-		}
-		proj[j] = s
-	}
-	// Σp⁻¹ scaling, then re-scale by Σp to land in item-coordinate space.
-	// The two cancel except for zero singular values, which are dropped:
-	// q̂_j = (Upᵀ q)_j when σ_j > 0, else 0. We keep the explicit form to
-	// mirror the paper's definition and guard σ=0.
-	for j := 0; j < m.p; j++ {
-		if m.sigma[j] == 0 {
-			proj[j] = 0
-		}
-	}
-	return proj
-}
-
-// Similarity returns the cosine similarity (normalized inner product,
-// §3.1.1) between two semantic-space vectors, mapped from [-1,1] to
-// [0,1] so it can serve directly as the admission-threshold correlation
-// value ε ∈ [0,1] of §3.1.1.
-func Similarity(a, b []float64) float64 {
-	c := matrix.Cosine(a, b)
-	return (c + 1) / 2
 }
 
 // DistanceCorrelation maps the Euclidean distance between two
@@ -196,38 +149,6 @@ func DistanceCorrelation(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Exp(-math.Sqrt(s))
-}
-
-// QueryItemSimilarity folds q into the model's space and returns its
-// similarity to item i.
-func (m *Model) QueryItemSimilarity(q []float64, i int) float64 {
-	return Similarity(m.FoldIn(q), m.ItemVector(i))
-}
-
-// PairwiseSimilarities returns the full n×n item-similarity matrix.
-// Cell (i,j) is the semantic correlation value between items i and j
-// used by the grouping algorithm of §3.1.2. Rows are computed in
-// parallel across cores for large n; the result is deterministic.
-func (m *Model) PairwiseSimilarities() *matrix.Dense {
-	out := matrix.NewDense(m.n, m.n)
-	rows := make([][]float64, m.n)
-	for i := 0; i < m.n; i++ {
-		rows[i] = m.items.Row(i)
-	}
-	forEachRow(m.n, func(i int) {
-		out.Set(i, i, 1)
-		for j := i + 1; j < m.n; j++ {
-			out.Set(i, j, Similarity(rows[i], rows[j]))
-		}
-	})
-	// Mirror the upper triangle (single-writer-per-cell above keeps the
-	// parallel phase race-free).
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			out.Set(j, i, out.At(i, j))
-		}
-	}
-	return out
 }
 
 // PairwiseDistanceCorrelations returns the n×n matrix of
@@ -253,20 +174,4 @@ func (m *Model) PairwiseDistanceCorrelations() *matrix.Dense {
 		}
 	}
 	return out
-}
-
-// MostSimilarItem returns the index of the fitted item most similar to
-// the folded-in query, and the similarity value. It is the off-line
-// pre-processing primitive of §3.4: "use the LSI tool over the request
-// vector and semantic vectors of existing index units to check which
-// index unit is the most closely correlated with the request".
-func (m *Model) MostSimilarItem(q []float64) (int, float64) {
-	qv := m.FoldIn(q)
-	best, bestSim := 0, -1.0
-	for i := 0; i < m.n; i++ {
-		if s := Similarity(qv, m.ItemVector(i)); s > bestSim {
-			best, bestSim = i, s
-		}
-	}
-	return best, bestSim
 }

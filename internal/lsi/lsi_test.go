@@ -1,10 +1,8 @@
 package lsi
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestFitErrors(t *testing.T) {
@@ -36,23 +34,11 @@ func TestModelDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Items() != 4 || m.AttrDims() != 3 || m.Rank() != 2 {
-		t.Fatalf("dims = %d/%d/%d", m.Items(), m.AttrDims(), m.Rank())
+	if m.n != 4 || m.Rank() != 2 {
+		t.Fatalf("items/rank = %d/%d", m.n, m.Rank())
 	}
 	if len(m.ItemVector(0)) != 2 {
 		t.Fatalf("item vector len = %d, want 2", len(m.ItemVector(0)))
-	}
-}
-
-func TestSimilarityRange(t *testing.T) {
-	if s := Similarity([]float64{1, 0}, []float64{1, 0}); math.Abs(s-1) > 1e-12 {
-		t.Fatalf("identical similarity = %v, want 1", s)
-	}
-	if s := Similarity([]float64{1, 0}, []float64{-1, 0}); math.Abs(s) > 1e-12 {
-		t.Fatalf("opposite similarity = %v, want 0", s)
-	}
-	if s := Similarity([]float64{1, 0}, []float64{0, 1}); math.Abs(s-0.5) > 1e-12 {
-		t.Fatalf("orthogonal similarity = %v, want 0.5", s)
 	}
 }
 
@@ -66,84 +52,11 @@ func TestCorrelatedItemsScoreHigher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sims := m.PairwiseSimilarities()
+	sims := m.PairwiseDistanceCorrelations()
 	within := sims.At(0, 1)
 	across := sims.At(0, 3)
 	if within <= across {
 		t.Fatalf("within-cluster sim %v not greater than across %v", within, across)
-	}
-}
-
-func TestPairwiseSimilaritiesSymmetricUnitDiagonal(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	vecs := make([][]float64, 10)
-	for i := range vecs {
-		vecs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	m, err := Fit(vecs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := m.PairwiseSimilarities()
-	for i := 0; i < 10; i++ {
-		if s.At(i, i) != 1 {
-			t.Fatalf("diagonal (%d,%d) = %v, want 1", i, i, s.At(i, i))
-		}
-		for j := 0; j < 10; j++ {
-			if s.At(i, j) != s.At(j, i) {
-				t.Fatalf("similarity not symmetric at (%d,%d)", i, j)
-			}
-			if s.At(i, j) < 0 || s.At(i, j) > 1+1e-12 {
-				t.Fatalf("similarity out of [0,1]: %v", s.At(i, j))
-			}
-		}
-	}
-}
-
-func TestFoldInFindsNearestCluster(t *testing.T) {
-	vecs := [][]float64{
-		{0.1, 0.1, 0.2}, {0.12, 0.15, 0.18},
-		{0.9, 0.95, 0.85}, {0.88, 0.9, 0.92},
-	}
-	m, err := Fit(vecs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A query near cluster B should pick a B item.
-	idx, sim := m.MostSimilarItem([]float64{0.91, 0.9, 0.89})
-	if idx != 2 && idx != 3 {
-		t.Fatalf("MostSimilarItem = %d (sim %v), want 2 or 3", idx, sim)
-	}
-	// A query near cluster A should pick an A item.
-	idx, _ = m.MostSimilarItem([]float64{0.1, 0.13, 0.2})
-	if idx != 0 && idx != 1 {
-		t.Fatalf("MostSimilarItem = %d, want 0 or 1", idx)
-	}
-}
-
-func TestFoldInPanicsOnWrongDims(t *testing.T) {
-	m, err := Fit([][]float64{{1, 2}, {3, 4}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("FoldIn with wrong dims did not panic")
-		}
-	}()
-	m.FoldIn([]float64{1, 2, 3})
-}
-
-func TestQueryItemSimilarity(t *testing.T) {
-	vecs := [][]float64{{1, 0}, {0, 1}}
-	m, err := Fit(vecs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := m.QueryItemSimilarity([]float64{1, 0}, 0)
-	s1 := m.QueryItemSimilarity([]float64{1, 0}, 1)
-	if s0 <= s1 {
-		t.Fatalf("query [1,0]: sim to item0 %v should exceed sim to item1 %v", s0, s1)
 	}
 }
 
@@ -155,41 +68,6 @@ func TestRankClampedToAvailable(t *testing.T) {
 	}
 	if m.Rank() > 2 {
 		t.Fatalf("Rank = %d, want ≤ 2", m.Rank())
-	}
-}
-
-// Property: similarity is symmetric and bounded for random fitted models.
-func TestPropertySimilarityBounds(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed|1))
-		n := 3 + int(rng.Uint64()%8)
-		d := 2 + int(rng.Uint64()%5)
-		vecs := make([][]float64, n)
-		for i := range vecs {
-			vecs[i] = make([]float64, d)
-			for j := range vecs[i] {
-				vecs[i][j] = rng.Float64()
-			}
-		}
-		m, err := Fit(vecs, 0)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				s := Similarity(m.ItemVector(i), m.ItemVector(j))
-				if s < -1e-9 || s > 1+1e-9 {
-					return false
-				}
-				if math.Abs(s-Similarity(m.ItemVector(j), m.ItemVector(i))) > 1e-12 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -207,25 +85,5 @@ func BenchmarkFit60Items(b *testing.B) {
 		if _, err := Fit(vecs, 4); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFoldIn(b *testing.B) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	vecs := make([][]float64, 60)
-	for i := range vecs {
-		vecs[i] = make([]float64, 7)
-		for j := range vecs[i] {
-			vecs[i][j] = rng.Float64()
-		}
-	}
-	m, err := Fit(vecs, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.FoldIn(q)
 	}
 }

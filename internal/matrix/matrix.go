@@ -1,6 +1,6 @@
 // Package matrix provides the dense linear-algebra substrate used by the
-// LSI semantic-analysis layer: a row-major dense matrix type, the usual
-// products and norms, and a one-sided Jacobi singular value decomposition.
+// LSI semantic-analysis layer: a row-major dense matrix type and a
+// one-sided Jacobi singular value decomposition.
 //
 // The package is intentionally small and dependency-free (stdlib only).
 // Matrices in this system are modest — attribute-item matrices with at
@@ -12,8 +12,6 @@ package matrix
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Dense is a row-major dense matrix.
@@ -30,23 +28,6 @@ func NewDense(r, c int) *Dense {
 	}
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
-
-// NewDenseData wraps data (row-major, length r*c) in a Dense without copying.
-func NewDenseData(r, c int, data []float64) *Dense {
-	if r <= 0 || c <= 0 {
-		panic(fmt.Sprintf("matrix: invalid dimensions %dx%d", r, c))
-	}
-	if len(data) != r*c {
-		panic(fmt.Sprintf("matrix: data length %d != %d*%d", len(data), r, c))
-	}
-	return &Dense{rows: r, cols: c, data: data}
-}
-
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
@@ -76,18 +57,6 @@ func (m *Dense) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("matrix: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	d := make([]float64, len(m.data))
@@ -104,132 +73,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return t
-}
-
-// Mul returns the matrix product a*b.
-// It panics if the inner dimensions disagree.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("matrix: dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns the matrix-vector product m*v.
-func (m *Dense) MulVec(v []float64) []float64 {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("matrix: vector length %d != cols %d", len(v), m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Scale multiplies every element of m by f in place and returns m.
-func (m *Dense) Scale(f float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= f
-	}
-	return m
-}
-
-// Sub returns a-b as a new matrix. It panics on shape mismatch.
-func Sub(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("matrix: shape mismatch %dx%d - %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := NewDense(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element value of m.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%9.4f", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Dot returns the inner product of equal-length vectors a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("matrix: dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, av := range a {
-		s += av * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Cosine returns the cosine similarity of a and b, or 0 when either is
-// the zero vector.
-func Cosine(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
 }
 
 // ErrNoConvergence reports that the Jacobi sweep limit was reached before

@@ -9,10 +9,58 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// dense wraps row-major data in an r×c matrix without copying.
+func dense(r, c int, data ...float64) *Dense { return &Dense{rows: r, cols: c, data: data} }
+
+// The reference algebra the SVD tests check the decomposition against.
+
+// mul returns the matrix product a*b.
+func mul(a, b *Dense) *Dense {
+	out := NewDense(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		for k := 0; k < a.cols; k++ {
+			for j := 0; j < b.cols; j++ {
+				out.data[i*out.cols+j] += a.At(i, k) * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+// sub returns a-b.
+func sub(a, b *Dense) *Dense {
+	out := NewDense(a.rows, a.cols)
+	for i := range a.data {
+		out.data[i] = a.data[i] - b.data[i]
+	}
+	return out
+}
+
+// frobenius returns the Frobenius norm of m.
+func frobenius(m *Dense) float64 {
+	var s float64
+	for _, v := range m.data {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// reconstruct returns U Σ Vᵀ, the (possibly truncated) approximation of
+// the decomposed matrix.
+func reconstruct(s *SVD) *Dense {
+	us := s.U.Clone()
+	for i := 0; i < us.rows; i++ {
+		for j, sv := range s.Sigma {
+			us.data[i*us.cols+j] *= sv
+		}
+	}
+	return mul(us, s.V.T())
+}
+
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
-	if m.Rows() != 3 || m.Cols() != 4 {
-		t.Fatalf("dims = %dx%d, want 3x4", m.Rows(), m.Cols())
+	if m.rows != 3 || m.cols != 4 {
+		t.Fatalf("dims = %dx%d, want 3x4", m.rows, m.cols)
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -36,15 +84,6 @@ func TestNewDensePanicsOnBadDims(t *testing.T) {
 	}
 }
 
-func TestNewDenseDataLengthPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewDenseData with short data did not panic")
-		}
-	}()
-	NewDenseData(2, 2, []float64{1, 2, 3})
-}
-
 func TestSetAtRoundTrip(t *testing.T) {
 	m := NewDense(2, 3)
 	m.Set(1, 2, 42.5)
@@ -64,27 +103,22 @@ func TestAtOutOfRangePanics(t *testing.T) {
 }
 
 func TestRowColCopies(t *testing.T) {
-	m := NewDenseData(2, 2, []float64{1, 2, 3, 4})
+	m := dense(2, 2, 1, 2, 3, 4)
 	r := m.Row(1)
-	c := m.Col(0)
 	if r[0] != 3 || r[1] != 4 {
 		t.Fatalf("Row(1) = %v, want [3 4]", r)
 	}
-	if c[0] != 1 || c[1] != 3 {
-		t.Fatalf("Col(0) = %v, want [1 3]", c)
-	}
 	r[0] = 99
-	c[0] = 99
-	if m.At(1, 0) != 3 || m.At(0, 0) != 1 {
-		t.Fatal("Row/Col must return copies, not views")
+	if m.At(1, 0) != 3 {
+		t.Fatal("Row must return a copy, not a view")
 	}
 }
 
 func TestTranspose(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	m := dense(2, 3, 1, 2, 3, 4, 5, 6)
 	tr := m.T()
-	if tr.Rows() != 3 || tr.Cols() != 2 {
-		t.Fatalf("T dims = %dx%d, want 3x2", tr.Rows(), tr.Cols())
+	if tr.rows != 3 || tr.cols != 2 {
+		t.Fatalf("T dims = %dx%d, want 3x2", tr.rows, tr.cols)
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
@@ -96,64 +130,30 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := NewDenseData(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	p := Mul(a, b)
+	a := dense(2, 3, 1, 2, 3, 4, 5, 6)
+	b := dense(3, 2, 7, 8, 9, 10, 11, 12)
+	p := mul(a, b)
 	want := [][]float64{{58, 64}, {139, 154}}
 	for i := range want {
 		for j := range want[i] {
 			if p.At(i, j) != want[i][j] {
-				t.Fatalf("Mul[%d][%d] = %v, want %v", i, j, p.At(i, j), want[i][j])
+				t.Fatalf("mul[%d][%d] = %v, want %v", i, j, p.At(i, j), want[i][j])
 			}
 		}
 	}
 }
 
-func TestMulDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Mul with mismatched dims did not panic")
-		}
-	}()
-	Mul(NewDense(2, 3), NewDense(2, 3))
-}
-
-func TestMulVec(t *testing.T) {
-	m := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	got := m.MulVec([]float64{1, 1, 1})
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v, want [6 15]", got)
-	}
-}
-
 func TestSubAndNorms(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{3, 0, 0, 4})
-	b := NewDenseData(2, 2, []float64{0, 0, 0, 0})
-	d := Sub(a, b)
-	if !almostEq(d.FrobeniusNorm(), 5, 1e-12) {
-		t.Fatalf("FrobeniusNorm = %v, want 5", d.FrobeniusNorm())
-	}
-	if d.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v, want 4", d.MaxAbs())
-	}
-}
-
-func TestDotCosine(t *testing.T) {
-	a := []float64{1, 0}
-	b := []float64{0, 1}
-	if Dot(a, b) != 0 {
-		t.Fatal("orthogonal dot != 0")
-	}
-	if Cosine(a, a) != 1 {
-		t.Fatalf("Cosine(a,a) = %v, want 1", Cosine(a, a))
-	}
-	if Cosine(a, []float64{0, 0}) != 0 {
-		t.Fatal("cosine with zero vector should be 0")
+	a := dense(2, 2, 3, 0, 0, 4)
+	b := dense(2, 2, 0, 0, 0, 0)
+	d := sub(a, b)
+	if !almostEq(frobenius(d), 5, 1e-12) {
+		t.Fatalf("frobenius = %v, want 5", frobenius(d))
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := NewDenseData(1, 2, []float64{1, 2})
+	a := dense(1, 2, 1, 2)
 	b := a.Clone()
 	b.Set(0, 0, 9)
 	if a.At(0, 0) != 1 {
@@ -173,9 +173,9 @@ func randomMatrix(rng *rand.Rand, r, c int) *Dense {
 
 func checkOrthonormalCols(t *testing.T, m *Dense, tol float64) {
 	t.Helper()
-	g := Mul(m.T(), m)
-	for i := 0; i < g.Rows(); i++ {
-		for j := 0; j < g.Cols(); j++ {
+	g := mul(m.T(), m)
+	for i := 0; i < g.rows; i++ {
+		for j := 0; j < g.cols; j++ {
 			want := 0.0
 			if i == j {
 				want = 1.0
@@ -200,11 +200,11 @@ func TestSVDIdentity(t *testing.T) {
 }
 
 func TestSVDKnownDiagonal(t *testing.T) {
-	a := NewDenseData(3, 3, []float64{
+	a := dense(3, 3,
 		3, 0, 0,
 		0, 5, 0,
 		0, 0, 1,
-	})
+	)
 	s, err := ComputeSVD(a)
 	if err != nil {
 		t.Fatalf("SVD error: %v", err)
@@ -225,8 +225,8 @@ func TestSVDReconstructionTallWideSquare(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SVD %v error: %v", dims, err)
 		}
-		diff := Sub(s.Reconstruct(), a)
-		if rel := diff.FrobeniusNorm() / a.FrobeniusNorm(); rel > 1e-9 {
+		diff := sub(reconstruct(s), a)
+		if rel := frobenius(diff) / frobenius(a); rel > 1e-9 {
 			t.Fatalf("%v: reconstruction error %v too large", dims, rel)
 		}
 		checkOrthonormalCols(t, s.U, 1e-9)
@@ -253,11 +253,11 @@ func TestSVDRankDeficient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SVD error: %v", err)
 	}
-	if got := s.Rank(1e-10); got != 1 {
-		t.Fatalf("Rank = %d, want 1 (sigma=%v)", got, s.Sigma)
+	if len(s.Sigma) < 2 || s.Sigma[1] > 1e-10*s.Sigma[0] {
+		t.Fatalf("sigma = %v, want exactly one nonzero singular value", s.Sigma)
 	}
-	diff := Sub(s.Reconstruct(), a)
-	if rel := diff.FrobeniusNorm() / a.FrobeniusNorm(); rel > 1e-9 {
+	diff := sub(reconstruct(s), a)
+	if rel := frobenius(diff) / frobenius(a); rel > 1e-9 {
 		t.Fatalf("rank-1 reconstruction error %v", rel)
 	}
 }
@@ -278,21 +278,21 @@ func TestSVDTruncate(t *testing.T) {
 		if len(tr.Sigma) != wantP {
 			t.Fatalf("Truncate(%d) kept %d values, want %d", p, len(tr.Sigma), wantP)
 		}
-		if tr.U.Cols() != wantP || tr.V.Cols() != wantP {
-			t.Fatalf("Truncate(%d) factor widths %d/%d, want %d", p, tr.U.Cols(), tr.V.Cols(), wantP)
+		if tr.U.cols != wantP || tr.V.cols != wantP {
+			t.Fatalf("Truncate(%d) factor widths %d/%d, want %d", p, tr.U.cols, tr.V.cols, wantP)
 		}
 	}
 	// Eckart–Young: the rank-p truncation is the best rank-p approximation;
 	// its error equals sqrt(sum of squared discarded singular values).
 	tr := s.Truncate(3)
-	diff := Sub(tr.Reconstruct(), a)
+	diff := sub(reconstruct(tr), a)
 	var want float64
 	for _, sv := range s.Sigma[3:] {
 		want += sv * sv
 	}
 	want = math.Sqrt(want)
-	if !almostEq(diff.FrobeniusNorm(), want, 1e-8*(1+want)) {
-		t.Fatalf("truncation error = %v, want %v", diff.FrobeniusNorm(), want)
+	if !almostEq(frobenius(diff), want, 1e-8*(1+want)) {
+		t.Fatalf("truncation error = %v, want %v", frobenius(diff), want)
 	}
 }
 
@@ -305,9 +305,6 @@ func TestSVDZeroMatrix(t *testing.T) {
 		if sv != 0 {
 			t.Fatalf("zero matrix sigma = %v, want all zeros", s.Sigma)
 		}
-	}
-	if s.Rank(1e-10) != 0 {
-		t.Fatalf("zero matrix rank = %d, want 0", s.Rank(1e-10))
 	}
 }
 
@@ -324,12 +321,12 @@ func TestSVDPropertyRandom(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		diff := Sub(s.Reconstruct(), a)
-		denom := a.FrobeniusNorm()
+		diff := sub(reconstruct(s), a)
+		denom := frobenius(a)
 		if denom == 0 {
 			denom = 1
 		}
-		if diff.FrobeniusNorm()/denom > 1e-8 {
+		if frobenius(diff)/denom > 1e-8 {
 			return false
 		}
 		for i, sv := range s.Sigma {
@@ -364,7 +361,7 @@ func TestSVDPropertyNormInvariant(t *testing.T) {
 		for _, sv := range s.Sigma {
 			sum += sv * sv
 		}
-		af := a.FrobeniusNorm()
+		af := frobenius(a)
 		return almostEq(math.Sqrt(sum), af, 1e-8*(1+af))
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -380,15 +377,5 @@ func BenchmarkSVD60x8(b *testing.B) {
 		if _, err := ComputeSVD(a); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMul100(b *testing.B) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	x := randomMatrix(rng, 100, 100)
-	y := randomMatrix(rng, 100, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(x, y)
 	}
 }

@@ -159,34 +159,6 @@ func (s *SVD) Truncate(p int) *SVD {
 	}
 }
 
-// Rank returns the numerical rank of the decomposition: the number of
-// singular values exceeding tol relative to the largest.
-func (s *SVD) Rank(tol float64) int {
-	if len(s.Sigma) == 0 || s.Sigma[0] == 0 {
-		return 0
-	}
-	r := 0
-	for _, sv := range s.Sigma {
-		if sv > tol*s.Sigma[0] {
-			r++
-		}
-	}
-	return r
-}
-
-// Reconstruct returns U Σ Vᵀ, the (possibly truncated) approximation of
-// the original matrix.
-func (s *SVD) Reconstruct() *Dense {
-	p := len(s.Sigma)
-	us := s.U.Clone()
-	for j := 0; j < p; j++ {
-		for i := 0; i < us.rows; i++ {
-			us.data[i*us.cols+j] *= s.Sigma[j]
-		}
-	}
-	return Mul(us, s.V.T())
-}
-
 func firstCols(m *Dense, p int) *Dense {
 	out := NewDense(m.rows, p)
 	for i := 0; i < m.rows; i++ {

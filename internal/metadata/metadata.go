@@ -70,16 +70,6 @@ type File struct {
 	Attrs    [NumAttrs]float64
 }
 
-// Vector extracts the file's values over the attribute subset attrs, in
-// order — the raw semantic vector Sa = [S1 … Sd] of §3.1.1.
-func (f *File) Vector(attrs []Attr) []float64 {
-	v := make([]float64, len(attrs))
-	for i, a := range attrs {
-		v[i] = f.Attrs[a]
-	}
-	return v
-}
-
 // Normalizer rescales each attribute to [0,1] over an observed corpus so
 // Euclidean distances and LSI correlations are not dominated by large-
 // magnitude attributes (bytes vs seconds vs counts).
@@ -151,18 +141,6 @@ func (n *Normalizer) Vector(f *File, attrs []Attr) []float64 {
 	v := make([]float64, len(attrs))
 	for i, a := range attrs {
 		v[i] = n.Value(a, f.Attrs[a])
-	}
-	return v
-}
-
-// Point normalizes a raw query point given in attribute units.
-func (n *Normalizer) Point(attrs []Attr, raw []float64) []float64 {
-	if len(attrs) != len(raw) {
-		panic(fmt.Sprintf("metadata: point dims %d != attrs %d", len(raw), len(attrs)))
-	}
-	v := make([]float64, len(raw))
-	for i, a := range attrs {
-		v[i] = n.Value(a, raw[i])
 	}
 	return v
 }

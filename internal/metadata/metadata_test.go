@@ -34,14 +34,6 @@ func TestAllAttrs(t *testing.T) {
 	}
 }
 
-func TestFileVector(t *testing.T) {
-	f := mkFile(1, 100, 50)
-	v := f.Vector([]Attr{AttrCTime, AttrSize})
-	if v[0] != 50 || v[1] != 100 {
-		t.Fatalf("Vector = %v, want [50 100]", v)
-	}
-}
-
 func TestNormalizerUnfittedIdentity(t *testing.T) {
 	var n Normalizer
 	if n.Fitted() {
@@ -101,20 +93,9 @@ func TestNormalizerVectorAndPoint(t *testing.T) {
 	if v[0] != 1 || v[1] != 1 {
 		t.Fatalf("Vector = %v, want [1 1]", v)
 	}
-	p := n.Point(attrs, []float64{5, 50})
-	if p[0] != 0.5 || p[1] != 0.5 {
-		t.Fatalf("Point = %v, want [0.5 0.5]", p)
+	if p0, p1 := n.Value(AttrSize, 5), n.Value(AttrCTime, 50); p0 != 0.5 || p1 != 0.5 {
+		t.Fatalf("mid-range values = [%v %v], want [0.5 0.5]", p0, p1)
 	}
-}
-
-func TestPointPanicsOnMismatch(t *testing.T) {
-	var n Normalizer
-	defer func() {
-		if recover() == nil {
-			t.Error("Point with mismatched dims did not panic")
-		}
-	}()
-	n.Point([]Attr{AttrSize}, []float64{1, 2})
 }
 
 func TestCentroid(t *testing.T) {

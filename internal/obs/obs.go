@@ -1,8 +1,8 @@
 // Package obs is the dependency-free observability core of the serving
-// stack: atomic counters and gauges, lock-free fixed-bucket log-scale
-// histograms with quantile extraction, a Prometheus-text-format
-// registry (registry.go), a minimal exposition parser shared by the
-// CLIs (promtext.go), and the per-request trace carrier the server and
+// stack: atomic counters, lock-free fixed-bucket log-scale histograms,
+// a Prometheus-text-format registry (registry.go), a minimal exposition
+// parser with scrape-side quantile extraction shared by the CLIs
+// (promtext.go), and the per-request trace carrier the server and
 // engine use to attribute wall time to phases (trace.go).
 //
 // Everything here is stdlib-only and safe for concurrent use. The hot
@@ -28,18 +28,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value that can move both ways.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // HistBuckets is the fixed bucket count of every Histogram: two
 // sub-buckets per power of two (a √2 growth factor), covering the whole
@@ -127,79 +115,4 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	return s
-}
-
-// Quantile extracts the p-quantile (0 ≤ p ≤ 1) from the live
-// histogram, in recorded units.
-func (h *Histogram) Quantile(p float64) float64 {
-	s := h.Snapshot()
-	return s.Quantile(p)
-}
-
-// Delta returns the windowed snapshot s − prev: the observations
-// recorded between the two snapshots. Underflowing fields (prev taken
-// from a different histogram, or after a reset) clamp to zero.
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	var d HistSnapshot
-	for i := range s.Counts {
-		if s.Counts[i] > prev.Counts[i] {
-			d.Counts[i] = s.Counts[i] - prev.Counts[i]
-		}
-	}
-	if s.Count > prev.Count {
-		d.Count = s.Count - prev.Count
-	}
-	if s.Sum > prev.Sum {
-		d.Sum = s.Sum - prev.Sum
-	}
-	return d
-}
-
-// Quantile extracts the p-quantile (0 ≤ p ≤ 1) from the snapshot, in
-// recorded units, by linear interpolation inside the target bucket. An
-// empty snapshot returns 0.
-func (s HistSnapshot) Quantile(p float64) float64 {
-	var total uint64
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := p * float64(total)
-	if target < 1 {
-		target = 1
-	}
-	var cum float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= target {
-			lower := 0.0
-			if i > 0 {
-				lower = histBounds[i-1]
-			}
-			upper := histBounds[i]
-			return lower + (upper-lower)*(target-cum)/float64(c)
-		}
-		cum = next
-	}
-	return histBounds[HistBuckets-1]
-}
-
-// Mean returns the snapshot's mean observation in recorded units (0
-// when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

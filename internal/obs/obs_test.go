@@ -16,12 +16,6 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
 }
 
 // TestBucketBoundaries pins the index function to the documented edge
@@ -65,8 +59,31 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestQuantileAccuracy checks extracted quantiles stay within one
-// bucket ratio (√2) of the true value on a known distribution.
+// scrapedQuantile exposes h, parses the exposition back and extracts
+// its p-quantile, in recorded units.
+func scrapedQuantile(t *testing.T, h *Histogram, p float64) float64 {
+	t.Helper()
+	reg := NewRegistry()
+	reg.RegisterHistogram("t_q", "", "quantile", 1, h)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParsePrometheus(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buckets []Sample
+	for _, s := range FindFamily(fams, "t_q").Samples {
+		if strings.HasSuffix(s.Name, "_bucket") {
+			buckets = append(buckets, s)
+		}
+	}
+	return BucketQuantile(buckets, p)
+}
+
+// TestQuantileAccuracy checks scraped quantiles stay within one bucket
+// ratio (√2) of the true value on a known distribution.
 func TestQuantileAccuracy(t *testing.T) {
 	var h Histogram
 	// Uniform 1..10000: true p50=5000, p95=9500, p99=9900.
@@ -79,13 +96,13 @@ func TestQuantileAccuracy(t *testing.T) {
 	}{
 		{0.50, 5000}, {0.95, 9500}, {0.99, 9900},
 	} {
-		got := h.Quantile(tc.p)
+		got := scrapedQuantile(t, &h, tc.p)
 		ratio := got / tc.want
 		if ratio < 1/math.Sqrt2 || ratio > math.Sqrt2 {
 			t.Errorf("p%v = %g, want within √2 of %g", tc.p*100, got, tc.want)
 		}
 	}
-	if got := (HistSnapshot{}).Quantile(0.5); got != 0 {
+	if got := scrapedQuantile(t, &Histogram{}, 0.5); got != 0 {
 		t.Errorf("empty quantile = %g, want 0", got)
 	}
 	// A single-valued distribution must come back inside its bucket.
@@ -93,31 +110,9 @@ func TestQuantileAccuracy(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h2.Observe(1000)
 	}
-	got := h2.Quantile(0.99)
+	got := scrapedQuantile(t, &h2, 0.99)
 	if got < 1000/math.Sqrt2 || got > 1000*math.Sqrt2 {
 		t.Errorf("point-mass p99 = %g, want within √2 of 1000", got)
-	}
-}
-
-func TestHistogramMeanAndDelta(t *testing.T) {
-	var h Histogram
-	h.Observe(100)
-	h.Observe(300)
-	before := h.Snapshot()
-	if got := before.Mean(); got != 200 {
-		t.Fatalf("mean = %g, want 200", got)
-	}
-	h.Observe(700)
-	d := h.Snapshot().Delta(before)
-	if d.Count != 1 || d.Sum != 700 {
-		t.Fatalf("delta count=%d sum=%d, want 1/700", d.Count, d.Sum)
-	}
-	var total uint64
-	for _, c := range d.Counts {
-		total += c
-	}
-	if total != 1 {
-		t.Fatalf("delta bucket total = %d, want 1", total)
 	}
 }
 
@@ -149,7 +144,7 @@ func TestHistogramConcurrent(t *testing.T) {
 				t.Errorf("mid-load exposition invalid: %v", err)
 				return
 			}
-			h.Snapshot().Quantile(0.95)
+			h.Snapshot()
 		}
 	}()
 	for w := 0; w < writers; w++ {
@@ -187,9 +182,7 @@ func TestRegistryExposition(t *testing.T) {
 	c.Add(3)
 	reg.RegisterCounter("t_requests_total", Labels("endpoint", "query"), "requests", &c)
 	reg.RegisterCounterFunc("t_requests_total", Labels("endpoint", "insert"), "requests", func() float64 { return 5 })
-	var g Gauge
-	g.Set(-2)
-	reg.RegisterGauge("t_inflight", "", "inflight", &g)
+	reg.RegisterGaugeFunc("t_inflight", "", "inflight", func() float64 { return -2 })
 	reg.RegisterGaugeFunc("t_uptime_seconds", "", "uptime", func() float64 { return 1.5 })
 	var h Histogram
 	h.Observe(1000)

@@ -307,7 +307,7 @@ func checkHistogram(f Family) error {
 
 // BucketQuantile extracts the p-quantile from parsed _bucket samples of
 // one label set (cumulative counts, ascending le, +Inf included), in
-// exposed units — the scrape-side mirror of HistSnapshot.Quantile.
+// exposed units, by linear interpolation inside the target bucket.
 func BucketQuantile(buckets []Sample, p float64) float64 {
 	type edge struct{ le, cum float64 }
 	edges := make([]edge, 0, len(buckets))

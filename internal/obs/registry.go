@@ -147,11 +147,6 @@ func (r *Registry) RegisterCounterFunc(name, labels, help string, f func() float
 	r.add(name, help, kindCounter, series{labels: labels, value: f})
 }
 
-// RegisterGauge exposes g as a gauge series.
-func (r *Registry) RegisterGauge(name, labels, help string, g *Gauge) {
-	r.add(name, help, kindGauge, series{labels: labels, value: func() float64 { return float64(g.Load()) }})
-}
-
 // RegisterGaugeFunc exposes f as a gauge series; f must be safe to
 // call concurrently.
 func (r *Registry) RegisterGaugeFunc(name, labels, help string, f func() float64) {

@@ -64,16 +64,6 @@ func (r Rect) Contains(s Rect) bool {
 	return true
 }
 
-// ContainsPoint reports whether p lies within r (inclusive).
-func (r Rect) ContainsPoint(p []float64) bool {
-	for i := range r.Lo {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether r and s overlap (inclusive of boundaries).
 func (r Rect) Intersects(s Rect) bool {
 	for i := range r.Lo {
@@ -116,15 +106,6 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of edge lengths of r.
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
 // Enlargement returns how much r's area grows if expanded to cover s.
 func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
@@ -142,25 +123,6 @@ func (r Rect) MinDist(p []float64) float64 {
 		case p[i] > r.Hi[i]:
 			d = p[i] - r.Hi[i]
 		}
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() []float64 {
-	c := make([]float64, len(r.Lo))
-	for i := range r.Lo {
-		c[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return c
-}
-
-// Dist returns the Euclidean distance between points a and b.
-func Dist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
 		s += d * d
 	}
 	return math.Sqrt(s)

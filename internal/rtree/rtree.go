@@ -52,33 +52,9 @@ func New(dims, min, max int) *Tree {
 // NewDefault returns an empty tree with DefaultMin/DefaultMax fan-out.
 func NewDefault(dims int) *Tree { return New(dims, DefaultMin, DefaultMax) }
 
-// Len returns the number of stored items.
-func (t *Tree) Len() int { return t.size }
-
-// Dims returns the dimensionality.
-func (t *Tree) Dims() int { return t.dims }
-
-// Height returns the height of the tree (1 = root is a leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.entries[0].child {
-		h++
-	}
-	return h
-}
-
 // LastVisited returns the number of nodes touched by the most recent
-// Search/NearestK/SearchPoint call; the baselines use it to model I/O
-// cost.
+// Search/NearestKDims call; the baselines use it to model I/O cost.
 func (t *Tree) LastVisited() int { return t.visited }
-
-// Bounds returns the MBR of the whole tree, or ok=false when empty.
-func (t *Tree) Bounds() (Rect, bool) {
-	if t.size == 0 {
-		return Rect{}, false
-	}
-	return t.root.mbr(), true
-}
 
 // Insert adds an item with the given rectangle.
 func (t *Tree) Insert(id uint64, r Rect) {
@@ -246,11 +222,6 @@ func (t *Tree) search(n *rnode, q Rect, dst []uint64) []uint64 {
 	return dst
 }
 
-// SearchPoint appends ids of items whose rectangles contain point p.
-func (t *Tree) SearchPoint(dst []uint64, p []float64) []uint64 {
-	return t.Search(dst, PointRect(p))
-}
-
 // Neighbor is one k-NN result: an item id and its distance from the
 // query point.
 type Neighbor struct {
@@ -258,20 +229,17 @@ type Neighbor struct {
 	Dist float64
 }
 
-// NearestK returns the k items nearest to point p in ascending distance
-// order, using best-first branch-and-bound over node MinDists. The MaxD
-// pruning of §3.3.2 corresponds to the bound maintained by the priority
-// queue: a node is never expanded once its MinDist exceeds the current
-// k-th best distance.
-func (t *Tree) NearestK(p []float64, k int) []Neighbor {
-	return t.NearestKDims(p, k, nil)
-}
-
-// NearestKDims is NearestK with distance restricted to the given
-// dimension indices (nil = all dimensions). It lets callers run k-NN
-// over a query-attribute subspace of a higher-dimensional index — the
-// situation of a multi-dimensional metadata index answering a top-k
-// query that names only some attributes.
+// NearestKDims returns the k items nearest to point p in ascending
+// distance order, using best-first branch-and-bound over node MinDists.
+// The MaxD pruning of §3.3.2 corresponds to the bound maintained by the
+// priority queue: a node is never expanded once its MinDist exceeds the
+// current k-th best distance.
+//
+// Distance is restricted to the given dimension indices (nil = all
+// dimensions). That lets callers run k-NN over a query-attribute
+// subspace of a higher-dimensional index — the situation of a
+// multi-dimensional metadata index answering a top-k query that names
+// only some attributes.
 func (t *Tree) NearestKDims(p []float64, k int, dims []int) []Neighbor {
 	t.visited = 0
 	if k <= 0 || t.size == 0 {
@@ -329,99 +297,6 @@ func (t *Tree) NearestKDims(p []float64, k int, dims []int) []Neighbor {
 		}
 	}
 	return out
-}
-
-// Delete removes the item with the given id whose stored rectangle
-// intersects r, reporting whether it was found. Underfull nodes are
-// condensed: their remaining entries are reinserted, per Guttman.
-func (t *Tree) Delete(id uint64, r Rect) bool {
-	var orphans []entry
-	found := t.delete(t.root, id, r, &orphans)
-	if !found {
-		return false
-	}
-	t.size--
-	// Collapse a non-leaf root with one child.
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
-	}
-	if !t.root.leaf && len(t.root.entries) == 0 {
-		t.root = &rnode{leaf: true}
-	}
-	// Reinsert orphaned leaf entries.
-	for _, e := range orphans {
-		split := t.insert(t.root, e, 1)
-		if split != nil {
-			old := t.root
-			t.root = &rnode{
-				leaf: false,
-				entries: []entry{
-					{rect: old.mbr(), child: old},
-					{rect: split.mbr(), child: split},
-				},
-			}
-		}
-	}
-	return true
-}
-
-func (t *Tree) delete(n *rnode, id uint64, r Rect, orphans *[]entry) bool {
-	if n.leaf {
-		for i, e := range n.entries {
-			if e.id == id && e.rect.Intersects(r) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				return true
-			}
-		}
-		return false
-	}
-	for i, e := range n.entries {
-		if !e.rect.Intersects(r) {
-			continue
-		}
-		if t.delete(e.child, id, r, orphans) {
-			child := e.child
-			if len(child.entries) < t.min && n != t.root {
-				// Condense: orphan the child's leaf entries for reinsertion.
-				collectLeafEntries(child, orphans)
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			} else if len(child.entries) == 0 {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			} else {
-				n.entries[i].rect = child.mbr()
-			}
-			return true
-		}
-	}
-	return false
-}
-
-func collectLeafEntries(n *rnode, out *[]entry) {
-	if n.leaf {
-		*out = append(*out, n.entries...)
-		return
-	}
-	for _, e := range n.entries {
-		collectLeafEntries(e.child, out)
-	}
-}
-
-// CountNodes returns (leafNodes, indexNodes) — the NO(I) statistic the
-// automatic-configuration heuristic of §2.4 compares across trees.
-func (t *Tree) CountNodes() (leaves, internals int) {
-	var walk func(n *rnode)
-	walk = func(n *rnode) {
-		if n.leaf {
-			leaves++
-			return
-		}
-		internals++
-		for _, e := range n.entries {
-			walk(e.child)
-		}
-	}
-	walk(t.root)
-	return leaves, internals
 }
 
 // SizeBytes estimates the in-memory footprint for Fig. 7 space

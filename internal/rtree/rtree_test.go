@@ -10,6 +10,16 @@ import (
 
 func pt(xs ...float64) []float64 { return xs }
 
+// dist is the Euclidean distance between points a and b.
+func dist(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
+}
+
 func TestRectNormalization(t *testing.T) {
 	r := NewRect(pt(5, 1), pt(1, 5))
 	if r.Lo[0] != 1 || r.Hi[0] != 5 || r.Lo[1] != 1 || r.Hi[1] != 5 {
@@ -44,8 +54,8 @@ func TestRectContainsIntersects(t *testing.T) {
 	if !outer.Intersects(touching) {
 		t.Fatal("boundary touch should intersect")
 	}
-	if !outer.ContainsPoint(pt(10, 10)) || outer.ContainsPoint(pt(10.1, 0)) {
-		t.Fatal("ContainsPoint wrong")
+	if !outer.Contains(PointRect(pt(10, 10))) || outer.Contains(PointRect(pt(10.1, 0))) {
+		t.Fatal("Contains wrong for a point on or past the boundary")
 	}
 }
 
@@ -58,9 +68,6 @@ func TestRectUnionAreaMargin(t *testing.T) {
 	}
 	if a.Area() != 1 || u.Area() != 9 {
 		t.Fatalf("areas = %v/%v, want 1/9", a.Area(), u.Area())
-	}
-	if a.Margin() != 2 {
-		t.Fatalf("margin = %v, want 2", a.Margin())
 	}
 	if got := a.Enlargement(b); got != 8 {
 		t.Fatalf("enlargement = %v, want 8", got)
@@ -77,17 +84,6 @@ func TestRectMinDist(t *testing.T) {
 	}
 	if d := r.MinDist(pt(5, 6)); math.Abs(d-5) > 1e-12 {
 		t.Fatalf("corner MinDist = %v, want 5", d)
-	}
-}
-
-func TestRectCenterDist(t *testing.T) {
-	r := NewRect(pt(0, 0), pt(4, 2))
-	c := r.Center()
-	if c[0] != 2 || c[1] != 1 {
-		t.Fatalf("center = %v", c)
-	}
-	if Dist(pt(0, 0), pt(3, 4)) != 5 {
-		t.Fatal("Dist wrong")
 	}
 }
 
@@ -118,8 +114,8 @@ func TestInsertSearchBasic(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Search = %v, want [1 2]", got)
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
+	if tr.size != 3 {
+		t.Fatalf("size = %d, want 3", tr.size)
 	}
 }
 
@@ -128,8 +124,8 @@ func TestSearchEmptyTree(t *testing.T) {
 	if got := tr.Search(nil, NewRect(pt(0, 0), pt(1, 1))); got != nil {
 		t.Fatalf("Search on empty = %v", got)
 	}
-	if nn := tr.NearestK(pt(0, 0), 3); nn != nil {
-		t.Fatalf("NearestK on empty = %v", nn)
+	if nn := tr.NearestKDims(pt(0, 0), 3, nil); nn != nil {
+		t.Fatalf("NearestKDims on empty = %v", nn)
 	}
 }
 
@@ -138,8 +134,12 @@ func TestGrowthAndHeight(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tr.Insert(uint64(i), PointRect(pt(float64(i%25), float64(i/25))))
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("height = %d, expected deep tree with M=4", tr.Height())
+	height := 1
+	for n := tr.root; !n.leaf; n = n.entries[0].child {
+		height++
+	}
+	if height < 3 {
+		t.Fatalf("height = %d, expected deep tree with M=4", height)
 	}
 	all := tr.Search(nil, NewRect(pt(-1, -1), pt(100, 100)))
 	if len(all) != 500 {
@@ -152,16 +152,16 @@ func TestNearestKOrdering(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Insert(uint64(i), PointRect(pt(float64(i), 0)))
 	}
-	nn := tr.NearestK(pt(10.2, 0), 3)
+	nn := tr.NearestKDims(pt(10.2, 0), 3, nil)
 	if len(nn) != 3 {
-		t.Fatalf("NearestK returned %d, want 3", len(nn))
+		t.Fatalf("NearestKDims returned %d, want 3", len(nn))
 	}
 	if nn[0].ID != 10 {
 		t.Fatalf("nearest = %d, want 10", nn[0].ID)
 	}
 	for i := 1; i < len(nn); i++ {
 		if nn[i].Dist < nn[i-1].Dist {
-			t.Fatal("NearestK not in ascending distance order")
+			t.Fatal("NearestKDims not in ascending distance order")
 		}
 	}
 }
@@ -170,80 +170,29 @@ func TestNearestKMoreThanItems(t *testing.T) {
 	tr := NewDefault(2)
 	tr.Insert(1, PointRect(pt(0, 0)))
 	tr.Insert(2, PointRect(pt(1, 1)))
-	nn := tr.NearestK(pt(0, 0), 10)
+	nn := tr.NearestKDims(pt(0, 0), 10, nil)
 	if len(nn) != 2 {
-		t.Fatalf("NearestK = %d results, want 2", len(nn))
+		t.Fatalf("NearestKDims = %d results, want 2", len(nn))
 	}
 }
 
 func TestNearestKZero(t *testing.T) {
 	tr := NewDefault(2)
 	tr.Insert(1, PointRect(pt(0, 0)))
-	if nn := tr.NearestK(pt(0, 0), 0); nn != nil {
-		t.Fatalf("NearestK(0) = %v, want nil", nn)
+	if nn := tr.NearestKDims(pt(0, 0), 0, nil); nn != nil {
+		t.Fatalf("NearestKDims(0) = %v, want nil", nn)
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New(2, 2, 4)
-	for i := 0; i < 100; i++ {
-		tr.Insert(uint64(i), PointRect(pt(float64(i%10), float64(i/10))))
-	}
-	if !tr.Delete(55, PointRect(pt(5, 5))) {
-		t.Fatal("Delete existing failed")
-	}
-	if tr.Len() != 99 {
-		t.Fatalf("Len = %d after delete, want 99", tr.Len())
-	}
-	got := tr.Search(nil, PointRect(pt(5, 5)))
-	for _, id := range got {
-		if id == 55 {
-			t.Fatal("deleted id still found")
-		}
-	}
-	if tr.Delete(55, PointRect(pt(5, 5))) {
-		t.Fatal("second delete reported success")
-	}
-	// All others still reachable after condensation/reinsertion.
-	all := tr.Search(nil, NewRect(pt(-1, -1), pt(11, 11)))
-	if len(all) != 99 {
-		t.Fatalf("full search after delete = %d, want 99", len(all))
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tr := New(2, 2, 4)
-	for i := 0; i < 50; i++ {
-		tr.Insert(uint64(i), PointRect(pt(float64(i), float64(i))))
-	}
-	for i := 0; i < 50; i++ {
-		if !tr.Delete(uint64(i), PointRect(pt(float64(i), float64(i)))) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after deleting all", tr.Len())
-	}
-	if got := tr.Search(nil, NewRect(pt(-100, -100), pt(100, 100))); len(got) != 0 {
-		t.Fatalf("Search after delete-all = %v", got)
-	}
-	// Tree remains usable.
-	tr.Insert(999, PointRect(pt(1, 2)))
-	if got := tr.SearchPoint(nil, pt(1, 2)); len(got) != 1 || got[0] != 999 {
-		t.Fatalf("reuse after delete-all failed: %v", got)
-	}
-}
-
+// TestBounds: the root's MBR, which Insert and NearestKDims start from,
+// covers exactly the stored items.
 func TestBounds(t *testing.T) {
 	tr := NewDefault(2)
-	if _, ok := tr.Bounds(); ok {
-		t.Fatal("Bounds on empty should be !ok")
-	}
 	tr.Insert(1, PointRect(pt(1, 2)))
 	tr.Insert(2, PointRect(pt(5, -3)))
-	b, ok := tr.Bounds()
-	if !ok || b.Lo[0] != 1 || b.Lo[1] != -3 || b.Hi[0] != 5 || b.Hi[1] != 2 {
-		t.Fatalf("Bounds = %+v/%v", b, ok)
+	b := tr.root.mbr()
+	if b.Lo[0] != 1 || b.Lo[1] != -3 || b.Hi[0] != 5 || b.Hi[1] != 2 {
+		t.Fatalf("root MBR = %+v", b)
 	}
 }
 
@@ -251,10 +200,6 @@ func TestCountNodesAndSize(t *testing.T) {
 	tr := New(2, 2, 4)
 	for i := 0; i < 200; i++ {
 		tr.Insert(uint64(i), PointRect(pt(float64(i%20), float64(i/20))))
-	}
-	leaves, internals := tr.CountNodes()
-	if leaves == 0 || internals == 0 {
-		t.Fatalf("CountNodes = %d/%d", leaves, internals)
 	}
 	if tr.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes must be positive")
@@ -287,7 +232,7 @@ func TestPropertySearchMatchesLinear(t *testing.T) {
 		got := tr.Search(nil, q)
 		want := map[uint64]bool{}
 		for _, it := range items {
-			if q.ContainsPoint(it.p) {
+			if q.Contains(PointRect(it.p)) {
 				want[it.id] = true
 			}
 		}
@@ -306,7 +251,7 @@ func TestPropertySearchMatchesLinear(t *testing.T) {
 	}
 }
 
-// Property: NearestK agrees with the exact k smallest distances from a
+// Property: NearestKDims agrees with the exact k smallest distances from a
 // linear scan.
 func TestPropertyNearestKExact(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -321,10 +266,10 @@ func TestPropertyNearestKExact(t *testing.T) {
 		q := pt(rng.Float64()*50, rng.Float64()*50)
 		k := 1 + int(rng.Uint64()%10)
 
-		got := tr.NearestK(q, k)
+		got := tr.NearestKDims(q, k, nil)
 		dists := make([]float64, len(pts))
 		for i, p := range pts {
-			dists[i] = Dist(p, q)
+			dists[i] = dist(p, q)
 		}
 		sort.Float64s(dists)
 		if len(got) != k {
@@ -338,42 +283,6 @@ func TestPropertyNearestKExact(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: insert followed by delete of random subsets preserves exactly
-// the surviving ids.
-func TestPropertyInsertDelete(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed+13))
-		tr := New(2, 2, 4)
-		pts := make(map[uint64][]float64)
-		for i := 0; i < 120; i++ {
-			p := pt(float64(rng.Uint64()%30), float64(rng.Uint64()%30))
-			pts[uint64(i)] = p
-			tr.Insert(uint64(i), PointRect(p))
-		}
-		for id, p := range pts {
-			if rng.Float64() < 0.5 {
-				if !tr.Delete(id, PointRect(p)) {
-					return false
-				}
-				delete(pts, id)
-			}
-		}
-		got := tr.Search(nil, NewRect(pt(-1, -1), pt(31, 31)))
-		if len(got) != len(pts) {
-			return false
-		}
-		for _, id := range got {
-			if _, ok := pts[id]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -409,6 +318,6 @@ func BenchmarkNearestK(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.NearestK(pt(0.5, 0.5, 0.5), 8)
+		tr.NearestKDims(pt(0.5, 0.5, 0.5), 8, nil)
 	}
 }

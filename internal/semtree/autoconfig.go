@@ -139,23 +139,6 @@ func (f *Forest) SelectTree(queried []metadata.Attr) *Tree {
 	return f.Full
 }
 
-// Trees returns every tree in the forest, full tree first.
-func (f *Forest) Trees() []*Tree {
-	out := []*Tree{f.Full}
-	out = append(out, f.Specialized...)
-	return out
-}
-
-// SizeBytes returns the total index footprint of the forest — the
-// storage-space side of the §2.4 tradeoff.
-func (f *Forest) SizeBytes() int {
-	total := 0
-	for _, t := range f.Trees() {
-		total += t.SizeBytes()
-	}
-	return total
-}
-
 // SubsetKey renders an attribute subset as a stable string key.
 func SubsetKey(attrs []metadata.Attr) string {
 	names := make([]string, len(attrs))

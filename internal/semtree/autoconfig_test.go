@@ -22,9 +22,6 @@ func TestAutoConfigureKeepsFullTree(t *testing.T) {
 	if f.Kept != len(f.Specialized) {
 		t.Fatalf("Kept=%d but %d specialized trees", f.Kept, len(f.Specialized))
 	}
-	if f.SizeBytes() <= f.Full.SizeBytes() && len(f.Specialized) > 0 {
-		t.Fatal("forest size must exceed single tree when specialized trees kept")
-	}
 }
 
 func TestAutoConfigureHighThresholdKeepsFewer(t *testing.T) {
@@ -76,18 +73,6 @@ func TestSelectTreeNoExtraneousDims(t *testing.T) {
 	}
 }
 
-func TestTreesIncludesAll(t *testing.T) {
-	set := testCorpus(t, 200, 113)
-	units := PlaceSemantic(set.Files, 6, set.Norm, metadata.AllAttrs())
-	f := AutoConfigure(units, set.Norm, Config{}, nil, 0.0001)
-	if len(f.Trees()) != 1+len(f.Specialized) {
-		t.Fatalf("Trees() = %d, want %d", len(f.Trees()), 1+len(f.Specialized))
-	}
-	if f.Trees()[0] != f.Full {
-		t.Fatal("Trees()[0] should be the full tree")
-	}
-}
-
 func TestSubsetKeyStable(t *testing.T) {
 	a := SubsetKey([]metadata.Attr{metadata.AttrCTime, metadata.AttrSize})
 	b := SubsetKey([]metadata.Attr{metadata.AttrSize, metadata.AttrCTime})
@@ -111,7 +96,7 @@ func TestSpecializedTreeAnswersQueriesCorrectly(t *testing.T) {
 	units := PlaceSemantic(set.Files, 8, set.Norm, metadata.AllAttrs())
 	subsets := [][]metadata.Attr{{metadata.AttrSize}}
 	f := AutoConfigure(units, set.Norm, Config{}, subsets, 0.0001)
-	for _, tr := range f.Trees() {
+	for _, tr := range append([]*Tree{f.Full}, f.Specialized...) {
 		if tr.TotalFiles() != 500 {
 			t.Fatalf("tree %v holds %d files, want 500", tr.Attrs, tr.TotalFiles())
 		}

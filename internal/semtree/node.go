@@ -80,15 +80,6 @@ func (n *Node) refreshUp(norm *metadata.Normalizer, attrs []metadata.Attr) {
 	}
 }
 
-// subtreeSize returns the number of nodes in the subtree rooted at n.
-func (n *Node) subtreeSize() int {
-	s := 1
-	for _, c := range n.Children {
-		s += c.subtreeSize()
-	}
-	return s
-}
-
 // height returns the height of the subtree rooted at n (leaf = 1).
 func (n *Node) height() int {
 	if n.IsLeaf() {

@@ -28,15 +28,6 @@ type QueryStats struct {
 	BloomChecks int
 }
 
-// Hops returns the routing distance of the query in groups beyond the
-// first (Fig. 8's x-axis).
-func (s QueryStats) Hops() int {
-	if s.GroupsTouched <= 1 {
-		return 0
-	}
-	return s.GroupsTouched - 1
-}
-
 // RangeQuery answers a multi-dimensional range query (§3.3.1) by
 // descending every subtree whose MBR intersects the query rectangle and
 // scanning the files of intersecting storage units.
@@ -373,20 +364,6 @@ func (t *Tree) RequestVectorRange(q query.Range) []float64 {
 		for j, qa := range q.Attrs {
 			if qa == a {
 				v[i] = (t.Norm.Value(a, q.Lo[j]) + t.Norm.Value(a, q.Hi[j])) / 2
-			}
-		}
-	}
-	return v
-}
-
-// RequestVectorTopK summarizes a top-k query as a request vector.
-func (t *Tree) RequestVectorTopK(q query.TopK) []float64 {
-	v := make([]float64, len(t.Attrs))
-	for i, a := range t.Attrs {
-		v[i] = 0.5
-		for j, qa := range q.Attrs {
-			if qa == a {
-				v[i] = t.Norm.Value(a, q.Point[j])
 			}
 		}
 	}

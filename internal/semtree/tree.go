@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lsi"
 	"repro/internal/metadata"
 )
 
@@ -240,38 +239,6 @@ func (t *Tree) SizeBytes() int {
 	return size
 }
 
-// InsertUnit adds a new storage unit to the tree (§3.2.1): the most
-// closely related first-level group is located by LSI correlation over
-// semantic vectors, admission-checked against the threshold, and the
-// unit joins it (or the best-correlated group when none admits it).
-// MBRs, filters and vectors are updated on the path to the root, and an
-// overflowing group is split (§4.1).
-func (t *Tree) InsertUnit(u *StorageUnit) *Node {
-	validateUnitID(u.ID)
-	leaf := &Node{ID: t.nextID(), Level: 0, Unit: u}
-	leaf.refresh(t.Norm, t.Attrs)
-	t.leaves = append(t.leaves, leaf)
-
-	groups := t.FirstLevelIndexUnits()
-	if len(groups) == 1 && groups[0] == t.Root && t.Root.IsLeaf() {
-		// Degenerate single-leaf tree: create a root index unit.
-		old := t.Root
-		root := &Node{ID: t.nextID(), Level: 1, Children: []*Node{old, leaf}}
-		old.Parent = root
-		leaf.Parent = root
-		root.refresh(t.Norm, t.Attrs)
-		t.Root = root
-		return leaf
-	}
-
-	best := t.bestGroup(groups, leaf.Vector)
-	best.Children = append(best.Children, leaf)
-	leaf.Parent = best
-	leaf.refreshUp(t.Norm, t.Attrs)
-	t.splitIfNeeded(best)
-	return leaf
-}
-
 // bestGroup returns the group most semantically correlated with v under
 // the §1.1 correlation measure: minimum Euclidean distance to the group
 // centroid in the normalized attribute subspace. (Cosine similarity is
@@ -294,182 +261,6 @@ func (t *Tree) bestGroup(groups []*Node, v []float64) *Node {
 		}
 	}
 	return best
-}
-
-// splitIfNeeded splits a node exceeding M children into two by vector
-// similarity, propagating overflow upward (§4.1).
-func (t *Tree) splitIfNeeded(n *Node) {
-	for n != nil && len(n.Children) > t.Config.MaxChildren {
-		g1, g2 := splitBySimilarity(n.Children)
-		if n.Parent == nil {
-			// Split the root: grow the tree by one level.
-			a := &Node{ID: t.nextID(), Level: n.Level, Children: g1}
-			b := &Node{ID: t.nextID(), Level: n.Level, Children: g2}
-			for _, c := range g1 {
-				c.Parent = a
-			}
-			for _, c := range g2 {
-				c.Parent = b
-			}
-			a.refresh(t.Norm, t.Attrs)
-			b.refresh(t.Norm, t.Attrs)
-			root := &Node{ID: t.nextID(), Level: n.Level + 1, Children: []*Node{a, b}}
-			a.Parent = root
-			b.Parent = root
-			root.refresh(t.Norm, t.Attrs)
-			t.Root = root
-			return
-		}
-		parent := n.Parent
-		n.Children = g1
-		for _, c := range g1 {
-			c.Parent = n
-		}
-		sib := &Node{ID: t.nextID(), Level: n.Level, Children: g2}
-		for _, c := range g2 {
-			c.Parent = sib
-		}
-		n.refresh(t.Norm, t.Attrs)
-		sib.refresh(t.Norm, t.Attrs)
-		sib.Parent = parent
-		parent.Children = append(parent.Children, sib)
-		parent.refreshUp(t.Norm, t.Attrs)
-		n = parent
-	}
-}
-
-// splitBySimilarity partitions children into two groups seeded by the
-// least-similar pair (the semantic analogue of Guttman's PickSeeds).
-func splitBySimilarity(children []*Node) (g1, g2 []*Node) {
-	s1, s2 := 0, 1
-	worst := 2.0
-	for i := 0; i < len(children); i++ {
-		for j := i + 1; j < len(children); j++ {
-			if s := lsi.DistanceCorrelation(children[i].Vector, children[j].Vector); s < worst {
-				worst, s1, s2 = s, i, j
-			}
-		}
-	}
-	g1 = append(g1, children[s1])
-	g2 = append(g2, children[s2])
-	for i, c := range children {
-		if i == s1 || i == s2 {
-			continue
-		}
-		a := lsi.DistanceCorrelation(c.Vector, children[s1].Vector)
-		b := lsi.DistanceCorrelation(c.Vector, children[s2].Vector)
-		// Keep groups balanced when similarity doesn't discriminate.
-		switch {
-		case a > b && len(g1) <= len(g2)+1:
-			g1 = append(g1, c)
-		case b > a && len(g2) <= len(g1)+1:
-			g2 = append(g2, c)
-		case len(g1) <= len(g2):
-			g1 = append(g1, c)
-		default:
-			g2 = append(g2, c)
-		}
-	}
-	return g1, g2
-}
-
-// DeleteUnit removes a storage unit from the tree (§3.2.2), adjusting
-// group vectors and MBRs, merging an underflowing group into its
-// sibling, and propagating height adjustment upward. It reports whether
-// the unit was found.
-func (t *Tree) DeleteUnit(id int) bool {
-	var leaf *Node
-	for i, l := range t.leaves {
-		if l.Unit.ID == id {
-			leaf = l
-			t.leaves = append(t.leaves[:i], t.leaves[i+1:]...)
-			break
-		}
-	}
-	if leaf == nil {
-		return false
-	}
-	if leaf.Parent == nil {
-		panic("semtree: cannot delete the last storage unit")
-	}
-	parent := leaf.Parent
-	for i, c := range parent.Children {
-		if c == leaf {
-			parent.Children = append(parent.Children[:i], parent.Children[i+1:]...)
-			break
-		}
-	}
-	parent.refreshUp(t.Norm, t.Attrs)
-	t.mergeIfNeeded(parent)
-	return true
-}
-
-// mergeIfNeeded merges a node with fewer than m children into its most
-// similar sibling (§3.2.2, §4.1) and collapses single-child chains.
-func (t *Tree) mergeIfNeeded(n *Node) {
-	for n != nil && n.Parent != nil && len(n.Children) < t.Config.MinChildren {
-		parent := n.Parent
-		// Find the most semantically similar sibling.
-		var sib *Node
-		bestSim := -1.0
-		for _, c := range parent.Children {
-			if c == n {
-				continue
-			}
-			if s := lsi.DistanceCorrelation(c.Vector, n.Vector); s > bestSim {
-				sib, bestSim = c, s
-			}
-		}
-		if sib == nil {
-			// n is the only child: collapse the parent ("when a group
-			// becomes a child node of its former grandparent ... its
-			// height adjustment is propagated upwardly").
-			t.replaceChild(parent, n)
-			n = parent.Parent
-			continue
-		}
-		// Move n's children into the sibling.
-		sib.Children = append(sib.Children, n.Children...)
-		for _, c := range n.Children {
-			c.Parent = sib
-		}
-		t.removeChild(parent, n)
-		sib.refresh(t.Norm, t.Attrs)
-		t.splitIfNeeded(sib)
-		parent.refreshUp(t.Norm, t.Attrs)
-		n = parent
-	}
-	// Collapse a root with a single non-leaf child.
-	for !t.Root.IsLeaf() && len(t.Root.Children) == 1 {
-		t.Root = t.Root.Children[0]
-		t.Root.Parent = nil
-	}
-}
-
-func (t *Tree) replaceChild(parent, child *Node) {
-	grand := parent.Parent
-	if grand == nil {
-		t.Root = child
-		child.Parent = nil
-		return
-	}
-	for i, c := range grand.Children {
-		if c == parent {
-			grand.Children[i] = child
-			child.Parent = grand
-			grand.refreshUp(t.Norm, t.Attrs)
-			return
-		}
-	}
-}
-
-func (t *Tree) removeChild(parent, child *Node) {
-	for i, c := range parent.Children {
-		if c == child {
-			parent.Children = append(parent.Children[:i], parent.Children[i+1:]...)
-			return
-		}
-	}
 }
 
 // InsertFile routes a file to the storage unit whose centroid is

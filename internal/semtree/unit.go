@@ -8,7 +8,6 @@
 package semtree
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/bloom"
@@ -179,10 +178,4 @@ func normalizedMinDist(n *metadata.Normalizer, r rtree.Rect, attrs []metadata.At
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-func validateUnitID(id int) {
-	if id < 0 {
-		panic(fmt.Sprintf("semtree: negative unit id %d", id))
-	}
 }

@@ -105,8 +105,8 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// Sim is one simulation run: an event queue, a virtual clock, and
-// per-run message/byte counters.
+// Sim is one simulation run: an event queue, a virtual clock, and a
+// per-run message counter.
 type Sim struct {
 	Cost CostModel
 
@@ -114,7 +114,6 @@ type Sim struct {
 	seq      uint64
 	events   eventHeap
 	messages int64
-	bytes    int64
 	nodes    []*Node
 }
 
@@ -126,41 +125,27 @@ func New(n int, cost CostModel) *Sim {
 	s := &Sim{Cost: cost}
 	s.nodes = make([]*Node, n)
 	for i := range s.nodes {
-		s.nodes[i] = &Node{id: i, sim: s}
+		s.nodes[i] = &Node{sim: s}
 	}
 	return s
 }
 
 // Node is one storage server in the simulated cluster.
 type Node struct {
-	id   int
 	sim  *Sim
 	busy Time // the node is serially busy until this time
 }
 
-// ID returns the node's index.
-func (n *Node) ID() int { return n.id }
-
-// Nodes returns the simulator's node list.
-func (s *Sim) Nodes() []*Node { return s.nodes }
-
 // Node returns node i.
 func (s *Sim) Node(i int) *Node { return s.nodes[i] }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() Time { return s.now }
 
 // Messages returns the number of messages sent since the last
 // ResetCounters.
 func (s *Sim) Messages() int64 { return s.messages }
 
-// BytesSent returns the number of bytes sent since the last
-// ResetCounters.
-func (s *Sim) BytesSent() int64 { return s.bytes }
-
-// ResetCounters zeroes the message and byte counters (per-experiment
+// ResetCounters zeroes the message counter (per-experiment
 // accounting).
-func (s *Sim) ResetCounters() { s.messages, s.bytes = 0, 0 }
+func (s *Sim) ResetCounters() { s.messages = 0 }
 
 // Schedule runs fn after delay of virtual time. Negative delays are
 // clamped to zero.
@@ -188,7 +173,6 @@ func (s *Sim) Run() Time {
 func (n *Node) Send(dst *Node, size int, fn func(at *Node)) {
 	s := n.sim
 	s.messages++
-	s.bytes += int64(size)
 	s.Schedule(s.Cost.TransferTime(size), func() { fn(dst) })
 }
 

@@ -64,12 +64,6 @@ type UnitRecord struct {
 	Files []metadata.File
 }
 
-// Capture extracts a single-shard snapshot from a built tree with a
-// zero epoch.
-func Capture(t *semtree.Tree) *Snapshot {
-	return CaptureShards([]*semtree.Tree{t}, nil)
-}
-
 // CaptureShards extracts a snapshot from one tree per shard, stamping
 // each shard record with its mutation epoch at capture (epochs may be
 // nil for zero epochs — a deployment without a WAL). All trees must
@@ -148,20 +142,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 // ShardCount returns the number of persisted shards.
 func (s *Snapshot) ShardCount() int { return len(s.Shards) }
 
-// Restore rebuilds the semantic R-tree of a single-shard snapshot. It
-// errors when the snapshot holds more than one shard — multi-shard
-// callers use RestoreShards.
-func (s *Snapshot) Restore() (*semtree.Tree, error) {
-	trees, err := s.RestoreShards()
-	if err != nil {
-		return nil, err
-	}
-	if len(trees) != 1 {
-		return nil, fmt.Errorf("snapshot: %d shards, want 1 (use RestoreShards)", len(trees))
-	}
-	return trees[0], nil
-}
-
 // RestoreShards rebuilds one semantic R-tree per persisted shard. Each
 // tree is structurally regenerated (grouping is deterministic given the
 // same units, normalizer and config), so every persisted file is
@@ -199,15 +179,4 @@ func (s *Snapshot) RestoreShards() ([]*semtree.Tree, error) {
 		trees[i] = tree
 	}
 	return trees, nil
-}
-
-// FileCount returns the number of persisted file records.
-func (s *Snapshot) FileCount() int {
-	n := 0
-	for _, sh := range s.Shards {
-		for _, u := range sh.Units {
-			n += len(u.Files)
-		}
-	}
-	return n
 }

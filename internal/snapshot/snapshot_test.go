@@ -21,11 +21,22 @@ func buildTree(t *testing.T, n, units int, seed uint64) (*semtree.Tree, *trace.S
 	return semtree.Build(us, set.Norm, semtree.Config{Attrs: attrs}), set
 }
 
+// fileCount returns the number of persisted file records.
+func fileCount(s *Snapshot) int {
+	n := 0
+	for _, sh := range s.Shards {
+		for _, u := range sh.Units {
+			n += len(u.Files)
+		}
+	}
+	return n
+}
+
 func TestRoundTrip(t *testing.T) {
 	tree, set := buildTree(t, 400, 8, 1)
-	snap := Capture(tree)
-	if snap.FileCount() != 400 {
-		t.Fatalf("FileCount = %d, want 400", snap.FileCount())
+	snap := CaptureShards([]*semtree.Tree{tree}, nil)
+	if n := fileCount(snap); n != 400 {
+		t.Fatalf("captured %d files, want 400", n)
 	}
 
 	var buf bytes.Buffer
@@ -36,10 +47,11 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := back.Restore()
+	trees, err := back.RestoreShards()
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := trees[0]
 	if restored.TotalFiles() != 400 {
 		t.Fatalf("restored files = %d, want 400", restored.TotalFiles())
 	}
@@ -77,17 +89,18 @@ func TestRoundTrip(t *testing.T) {
 func TestRestoredAnswersMatchOriginal(t *testing.T) {
 	tree, set := buildTree(t, 500, 10, 3)
 	var buf bytes.Buffer
-	if err := Capture(tree).Write(&buf); err != nil {
+	if err := CaptureShards([]*semtree.Tree{tree}, nil).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := snap.Restore()
+	trees, err := snap.RestoreShards()
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := trees[0]
 	gen := trace.NewQueryGen(set, stats.Zipf, nil, 5)
 	for i := 0; i < 25; i++ {
 		q := gen.Range(0.08)
@@ -110,7 +123,7 @@ func TestRestoredAnswersMatchOriginal(t *testing.T) {
 
 func TestReadRejectsBadVersion(t *testing.T) {
 	tree, _ := buildTree(t, 50, 4, 7)
-	snap := Capture(tree)
+	snap := CaptureShards([]*semtree.Tree{tree}, nil)
 	snap.Version = 99
 	var buf bytes.Buffer
 	if err := snap.Write(&buf); err != nil {
@@ -140,7 +153,7 @@ func TestReadRejectsEmptyUnits(t *testing.T) {
 
 func TestCaptureIsDeepCopy(t *testing.T) {
 	tree, set := buildTree(t, 100, 4, 9)
-	snap := Capture(tree)
+	snap := CaptureShards([]*semtree.Tree{tree}, nil)
 	// Mutating the live tree must not affect the captured snapshot.
 	orig := snap.Shards[0].Units[0].Files[0].Attrs
 	set.Files[0].Attrs[0] = -12345
@@ -170,7 +183,7 @@ func TestShardEpochsRoundTrip(t *testing.T) {
 // otherwise well-formed — and asserts Read refuses both by version.
 func TestReadRefusesOldEnvelopes(t *testing.T) {
 	tree, _ := buildTree(t, 120, 4, 13)
-	cur := Capture(tree)
+	cur := CaptureShards([]*semtree.Tree{tree}, nil)
 	type v1Envelope struct {
 		Version int
 		Attrs   []metadata.Attr
@@ -201,8 +214,8 @@ func TestMultiShardRoundTrip(t *testing.T) {
 	t1, _ := buildTree(t, 200, 4, 21)
 	t2, _ := buildTree(t, 300, 6, 22)
 	snap := CaptureShards([]*semtree.Tree{t1, t2}, []uint64{7, 9})
-	if snap.ShardCount() != 2 || snap.FileCount() != 500 {
-		t.Fatalf("captured %d shards / %d files, want 2 / 500", snap.ShardCount(), snap.FileCount())
+	if snap.ShardCount() != 2 || fileCount(snap) != 500 {
+		t.Fatalf("captured %d shards / %d files, want 2 / 500", snap.ShardCount(), fileCount(snap))
 	}
 	var buf bytes.Buffer
 	if err := snap.Write(&buf); err != nil {
@@ -222,10 +235,5 @@ func TestMultiShardRoundTrip(t *testing.T) {
 	if trees[0].TotalFiles() != 200 || trees[1].TotalFiles() != 300 {
 		t.Fatalf("shard assignment did not round-trip: %d/%d files",
 			trees[0].TotalFiles(), trees[1].TotalFiles())
-	}
-	// Restore on a multi-shard snapshot must refuse rather than drop
-	// shards silently.
-	if _, err := back.Restore(); err == nil {
-		t.Fatal("single-tree Restore accepted a multi-shard snapshot")
 	}
 }

@@ -51,56 +51,6 @@ func (d Distribution) String() string {
 // tables report them.
 var Distributions = []Distribution{Uniform, Gauss, Zipf}
 
-// Sampler draws values in [lo, hi] under a given distribution.
-type Sampler struct {
-	dist Distribution
-	rng  *rand.Rand
-	zipf *ZipfGen
-}
-
-// NewSampler returns a sampler for dist backed by rng. The Zipf variant
-// uses skew s=1.1 over 1024 buckets spread across the range, matching
-// the heavy skew of file-system metadata reported in §1.1.
-func NewSampler(dist Distribution, rng *rand.Rand) *Sampler {
-	s := &Sampler{dist: dist, rng: rng}
-	if dist == Zipf {
-		s.zipf = NewZipfGen(rng, 1.1, 1024)
-	}
-	return s
-}
-
-// Sample draws one value in [lo, hi].
-func (s *Sampler) Sample(lo, hi float64) float64 {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	span := hi - lo
-	if span == 0 {
-		return lo
-	}
-	switch s.dist {
-	case Gauss:
-		v := lo + span/2 + s.rng.NormFloat64()*span/6
-		return clamp(v, lo, hi)
-	case Zipf:
-		b := s.zipf.Next()
-		frac := (float64(b) + s.rng.Float64()) / float64(s.zipf.N())
-		return lo + frac*span
-	default:
-		return lo + s.rng.Float64()*span
-	}
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // ZipfGen draws integers in [0, n) with P(k) ∝ 1/(k+1)^s using inverse
 // transform sampling over the precomputed CDF. It is valid for any s>0
 // (unlike stdlib rand.Zipf which requires s>1).
@@ -126,10 +76,7 @@ func NewZipfGen(rng *rand.Rand, s float64, n int) *ZipfGen {
 	return &ZipfGen{rng: rng, cdf: cdf}
 }
 
-// N returns the number of buckets.
-func (z *ZipfGen) N() int { return len(z.cdf) }
-
-// Next draws the next Zipf-distributed integer in [0, N()).
+// Next draws the next Zipf-distributed integer in [0, n).
 func (z *ZipfGen) Next() int {
 	u := z.rng.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
@@ -163,26 +110,15 @@ func Recall(truth, answer []uint64) float64 {
 
 // Summary aggregates a series of float64 observations.
 type Summary struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
+	n   int
+	sum float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
 }
-
-// N returns the number of observations recorded.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (s *Summary) Mean() float64 {
@@ -194,25 +130,6 @@ func (s *Summary) Mean() float64 {
 
 // Sum returns the total of all observations.
 func (s *Summary) Sum() float64 { return s.sum }
-
-// Min returns the smallest observation, or 0 when empty.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 when empty.
-func (s *Summary) Max() float64 { return s.max }
-
-// StdDev returns the population standard deviation, or 0 when n < 2.
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
 
 // Histogram counts observations into fixed integer buckets; bucket i
 // counts values equal to i, with values ≥ len(counts)-1 clamped into the
@@ -242,12 +159,6 @@ func (h *Histogram) Add(v int) {
 	h.counts[v]++
 	h.total++
 }
-
-// Count returns the number of observations in bucket i.
-func (h *Histogram) Count(i int) int { return h.counts[i] }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
 
 // Fraction returns bucket i's share of all observations, or 0 when empty.
 func (h *Histogram) Fraction(i int) float64 {

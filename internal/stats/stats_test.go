@@ -38,59 +38,6 @@ func TestDistributionString(t *testing.T) {
 	}
 }
 
-func TestSamplerInRange(t *testing.T) {
-	for _, d := range Distributions {
-		s := NewSampler(d, NewRNG(uint64(d)+1))
-		for i := 0; i < 2000; i++ {
-			v := s.Sample(10, 20)
-			if v < 10 || v > 20 {
-				t.Fatalf("%v sample %v outside [10,20]", d, v)
-			}
-		}
-	}
-}
-
-func TestSamplerDegenerateRange(t *testing.T) {
-	s := NewSampler(Uniform, NewRNG(1))
-	if v := s.Sample(5, 5); v != 5 {
-		t.Fatalf("Sample(5,5) = %v, want 5", v)
-	}
-	// Reversed bounds should be tolerated.
-	v := s.Sample(20, 10)
-	if v < 10 || v > 20 {
-		t.Fatalf("reversed-bounds sample %v outside [10,20]", v)
-	}
-}
-
-func TestGaussConcentratesMidRange(t *testing.T) {
-	s := NewSampler(Gauss, NewRNG(7))
-	var sum Summary
-	for i := 0; i < 5000; i++ {
-		sum.Add(s.Sample(0, 100))
-	}
-	if m := sum.Mean(); math.Abs(m-50) > 3 {
-		t.Fatalf("Gauss mean = %v, want ≈50", m)
-	}
-	if sd := sum.StdDev(); sd > 25 {
-		t.Fatalf("Gauss stddev = %v, want well under uniform's ~28.9", sd)
-	}
-}
-
-func TestZipfSkewsLow(t *testing.T) {
-	s := NewSampler(Zipf, NewRNG(9))
-	low := 0
-	n := 5000
-	for i := 0; i < n; i++ {
-		if s.Sample(0, 100) < 20 {
-			low++
-		}
-	}
-	// Under Zipf skew far more than 20% of the mass is in the low fifth.
-	if frac := float64(low) / float64(n); frac < 0.5 {
-		t.Fatalf("Zipf low-fifth fraction = %v, want > 0.5", frac)
-	}
-}
-
 func TestZipfGenMonotoneCDF(t *testing.T) {
 	z := NewZipfGen(NewRNG(3), 1.0, 64)
 	counts := make([]int, 64)
@@ -166,23 +113,17 @@ func TestRecallPropertySupersetAnswer(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 {
+	if s.Mean() != 0 {
 		t.Fatal("empty summary should be zero-valued")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d, want 8", s.N())
+	if s.n != 8 {
+		t.Fatalf("n = %d, want 8", s.n)
 	}
 	if s.Mean() != 5 {
 		t.Fatalf("Mean = %v, want 5", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-	if math.Abs(s.StdDev()-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, want 2", s.StdDev())
 	}
 	if s.Sum() != 40 {
 		t.Fatalf("Sum = %v, want 40", s.Sum())
@@ -194,14 +135,14 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{0, 0, 1, 2, 5, -1} {
 		h.Add(v)
 	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", h.Total())
+	if h.total != 6 {
+		t.Fatalf("total = %d, want 6", h.total)
 	}
-	if h.Count(0) != 3 { // two zeros + clamped -1
-		t.Fatalf("Count(0) = %d, want 3", h.Count(0))
+	if h.counts[0] != 3 { // two zeros + clamped -1
+		t.Fatalf("counts[0] = %d, want 3", h.counts[0])
 	}
-	if h.Count(2) != 2 { // one 2 + clamped 5
-		t.Fatalf("Count(2) = %d, want 2", h.Count(2))
+	if h.counts[2] != 2 { // one 2 + clamped 5
+		t.Fatalf("counts[2] = %d, want 2", h.counts[2])
 	}
 	if got := h.Fraction(1); math.Abs(got-1.0/6) > 1e-12 {
 		t.Fatalf("Fraction(1) = %v, want 1/6", got)

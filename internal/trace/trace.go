@@ -280,13 +280,12 @@ func (s *Spec) GenerateScaled(baseFiles, tif int, seed uint64) *Set {
 // or Gauss distribution, files are mutually associated with a higher
 // degree than under uniform distribution" (§5.4.2).
 type QueryGen struct {
-	set     *Set
-	dist    stats.Distribution
-	sampler *stats.Sampler
-	rng     *rand.Rand
-	attrs   []metadata.Attr
-	byPop   []*metadata.File // files ordered by descending access frequency
-	zipf    *stats.ZipfGen
+	set   *Set
+	dist  stats.Distribution
+	rng   *rand.Rand
+	attrs []metadata.Attr
+	byPop []*metadata.File // files ordered by descending access frequency
+	zipf  *stats.ZipfGen
 }
 
 // DefaultQueryAttrs are the dimensions the paper's example queries use:
@@ -313,12 +312,11 @@ func NewQueryGen(set *Set, dist stats.Distribution, attrs []metadata.Attr, seed 
 		return byPop[i].ID < byPop[j].ID
 	})
 	g := &QueryGen{
-		set:     set,
-		dist:    dist,
-		sampler: stats.NewSampler(dist, rng),
-		rng:     rng,
-		attrs:   attrs,
-		byPop:   byPop,
+		set:   set,
+		dist:  dist,
+		rng:   rng,
+		attrs: attrs,
+		byPop: byPop,
 	}
 	if dist == stats.Zipf {
 		g.zipf = stats.NewZipfGen(rng, 1.1, len(byPop))

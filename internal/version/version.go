@@ -73,9 +73,6 @@ func NewChain(ratio int) *Chain {
 	return &Chain{ratio: ratio}
 }
 
-// Ratio returns the modification-to-version ratio.
-func (c *Chain) Ratio() int { return c.ratio }
-
 // Record appends one change; when ratio changes have accumulated they
 // are sealed into a new version.
 func (c *Chain) Record(ch Change) {
@@ -115,21 +112,6 @@ func (c *Chain) seal() {
 	c.pending = nil
 }
 
-// Versions returns the sealed versions, oldest first.
-func (c *Chain) Versions() []Version { return c.versions }
-
-// PendingCount returns the number of changes not yet sealed.
-func (c *Chain) PendingCount() int { return len(c.pending) }
-
-// TotalChanges returns all recorded changes, sealed or pending.
-func (c *Chain) TotalChanges() int {
-	n := len(c.pending)
-	for _, v := range c.versions {
-		n += len(v.Changes)
-	}
-	return n
-}
-
 // WalkBackward visits changes newest-first — pending changes, then
 // versions from t_i down to t_0, each version newest-change-first — and
 // stops early when fn returns false. It returns the number of changes
@@ -153,20 +135,6 @@ func (c *Chain) WalkBackward(fn func(Change) bool) int {
 		}
 	}
 	return examined
-}
-
-// Effective folds the chain into its net effect: for every file touched,
-// the newest change wins. Deleted files map to a Delete change; inserted
-// or modified files map to their latest state.
-func (c *Chain) Effective() map[uint64]Change {
-	out := make(map[uint64]Change)
-	c.WalkBackward(func(ch Change) bool {
-		if _, seen := out[ch.File.ID]; !seen {
-			out[ch.File.ID] = ch
-		}
-		return true
-	})
-	return out
 }
 
 // Compact removes all versions (the reconfiguration of §4.4), returning

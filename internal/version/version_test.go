@@ -11,6 +11,22 @@ func chg(kind Kind, id uint64) Change {
 	return Change{Kind: kind, File: &metadata.File{ID: id, Path: "/f"}}
 }
 
+// total counts every recorded change, sealed or pending.
+func total(c *Chain) int { return c.WalkBackward(func(Change) bool { return true }) }
+
+// effective is each changed file's newest change: the first one a
+// newest-first walk meets.
+func effective(c *Chain) map[uint64]Change {
+	out := map[uint64]Change{}
+	c.WalkBackward(func(ch Change) bool {
+		if _, seen := out[ch.File.ID]; !seen {
+			out[ch.File.ID] = ch
+		}
+		return true
+	})
+	return out
+}
+
 func TestKindString(t *testing.T) {
 	if Insert.String() != "insert" || Delete.String() != "delete" || Modify.String() != "modify" {
 		t.Fatal("kind names wrong")
@@ -34,11 +50,11 @@ func TestComprehensiveVersioning(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Record(chg(Insert, uint64(i)))
 	}
-	if len(c.Versions()) != 5 {
-		t.Fatalf("ratio-1 chain has %d versions, want 5", len(c.Versions()))
+	if len(c.versions) != 5 {
+		t.Fatalf("ratio-1 chain has %d versions, want 5", len(c.versions))
 	}
-	if c.PendingCount() != 0 {
-		t.Fatalf("pending = %d, want 0", c.PendingCount())
+	if len(c.pending) != 0 {
+		t.Fatalf("pending = %d, want 0", len(c.pending))
 	}
 }
 
@@ -47,14 +63,14 @@ func TestAggregatedVersioning(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Record(chg(Insert, uint64(i)))
 	}
-	if len(c.Versions()) != 2 {
-		t.Fatalf("ratio-4 chain has %d versions after 10 changes, want 2", len(c.Versions()))
+	if len(c.versions) != 2 {
+		t.Fatalf("ratio-4 chain has %d versions after 10 changes, want 2", len(c.versions))
 	}
-	if c.PendingCount() != 2 {
-		t.Fatalf("pending = %d, want 2", c.PendingCount())
+	if len(c.pending) != 2 {
+		t.Fatalf("pending = %d, want 2", len(c.pending))
 	}
-	if c.TotalChanges() != 10 {
-		t.Fatalf("TotalChanges = %d, want 10", c.TotalChanges())
+	if total(c) != 10 {
+		t.Fatalf("total = %d, want 10", total(c))
 	}
 }
 
@@ -63,7 +79,7 @@ func TestVersionSequenceAscending(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Record(chg(Modify, uint64(i)))
 	}
-	vs := c.Versions()
+	vs := c.versions
 	for i := 1; i < len(vs); i++ {
 		if vs[i].Seq <= vs[i-1].Seq {
 			t.Fatal("version sequence not ascending")
@@ -109,9 +125,9 @@ func TestEffectiveNewestWins(t *testing.T) {
 	c.Record(chg(Modify, 1))
 	c.Record(chg(Delete, 1))
 	c.Record(chg(Insert, 2))
-	eff := c.Effective()
+	eff := effective(c)
 	if len(eff) != 2 {
-		t.Fatalf("Effective has %d entries, want 2", len(eff))
+		t.Fatalf("%d files changed, want 2", len(eff))
 	}
 	if eff[1].Kind != Delete {
 		t.Fatalf("file 1 effective kind = %v, want delete", eff[1].Kind)
@@ -136,7 +152,7 @@ func TestCompact(t *testing.T) {
 			t.Fatalf("Compact order = %v at %d", ch.File.ID, i)
 		}
 	}
-	if c.TotalChanges() != 0 || len(c.Versions()) != 0 || c.PendingCount() != 0 {
+	if total(c) != 0 || len(c.versions) != 0 || len(c.pending) != 0 {
 		t.Fatal("chain not empty after Compact")
 	}
 }
@@ -157,8 +173,8 @@ func TestSizeBytesVsRatio(t *testing.T) {
 	}
 }
 
-// Property: TotalChanges always equals the number of Record calls, and
-// WalkBackward visits exactly that many changes when not stopped.
+// Property: WalkBackward visits exactly as many changes as were
+// recorded when not stopped.
 func TestPropertyConservation(t *testing.T) {
 	f := func(ratio8 uint8, n uint8) bool {
 		ratio := int(ratio8%16) + 1
@@ -166,20 +182,15 @@ func TestPropertyConservation(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			c.Record(chg(Insert, uint64(i)))
 		}
-		if c.TotalChanges() != int(n) {
-			return false
-		}
-		count := 0
-		c.WalkBackward(func(Change) bool { count++; return true })
-		return count == int(n)
+		return total(c) == int(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Effective never contains more entries than distinct file ids
-// recorded, and every entry's id was recorded.
+// Property: aggregation never loses a file — the newest-first walk
+// yields every distinct recorded id and no other.
 func TestPropertyEffectiveIDs(t *testing.T) {
 	f := func(ids []uint8) bool {
 		c := NewChain(3)
@@ -188,7 +199,7 @@ func TestPropertyEffectiveIDs(t *testing.T) {
 			c.Record(chg(Modify, uint64(id)))
 			distinct[uint64(id)] = true
 		}
-		eff := c.Effective()
+		eff := effective(c)
 		if len(eff) != len(distinct) {
 			return false
 		}

@@ -611,9 +611,6 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Dir returns the log's segment directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close stops the group committer after in-flight appends drain, syncs
 // the active segment, and closes it. Appends racing Close are either
 // fully acknowledged or rejected with a closed-log error — never left

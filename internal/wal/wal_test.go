@@ -324,7 +324,7 @@ func TestRotateEmptyLogIsNoop(t *testing.T) {
 			t.Fatalf("empty rotate %d returned boundary %d", i, boundary)
 		}
 	}
-	if got := segPaths(t, l.Dir()); len(got) != 1 {
+	if got := segPaths(t, l.dir); len(got) != 1 {
 		t.Fatalf("empty rotations churned segments: %v", got)
 	}
 }

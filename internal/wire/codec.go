@@ -890,10 +890,28 @@ func DecodeResponse(r io.Reader) (*QueryResponse, error) {
 	return decodeResponseStream(r)
 }
 
-// DecodeBatchResponse decodes a binary batch reply: envelope frame,
-// then one response stream per result.
-func DecodeBatchResponse(r io.Reader) (*BatchQueryResponse, error) {
-	ft, payload, err := readFrame(r)
+// DecodeResponseBytes decodes a complete single-response body held in
+// memory, rejecting trailing bytes — what the fuzz target and the
+// client (which reads whole bodies) use.
+func DecodeResponseBytes(body []byte) (*QueryResponse, error) {
+	br := &byteFrames{buf: body}
+	resp, err := decodeResponseStream(br)
+	if err != nil {
+		return nil, err
+	}
+	if len(br.buf) != 0 {
+		return nil, malformed("%d trailing bytes after response", len(br.buf))
+	}
+	return resp, nil
+}
+
+// DecodeBatchResponseBytes decodes a complete binary batch body held
+// in memory — envelope frame, then one response stream per result —
+// rejecting trailing bytes. It is the reference decoder the fuzz target
+// and the batch tests check the server's encoder against.
+func DecodeBatchResponseBytes(body []byte) (*BatchQueryResponse, error) {
+	br := &byteFrames{buf: body}
+	ft, payload, err := readFrame(br)
 	if err != nil {
 		return nil, err
 	}
@@ -917,37 +935,11 @@ func DecodeBatchResponse(r io.Reader) (*BatchQueryResponse, error) {
 	}
 	batch := &BatchQueryResponse{Results: make([]QueryResponse, 0, min(n, 4096))}
 	for i := 0; i < n; i++ {
-		resp, err := decodeResponseStream(r)
+		resp, err := decodeResponseStream(br)
 		if err != nil {
 			return nil, err
 		}
 		batch.Results = append(batch.Results, *resp)
-	}
-	return batch, nil
-}
-
-// DecodeResponseBytes decodes a complete single-response body held in
-// memory, rejecting trailing bytes — what the fuzz target and the
-// client (which reads whole bodies) use.
-func DecodeResponseBytes(body []byte) (*QueryResponse, error) {
-	br := &byteFrames{buf: body}
-	resp, err := decodeResponseStream(br)
-	if err != nil {
-		return nil, err
-	}
-	if len(br.buf) != 0 {
-		return nil, malformed("%d trailing bytes after response", len(br.buf))
-	}
-	return resp, nil
-}
-
-// DecodeBatchResponseBytes decodes a complete batch body held in
-// memory, rejecting trailing bytes.
-func DecodeBatchResponseBytes(body []byte) (*BatchQueryResponse, error) {
-	br := &byteFrames{buf: body}
-	batch, err := DecodeBatchResponse(br)
-	if err != nil {
-		return nil, err
 	}
 	if len(br.buf) != 0 {
 		return nil, malformed("%d trailing bytes after batch response", len(br.buf))
@@ -968,11 +960,4 @@ func (b *byteFrames) Read(p []byte) (int, error) {
 	n := copy(p, b.buf)
 	b.buf = b.buf[n:]
 	return n, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

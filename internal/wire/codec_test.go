@@ -129,7 +129,7 @@ func TestBatchResponseEquivalence(t *testing.T) {
 	if err := EncodeBatchResponse(&buf, &batch); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatchResponse(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeBatchResponseBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

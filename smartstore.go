@@ -25,7 +25,7 @@
 //	fmt.Println(len(res.Records), res.Report.Latency)
 //
 // Point, range and top-k queries (§3.3.3, §3.3.1, §3.3.2) all go through
-// Do; Correlated and DuplicateCandidates compose two Do calls.
+// Do.
 //
 // # Durability
 //
@@ -59,7 +59,6 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/semtree"
-	"repro/internal/simnet"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -497,10 +496,6 @@ func (s *Store) Shards() int { return s.eng.Shards() }
 // Attr — the inverse of Attr.String, shared by the wire format and the
 // CLIs.
 func ParseAttr(name string) (Attr, error) { return metadata.ParseAttr(name) }
-
-// DefaultCostModel exposes the calibrated virtual cost model so callers
-// can reason about reported latencies.
-func DefaultCostModel() simnet.CostModel { return simnet.DefaultCostModel() }
 
 // Instrument attaches the store's metric sinks and registers its
 // families on reg. The serving layer calls it once when it builds its

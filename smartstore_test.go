@@ -7,6 +7,7 @@ import (
 
 	smartstore "repro"
 	"repro/internal/query"
+	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -122,6 +123,7 @@ func TestRangeQueryOfflineAndOnline(t *testing.T) {
 		store, set := buildStore(t, 800, smartstore.Config{Units: 10, Mode: mode, Seed: uint64(mode)})
 		gen := trace.NewQueryGen(set, stats.Zipf, nil, 7)
 		var rec stats.Summary
+		n := 0
 		for i := 0; i < 30; i++ {
 			q := gen.Range(0.08)
 			res := ask(t, store, smartstore.NewRangeQuery(q.Attrs, q.Lo, q.Hi))
@@ -130,11 +132,12 @@ func TestRangeQueryOfflineAndOnline(t *testing.T) {
 				continue
 			}
 			rec.Add(stats.Recall(want, res.IDs))
+			n++
 		}
-		if rec.N() > 0 && mode == smartstore.OnLine && rec.Mean() != 1 {
+		if n > 0 && mode == smartstore.OnLine && rec.Mean() != 1 {
 			t.Fatalf("online recall = %v, want 1", rec.Mean())
 		}
-		if rec.N() > 0 && rec.Mean() < 0.7 {
+		if n > 0 && rec.Mean() < 0.7 {
 			t.Fatalf("mode %v recall = %v too low", mode, rec.Mean())
 		}
 	}
@@ -224,7 +227,7 @@ func TestVirtualScaleRaisesLatency(t *testing.T) {
 }
 
 func TestDefaultCostModelExposed(t *testing.T) {
-	if smartstore.DefaultCostModel().HopLatency <= 0 {
+	if simnet.DefaultCostModel().HopLatency <= 0 {
 		t.Fatal("cost model not exposed")
 	}
 }

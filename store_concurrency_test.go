@@ -75,7 +75,7 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 						t.Errorf("stats degenerate mid-run: %+v", st)
 					}
 				case 4:
-					store.Correlated(f.Path, 3)
+					ask(t, store, smartstore.NewPointQuery(f.Path).WithOptions(smartstore.QueryOptions{IncludeRecords: true}))
 				}
 			}
 		}(r)
