@@ -49,12 +49,19 @@ func TestObserveRangeAndTopK(t *testing.T) {
 	if m := out.Recall.Mean(); m < 0.5 || m > 1 {
 		t.Fatalf("recall mean = %v out of plausible range (0 when none recorded)", m)
 	}
-	var hops float64
-	for i := 0; i < 8; i++ {
-		hops += out.Hops.Fraction(i)
+	// One probe hop into the least-filled bucket moves its share from
+	// f = c/n to g = (c+1)/(n+1), which recovers the count n.
+	b := 0
+	for i := 1; i < 8; i++ {
+		if out.Hops.Fraction(i) < out.Hops.Fraction(b) {
+			b = i
+		}
 	}
-	if math.Abs(hops-1) > 1e-9 {
-		t.Fatalf("hop fractions sum to %v, want 1 (no hops recorded?)", hops)
+	f := out.Hops.Fraction(b)
+	out.Hops.Add(b)
+	g := out.Hops.Fraction(b)
+	if n := math.Round((1 - g) / (g - f)); n != 40 {
+		t.Fatalf("hop observations = %v, want 40", n)
 	}
 }
 

@@ -68,8 +68,8 @@ func TestPairwiseDistanceCorrelations(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := m.PairwiseDistanceCorrelations()
-	if len(d.Row(2)) != 3 {
-		t.Fatalf("row width = %d, want 3", len(d.Row(2)))
+	if cols, rows := len(d.Row(2)), len(d.T().Row(2)); cols != 3 || rows != 3 {
+		t.Fatalf("dims = %dx%d, want 3x3", rows, cols)
 	}
 	for i := 0; i < 3; i++ {
 		if d.At(i, i) != 1 {

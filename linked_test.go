@@ -43,9 +43,9 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	}
 	for _, p := range progs {
 		for _, line := range strings.Split(goOut(t, ".", "tool", "nm", filepath.Join(bin, p.Name())), "\n") {
-			// "<addr> <type> <name>"; a name may hold spaces, a text
-			// symbol's never does.
-			if f := strings.Fields(line); len(f) == 3 && (f[1] == "T" || f[1] == "t") {
+			// "<addr> <type> <name>", where the name of a generic
+			// instantiated over a struct or func type holds spaces.
+			if f := strings.SplitN(strings.TrimSpace(line), " ", 3); len(f) == 3 && (f[1] == "T" || f[1] == "t") {
 				linked[symbolKey(f[2])] = true
 			}
 		}

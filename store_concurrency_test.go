@@ -47,8 +47,9 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	nextID.Store(store.MaxFileID())
 
 	var wg sync.WaitGroup
-	// Readers interleave every query shape plus stats and the derived
-	// application queries.
+	// Readers interleave every query shape plus stats, and case 4 asks
+	// as the prefetch example does: a point query for the record, then
+	// a top-k with distances around its attributes.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -75,7 +76,18 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 						t.Errorf("stats degenerate mid-run: %+v", st)
 					}
 				case 4:
-					ask(t, store, smartstore.NewPointQuery(f.Path).WithOptions(smartstore.QueryOptions{IncludeRecords: true}))
+					res := ask(t, store, smartstore.NewPointQuery(f.Path).WithOptions(smartstore.QueryOptions{IncludeRecords: true}))
+					if len(res.Records) != 1 {
+						t.Errorf("point query for %s projected %d records", f.Path, len(res.Records))
+						continue
+					}
+					a := res.Records[0].Attrs
+					near := ask(t, store, smartstore.NewTopKQuery(attrs,
+						[]float64{a[smartstore.AttrMTime], a[smartstore.AttrReadBytes]}, 3).
+						WithOptions(smartstore.QueryOptions{IncludeDists: true}))
+					if len(near.Dists) != len(near.IDs) {
+						t.Errorf("top-3 returned %d ids but %d distances", len(near.IDs), len(near.Dists))
+					}
 				}
 			}
 		}(r)
