@@ -5,8 +5,10 @@
 // query paths (§3.3–3.4), and consistency via versioning with lazy
 // replica updates (§4.4).
 //
-// All latencies and message counts are measured in simnet virtual time,
-// reproducing the metrics of Table 4 and Figs. 8, 9, 13, 14.
+// Every storage unit is its own server. Each operation's latency and
+// message count is a closed form over its fixed message pattern and the
+// simnet cost model (cost.go), reproducing the metrics of Table 4 and
+// Figs. 8, 9, 13, 14.
 package cluster
 
 import (
@@ -63,13 +65,9 @@ func (c Config) withDefaults() Config {
 // Cluster is a deployed SmartStore instance.
 type Cluster struct {
 	Tree *semtree.Tree
-	Sim  *simnet.Sim
 	Cfg  Config
 
-	client   *simnet.Node
-	unitNode map[*semtree.Node]*simnet.Node // leaf → its own server
-	hostOf   map[*semtree.Node]*simnet.Node // index unit → hosting server
-	rootRe   []*simnet.Node                 // servers holding root replicas
+	hostOf map[*semtree.Node]*semtree.Node // index unit → hosting leaf
 
 	// Versioning state, per first-level group.
 	chains  map[*semtree.Node]*version.Chain
@@ -107,32 +105,26 @@ func (c *Cluster) FileByID(id uint64) (*metadata.File, bool) {
 	return f, ok
 }
 
-// New deploys tree over a fresh simulated cluster: one server per
-// storage unit plus a client node, index units mapped bottom-up onto
-// distinct servers, root replicated into every first-level group.
+// New deploys tree over a simulated cluster: one server per storage
+// unit, index units mapped bottom-up onto distinct servers, root
+// replicated into every first-level group.
 func New(tree *semtree.Tree, cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	leaves := tree.Leaves()
-	sim := simnet.New(len(leaves)+1, cfg.Cost)
-
 	c := &Cluster{
-		Tree:     tree,
-		Sim:      sim,
-		Cfg:      cfg,
-		client:   sim.Node(0),
-		unitNode: make(map[*semtree.Node]*simnet.Node, len(leaves)),
-		hostOf:   make(map[*semtree.Node]*simnet.Node),
-		chains:   make(map[*semtree.Node]*version.Chain),
-		pending:  make(map[*semtree.Node]map[uint64]*metadata.File),
-		deleted:  make(map[*semtree.Node]map[uint64]bool),
-		rng:      stats.NewRNG(cfg.Seed),
-	}
-	for i, l := range leaves {
-		c.unitNode[l] = sim.Node(i + 1)
+		Tree:    tree,
+		Cfg:     cfg,
+		hostOf:  make(map[*semtree.Node]*semtree.Node),
+		chains:  make(map[*semtree.Node]*version.Chain),
+		pending: make(map[*semtree.Node]map[uint64]*metadata.File),
+		deleted: make(map[*semtree.Node]map[uint64]bool),
+		rng:     stats.NewRNG(cfg.Seed),
 	}
 	c.mapIndexUnits()
-	c.mapRootReplicas()
 	for _, g := range tree.FirstLevelIndexUnits() {
+		// §4.3 maps one root replica onto a random unit of each group.
+		// No cost reads where; the draw fixes HomeUnit's stream, which
+		// the reproduction's golden output pins.
+		c.rng.IntN(len(g.Leaves(nil)))
 		c.chains[g] = version.NewChain(cfg.VersionRatio)
 		c.pending[g] = make(map[uint64]*metadata.File)
 		c.deleted[g] = make(map[uint64]bool)
@@ -148,8 +140,8 @@ func New(tree *semtree.Tree, cfg Config) *Cluster {
 // level by level up to the root. Only when no unlabeled server remains
 // does an index unit double up on a random descendant.
 func (c *Cluster) mapIndexUnits() {
-	labeled := map[*simnet.Node]bool{}
-	pick := func(candidates []*simnet.Node) *simnet.Node {
+	labeled := map[*semtree.Node]bool{}
+	pick := func(candidates []*semtree.Node) *semtree.Node {
 		if len(candidates) == 0 {
 			return nil
 		}
@@ -161,43 +153,22 @@ func (c *Cluster) mapIndexUnits() {
 	for _, iu := range idx {
 		var leaves []*semtree.Node
 		leaves = iu.Leaves(leaves)
-		var candidates []*simnet.Node
-		if iu.Level == 1 {
-			// First level: choose among the unit's own children.
-			for _, l := range leaves {
-				if n := c.unitNode[l]; !labeled[n] {
-					candidates = append(candidates, n)
-				}
-			}
-		} else {
-			// Higher levels: choose among all remaining unlabeled units.
-			for _, l := range c.Tree.Leaves() {
-				if n := c.unitNode[l]; !labeled[n] {
-					candidates = append(candidates, n)
-				}
+		pool := leaves // first level: choose among the unit's own children
+		if iu.Level != 1 {
+			pool = c.Tree.Leaves() // higher levels: any remaining unit
+		}
+		var candidates []*semtree.Node
+		for _, l := range pool {
+			if !labeled[l] {
+				candidates = append(candidates, l)
 			}
 		}
 		host := pick(candidates)
 		if host == nil {
 			// Every server labeled: double up on a random descendant.
-			host = c.unitNode[leaves[c.rng.IntN(len(leaves))]]
+			host = leaves[c.rng.IntN(len(leaves))]
 		}
 		c.hostOf[iu] = host
-	}
-	if c.Tree.Root.IsLeaf() {
-		c.hostOf[c.Tree.Root] = c.unitNode[c.Tree.Root]
-	}
-}
-
-// mapRootReplicas places one root replica in every first-level group
-// (§4.3: "the root is mapped to a storage unit in each group ... so
-// that the root can be found within each of the subtrees").
-func (c *Cluster) mapRootReplicas() {
-	c.rootRe = c.rootRe[:0]
-	for _, g := range c.Tree.FirstLevelIndexUnits() {
-		var leaves []*semtree.Node
-		leaves = g.Leaves(leaves)
-		c.rootRe = append(c.rootRe, c.unitNode[leaves[c.rng.IntN(len(leaves))]])
 	}
 }
 
@@ -255,12 +226,13 @@ func (c *Cluster) IndexSizeBytes() int {
 	return total / len(c.Tree.Leaves())
 }
 
-func (c *Cluster) groupHost(g *semtree.Node) *simnet.Node {
+// groupHost returns the leaf whose server hosts group g.
+func (c *Cluster) groupHost(g *semtree.Node) *semtree.Node {
 	if h, ok := c.hostOf[g]; ok {
 		return h
 	}
-	// Single-leaf tree: the group is the root leaf.
-	return c.unitNode[g]
+	// Single-leaf tree: the group is the root leaf, its own server.
+	return g
 }
 
 func validateGroup(g *semtree.Node) {

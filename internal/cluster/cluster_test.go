@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/metadata"
 	"repro/internal/query"
 	"repro/internal/semtree"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -22,41 +22,16 @@ func deploy(t testing.TB, nFiles, nUnits int, seed uint64, cfg Config) (*Cluster
 
 func TestDeploymentMapping(t *testing.T) {
 	c, _ := deploy(t, 600, 12, 1, Config{Seed: 1})
-	// Every leaf has its own server; client is distinct.
-	seen := map[*simnet.Node]bool{}
-	for _, l := range c.Tree.Leaves() {
-		n := c.unitNode[l]
-		if n == nil {
-			t.Fatal("leaf without server")
-		}
-		if n == c.client {
-			t.Fatal("leaf mapped to client node")
-		}
-		if seen[n] {
-			t.Fatalf("unit %d shares its server", l.ID)
-		}
-		seen[n] = true
-	}
-	// First-level index units are hosted by one of their own child
-	// storage units (§4.2: "randomly mapped to one of its child nodes");
-	// higher levels may land on any remaining server.
+	// Every index unit is hosted by a storage unit of the tree. First-level
+	// index units are hosted by one of their own child storage units
+	// (§4.2: "randomly mapped to one of its child nodes"); higher levels
+	// may land on any remaining server.
 	for _, iu := range c.Tree.IndexUnits() {
 		host := c.hostOf[iu]
-		if host == nil {
-			t.Fatalf("index unit %d unhosted", iu.ID)
+		if !slices.Contains(c.Tree.Leaves(), host) {
+			t.Fatalf("index unit %d not hosted by a storage unit", iu.ID)
 		}
-		if iu.Level != 1 {
-			continue
-		}
-		var leaves []*semtree.Node
-		leaves = iu.Leaves(leaves)
-		ok := false
-		for _, l := range leaves {
-			if c.unitNode[l] == host {
-				ok = true
-			}
-		}
-		if !ok {
+		if iu.Level == 1 && !slices.Contains(iu.Leaves(nil), host) {
 			t.Fatalf("first-level index unit %d hosted outside its children (§4.2 violated)", iu.ID)
 		}
 	}
@@ -68,7 +43,7 @@ func TestIndexUnitsMappedToDistinctServers(t *testing.T) {
 	if index >= storage {
 		t.Skipf("more index units (%d) than storage units (%d)", index, storage)
 	}
-	seen := map[*simnet.Node]bool{}
+	seen := map[*semtree.Node]bool{}
 	for _, iu := range c.Tree.IndexUnits() {
 		host := c.hostOf[iu]
 		if seen[host] {
@@ -78,11 +53,24 @@ func TestIndexUnitsMappedToDistinctServers(t *testing.T) {
 	}
 }
 
+// TestRootReplicasOnePerGroup pins the RNG use of the §4.3 root
+// placement: after mapping the index units, New draws one replica unit
+// in every first-level group, and HomeUnit's stream continues from there.
 func TestRootReplicasOnePerGroup(t *testing.T) {
 	c, _ := deploy(t, 600, 12, 5, Config{Seed: 5})
 	groups := c.Tree.FirstLevelIndexUnits()
-	if len(c.rootRe) != len(groups) {
-		t.Fatalf("root replicas = %d, want one per group (%d)", len(c.rootRe), len(groups))
+	if len(groups) < 2 {
+		t.Fatalf("%d groups; the draws need several to be told apart", len(groups))
+	}
+	ref := &Cluster{Tree: c.Tree, hostOf: map[*semtree.Node]*semtree.Node{}, rng: stats.NewRNG(5)}
+	ref.mapIndexUnits()
+	for _, g := range groups {
+		ref.rng.IntN(len(g.Leaves(nil)))
+	}
+	for i := 0; i < 100; i++ {
+		if got, want := c.HomeUnit(), ref.HomeUnit(); got != want {
+			t.Fatalf("home draw %d is unit %d, want %d after one replica draw per group", i, got.ID, want.ID)
+		}
 	}
 }
 

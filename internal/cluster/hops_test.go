@@ -4,53 +4,49 @@ import (
 	"testing"
 
 	"repro/internal/query"
-	"repro/internal/semtree"
 	"repro/internal/trace"
 )
 
 func TestContributingHops(t *testing.T) {
-	g1 := &semtree.Node{ID: 1}
-	g2 := &semtree.Node{ID: 2}
-	g3 := &semtree.Node{ID: 3}
 	cases := []struct {
-		name    string
-		byGroup map[*semtree.Node][]uint64
-		final   []uint64
-		want    int
+		name  string
+		found [][]uint64
+		final []uint64
+		want  int
 	}{
 		{
-			name:    "single contributing group",
-			byGroup: map[*semtree.Node][]uint64{g1: {1, 2}, g2: {9}},
-			final:   []uint64{1, 2},
-			want:    0,
+			name:  "single contributing group",
+			found: [][]uint64{{1, 2}, {9}},
+			final: []uint64{1, 2},
+			want:  0,
 		},
 		{
-			name:    "two contributing groups",
-			byGroup: map[*semtree.Node][]uint64{g1: {1}, g2: {2}},
-			final:   []uint64{1, 2},
-			want:    1,
+			name:  "two contributing groups",
+			found: [][]uint64{{1}, {2}},
+			final: []uint64{1, 2},
+			want:  1,
 		},
 		{
-			name:    "checked but non-contributing groups ignored",
-			byGroup: map[*semtree.Node][]uint64{g1: {1}, g2: {8}, g3: {9}},
-			final:   []uint64{1},
-			want:    0,
+			name:  "checked but non-contributing groups ignored",
+			found: [][]uint64{{1}, {8}, {9}},
+			final: []uint64{1},
+			want:  0,
 		},
 		{
-			name:    "empty final",
-			byGroup: map[*semtree.Node][]uint64{g1: {1}},
-			final:   nil,
-			want:    0,
+			name:  "empty final",
+			found: [][]uint64{{1}},
+			final: nil,
+			want:  0,
 		},
 		{
-			name:    "three contributors",
-			byGroup: map[*semtree.Node][]uint64{g1: {1}, g2: {2}, g3: {3}},
-			final:   []uint64{1, 2, 3},
-			want:    2,
+			name:  "three contributors",
+			found: [][]uint64{{1}, {2}, {3}},
+			final: []uint64{1, 2, 3},
+			want:  2,
 		},
 	}
 	for _, c := range cases {
-		if got := contributingHops(c.byGroup, c.final); got != c.want {
+		if got := contributingHops(c.found, c.final); got != c.want {
 			t.Errorf("%s: hops = %d, want %d", c.name, got, c.want)
 		}
 	}

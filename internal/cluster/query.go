@@ -8,24 +8,12 @@ import (
 	"repro/internal/version"
 )
 
-// Message size constants (bytes) for the virtual network.
-const (
-	queryMsgBytes  = 256
-	resultMsgBase  = 64
-	resultPerID    = 16
-	replicaPerSize = 256 // one group's vector + MBR snapshot
-)
-
 // RangeOnline answers a range query with the on-line multicast approach
 // (§3.3.1): the client contacts a random home unit, which multicasts the
 // query to every first-level index-unit host; hosts whose group MBR
 // intersects forward into member units; matching units scan and reply.
 func (c *Cluster) RangeOnline(q query.Range) ([]uint64, Result) {
-	home := c.HomeUnit()
-	groups := c.Tree.FirstLevelIndexUnits()
-	return c.runComplex(home, groups, func(g *semtree.Node) ([]uint64, semtree.QueryStats, int) {
-		return c.searchGroupRange(g, q)
-	}, true)
+	return c.rangeQuery(q, c.HomeUnit(), c.Tree.FirstLevelIndexUnits(), true)
 }
 
 // offlineMaxGroups caps how many groups the off-line path may search:
@@ -38,21 +26,6 @@ func (c *Cluster) offlineMaxGroups() int {
 	if extra := n / 4; extra > 0 {
 		m += extra
 	}
-	if m > n {
-		m = n
-	}
-	return m
-}
-
-// SharedOfflineBudget returns the off-line group budget for a
-// deployment that is one shard of a multi-shard fan-out: the
-// most-correlated group plus a slowly growing sibling allowance,
-// without the solo deployment's 3-group floor — the cross-shard union
-// already supplies breadth, so repeating the floor on every shard would
-// multiply total search work by the shard count.
-func (c *Cluster) SharedOfflineBudget() int {
-	n := len(c.Tree.FirstLevelIndexUnits())
-	m := 1 + n/4
 	if m > n {
 		m = n
 	}
@@ -80,9 +53,15 @@ func (c *Cluster) RangeOfflineN(q query.Range, maxGroups int) ([]uint64, Result)
 	targets := c.offlineTargets(maxGroups, func(m int) []*semtree.Node {
 		return c.Tree.RouteRangeGroups(q, m)
 	})
-	return c.runComplex(home, targets, func(g *semtree.Node) ([]uint64, semtree.QueryStats, int) {
+	return c.rangeQuery(q, home, targets, false)
+}
+
+// rangeQuery searches groups from home and pools their matches.
+func (c *Cluster) rangeQuery(q query.Range, home *semtree.Node, groups []*semtree.Node, online bool) ([]uint64, Result) {
+	ids, res, _ := c.runComplex(home, groups, func(g *semtree.Node) ([]uint64, semtree.QueryStats, int) {
 		return c.searchGroupRange(g, q)
-	}, false)
+	}, online)
+	return ids, res
 }
 
 // offlineTargets resolves an off-line query's target groups: a
@@ -102,17 +81,7 @@ func (c *Cluster) offlineTargets(maxGroups int, route func(int) []*semtree.Node)
 
 // TopKOnline answers a top-k query via multicast over all groups.
 func (c *Cluster) TopKOnline(q query.TopK) ([]uint64, Result) {
-	home := c.HomeUnit()
-	groups := c.Tree.FirstLevelIndexUnits()
-	byGroup := map[*semtree.Node][]uint64{}
-	ids, res := c.runComplex(home, groups, func(g *semtree.Node) ([]uint64, semtree.QueryStats, int) {
-		out, st, v := c.searchGroupTopK(g, q)
-		byGroup[g] = out
-		return out, st, v
-	}, true)
-	final := c.rerankTopK(ids, q)
-	res.Hops = contributingHops(byGroup, final)
-	return final, res
+	return c.topK(q, c.HomeUnit(), c.Tree.FirstLevelIndexUnits(), true)
 }
 
 // TopKOffline answers a top-k query at the most-correlated group plus
@@ -130,26 +99,28 @@ func (c *Cluster) TopKOfflineN(q query.TopK, maxGroups int) ([]uint64, Result) {
 	targets := c.offlineTargets(maxGroups, func(m int) []*semtree.Node {
 		return c.Tree.RouteTopKGroups(q, m)
 	})
-	byGroup := map[*semtree.Node][]uint64{}
-	ids, res := c.runComplex(home, targets, func(g *semtree.Node) ([]uint64, semtree.QueryStats, int) {
-		out, st, v := c.searchGroupTopK(g, q)
-		byGroup[g] = out
-		return out, st, v
-	}, false)
+	return c.topK(q, home, targets, false)
+}
+
+// topK searches groups from home and reranks the pooled candidates.
+func (c *Cluster) topK(q query.TopK, home *semtree.Node, groups []*semtree.Node, online bool) ([]uint64, Result) {
+	ids, res, found := c.runComplex(home, groups, func(g *semtree.Node) ([]uint64, semtree.QueryStats, int) {
+		return c.searchGroupTopK(g, q)
+	}, online)
 	final := c.rerankTopK(ids, q)
-	res.Hops = contributingHops(byGroup, final)
+	res.Hops = contributingHops(found, final)
 	return final, res
 }
 
 // contributingHops counts the groups that own at least one final result
 // (the Fig. 8 "served by" metric), minus one.
-func contributingHops(byGroup map[*semtree.Node][]uint64, final []uint64) int {
+func contributingHops(found [][]uint64, final []uint64) int {
 	in := make(map[uint64]bool, len(final))
 	for _, id := range final {
 		in[id] = true
 	}
 	contributing := 0
-	for _, ids := range byGroup {
+	for _, ids := range found {
 		for _, id := range ids {
 			if in[id] {
 				contributing++
@@ -166,7 +137,7 @@ func contributingHops(byGroup map[*semtree.Node][]uint64, final []uint64) int {
 // rerankTopK merges per-group candidate lists into the final k by true
 // distance (the MaxD refinement step of §3.3.2), ascending by (dist,
 // id) — also when the pool holds no more than k candidates, which
-// arrive in simulated reply order.
+// arrive in group completion order.
 func (c *Cluster) rerankTopK(ids []uint64, q query.TopK) []uint64 {
 	byID := c.fileByID()
 	type cand struct {
@@ -196,107 +167,64 @@ func (c *Cluster) rerankTopK(ids []uint64, q query.TopK) []uint64 {
 	return out
 }
 
-// runComplex executes the shared fan-out/fan-in pattern of complex
-// queries over the given candidate groups and accounts latency,
-// messages and hops. online=true models the multicast identification
-// phase; offline adds the local LSI fold-in cost instead.
+// runComplex searches the candidate groups in order and accounts the
+// shared fan-out/fan-in pattern of complex queries: latency and
+// messages by complexCost, hops as the groups that returned ids, minus
+// one. online=true models the multicast identification phase; offline
+// the local LSI fold-in. It returns the pooled ids in the order the
+// groups complete, and each group's own ids.
 func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
-	search func(*semtree.Node) ([]uint64, semtree.QueryStats, int), online bool) ([]uint64, Result) {
+	search func(*semtree.Node) ([]uint64, semtree.QueryStats, int), online bool) ([]uint64, Result, [][]uint64) {
 
-	var out []uint64
 	var res Result
+	found := make([][]uint64, len(groups))
+	costs := make([]groupCost, len(groups))
 	touched := 0
-
-	c.Sim.ResetCounters()
-	homeNode := c.unitNode[home]
-	res.Latency = c.Sim.Latency(func(done func()) {
-		// Client → home unit.
-		c.client.Send(homeNode, queryMsgBytes, func(at *simnet.Node) {
-			proceed := func() {
-				pendingReplies := len(groups)
-				if pendingReplies == 0 {
-					done()
-					return
-				}
-				for _, g := range groups {
-					g := g
-					host := c.groupHost(g)
-					at.Send(host, queryMsgBytes, func(h *simnet.Node) {
-						ids, st, vChecked := search(g)
-						// The version walk happens at the group host and
-						// adds the Fig. 14(b) extra latency. Version
-						// entries scale with the virtual population like
-						// other probes, but each entry is a compact
-						// in-memory delta ("versions only maintain
-						// changes that require small storage overheads",
-						// §4.4), so it costs a fraction of a full record
-						// probe; with the lazy-update threshold bounding
-						// chain length this stays under ~10% of query
-						// latency (§5.6).
-						const versionProbeFraction = 0.25
-						vLat := c.Cfg.Cost.ProbeCost(int(float64(vChecked) * c.Cfg.VirtualScale * versionProbeFraction))
-						res.VersionChecked += vChecked
-						res.VersionLatency += vLat
-						// Member units scan their shares in parallel; the
-						// group's wall time is one unit's share against
-						// that unit's resident population. Decentralization
-						// is what keeps SmartStore at memory speed while
-						// the centralized baselines page from disk (§5.2).
-						nUnits := st.UnitsSearched
-						if nUnits < 1 {
-							nUnits = 1
-						}
-						var gLeaves []*semtree.Node
-						gLeaves = g.Leaves(gLeaves)
-						perUnitTotal := c.GroupSize(g) / len(gLeaves)
-						scaled := int(float64(st.RecordsScanned) * c.Cfg.VirtualScale / float64(nUnits))
-						unitTotal := int(float64(perUnitTotal) * c.Cfg.VirtualScale)
-						work := c.Cfg.Cost.MsgHandle +
-							c.Cfg.Cost.ScanCost(scaled, unitTotal) + vLat
-						h.Work(work, func() {
-							// A group counts toward routing distance when
-							// it contributes results (Fig. 8 measures the
-							// groups an operation is *served* by).
-							if len(ids) > 0 {
-								touched++
-							}
-							res.UnitsSearched += st.UnitsSearched
-							res.RecordsScanned += st.RecordsScanned
-							out = append(out, ids...)
-							h.Send(homeNode, resultMsgBase+resultPerID*len(ids), func(*simnet.Node) {
-								// Reply handling serializes at the home
-								// unit — the fan-in cost that makes the
-								// on-line multicast slower at scale
-								// (Fig. 13a).
-								homeNode.Work(c.Cfg.Cost.MsgHandle, func() {
-									pendingReplies--
-									if pendingReplies == 0 {
-										// Home → client.
-										homeNode.Send(c.client, resultMsgBase+resultPerID*len(out), func(*simnet.Node) {
-											done()
-										})
-									}
-								})
-							})
-						})
-					})
-				}
-			}
-			if online {
-				// Multicast identification costs one Bloom/MBR check per
-				// group host before forwarding.
-				at.Work(c.Cfg.Cost.ProbeCost(len(groups)), proceed)
-			} else {
-				// Off-line: LSI fold-in against local replica vectors.
-				at.Work(c.Cfg.Cost.LSIFold, proceed)
-			}
-		})
-	})
-	res.Messages = c.Sim.Messages()
+	for i, g := range groups {
+		ids, st, vChecked := search(g)
+		// The version walk happens at the group host and adds the
+		// Fig. 14(b) extra latency. Version entries scale with the
+		// virtual population like other probes, but each entry is a
+		// compact in-memory delta ("versions only maintain changes that
+		// require small storage overheads", §4.4), so it costs a
+		// fraction of a full record probe; with the lazy-update
+		// threshold bounding chain length this stays under ~10% of
+		// query latency (§5.6).
+		const versionProbeFraction = 0.25
+		vLat := c.Cfg.Cost.ProbeCost(int(float64(vChecked) * c.Cfg.VirtualScale * versionProbeFraction))
+		res.VersionChecked += vChecked
+		res.VersionLatency += vLat
+		// Member units scan their shares in parallel; the group's wall
+		// time is one unit's share against that unit's resident
+		// population. Decentralization is what keeps SmartStore at
+		// memory speed while the centralized baselines page from disk
+		// (§5.2).
+		nUnits := max(st.UnitsSearched, 1)
+		perUnitTotal := c.GroupSize(g) / len(g.Leaves(nil))
+		scaled := int(float64(st.RecordsScanned) * c.Cfg.VirtualScale / float64(nUnits))
+		unitTotal := int(float64(perUnitTotal) * c.Cfg.VirtualScale)
+		work := c.Cfg.Cost.MsgHandle + c.Cfg.Cost.ScanCost(scaled, unitTotal) + vLat
+		costs[i] = groupCost{host: c.groupHost(g), work: work, ids: len(ids)}
+		found[i] = ids
+		// A group counts toward routing distance when it contributes
+		// results (Fig. 8 measures the groups an operation is *served*
+		// by).
+		if len(ids) > 0 {
+			touched++
+		}
+		res.UnitsSearched += st.UnitsSearched
+		res.RecordsScanned += st.RecordsScanned
+	}
+	order, latency, messages := complexCost(c.Cfg.Cost, home, costs, online)
+	var out []uint64
+	for _, i := range order {
+		out = append(out, found[i]...)
+	}
+	res.Latency, res.Messages = latency, messages
 	if touched > 1 {
 		res.Hops = touched - 1
 	}
-	return out, res
+	return out, res, found
 }
 
 // searchGroupRange searches one group's units for a range query,
@@ -374,41 +302,19 @@ func (c *Cluster) applyConsistency(g *semtree.Node, ids []uint64,
 // its local Bloom filters and routes along positive index-unit filters.
 // Hit/miss accounting feeds Fig. 9.
 func (c *Cluster) Point(q query.Point) ([]uint64, Result) {
-	home := c.HomeUnit()
-	var ids []uint64
-	var st semtree.QueryStats
+	// Home's queue is empty when a point query reaches it, so which unit
+	// is drawn does not enter the cost; the draw keeps HomeUnit's stream.
+	c.HomeUnit()
+	ids, st := c.Tree.PointQuery(q)
+	// Pending files are not yet in index-unit Bloom filters; with
+	// versioning the chain recovers them.
+	ids = c.pointConsistency(q, ids, &st)
+	// Bloom checks are per-node index operations and do not grow with
+	// the virtual population; the exact-match confirmation probes do.
+	work := simnet.Time(st.BloomChecks)*c.Cfg.Cost.BloomCheck +
+		c.Cfg.Cost.ProbeCost(int(float64(st.RecordsScanned)*c.Cfg.VirtualScale))
 	var res Result
-
-	c.Sim.ResetCounters()
-	homeNode := c.unitNode[home]
-	res.Latency = c.Sim.Latency(func(done func()) {
-		c.client.Send(homeNode, queryMsgBytes, func(at *simnet.Node) {
-			ids, st = c.Tree.PointQuery(q)
-			// Pending files are not yet in index-unit Bloom filters; with
-			// versioning the chain recovers them.
-			ids = c.pointConsistency(q, ids, &st)
-			// Bloom checks are per-node index operations and do not grow
-			// with the virtual population; the exact-match confirmation
-			// probes do.
-			work := simnet.Time(st.BloomChecks)*c.Cfg.Cost.BloomCheck +
-				c.Cfg.Cost.ProbeCost(int(float64(st.RecordsScanned)*c.Cfg.VirtualScale))
-			at.Work(work, func() {
-				// Forward to each unit that reported a positive (modelled
-				// as one message round to the farthest).
-				extra := st.UnitsSearched
-				if extra < 1 {
-					extra = 1
-				}
-				at.Send(homeNode, resultMsgBase+resultPerID*len(ids), func(*simnet.Node) {
-					homeNode.Send(c.client, resultMsgBase+resultPerID*len(ids), func(*simnet.Node) {
-						done()
-					})
-				})
-				res.Messages += int64(extra)
-			})
-		})
-	})
-	res.Messages += c.Sim.Messages()
+	res.Latency, res.Messages = pointCost(c.Cfg.Cost, work, len(ids), st.UnitsSearched)
 	res.UnitsSearched = st.UnitsSearched
 	res.RecordsScanned = st.RecordsScanned
 	if st.GroupsTouched > 1 {

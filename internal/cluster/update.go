@@ -3,7 +3,6 @@ package cluster
 import (
 	"repro/internal/metadata"
 	"repro/internal/semtree"
-	"repro/internal/simnet"
 	"repro/internal/version"
 )
 
@@ -26,9 +25,7 @@ func (c *Cluster) InsertFile(f *metadata.File) Result {
 	c.pending[g][f.ID] = f
 	c.chains[g].Record(version.Change{Kind: version.Insert, File: f})
 
-	res.Latency = c.insertLatency(leaf)
-	res.Messages = 2 // client → unit, unit ack
-
+	res.Latency, res.Messages = updateCost(c.Cfg.Cost)
 	if c.shouldPropagate(g) {
 		res.Messages += c.Propagate(g)
 	}
@@ -48,8 +45,7 @@ func (c *Cluster) ModifyFile(f *metadata.File) (Result, bool) {
 	g := c.Tree.GroupOf(leaf)
 	c.pending[g][f.ID] = existing
 	c.chains[g].Record(version.Change{Kind: version.Modify, File: existing})
-	res.Latency = c.insertLatency(leaf)
-	res.Messages = 2
+	res.Latency, res.Messages = updateCost(c.Cfg.Cost)
 	if c.shouldPropagate(g) {
 		res.Messages += c.Propagate(g)
 	}
@@ -72,26 +68,11 @@ func (c *Cluster) DeleteFile(id uint64) (Result, bool) {
 	delete(c.pending[g], id)
 	c.deleted[g][id] = true
 	c.chains[g].Record(version.Change{Kind: version.Delete, File: target})
-	res.Latency = c.insertLatency(leaf)
-	res.Messages = 2
+	res.Latency, res.Messages = updateCost(c.Cfg.Cost)
 	if c.shouldPropagate(g) {
 		res.Messages += c.Propagate(g)
 	}
 	return res, true
-}
-
-// insertLatency models one metadata update round trip: client → unit,
-// local index update, ack.
-func (c *Cluster) insertLatency(leaf *semtree.Node) simnet.Time {
-	node := c.unitNode[leaf]
-	c.Sim.ResetCounters()
-	return c.Sim.Latency(func(done func()) {
-		c.client.Send(node, queryMsgBytes, func(at *simnet.Node) {
-			at.Work(c.Cfg.Cost.ProbeCost(1)+c.Cfg.Cost.LSIFold, func() {
-				at.Send(c.client, resultMsgBase, func(*simnet.Node) { done() })
-			})
-		})
-	})
 }
 
 // shouldPropagate applies the lazy-update rule of §3.4: propagate when
@@ -111,25 +92,13 @@ func (c *Cluster) shouldPropagate(g *semtree.Node) bool {
 // removal: apply locally, then multicast to remote replica holders). It
 // returns the number of messages sent.
 func (c *Cluster) Propagate(g *semtree.Node) int64 {
-	changes := c.chains[g].Compact()
+	c.chains[g].Compact()
 	c.pending[g] = make(map[uint64]*metadata.File)
 	c.deleted[g] = make(map[uint64]bool)
 	c.ReplicaMulticasts++
-
 	// Replica multicast: the group's host sends its refreshed vector +
 	// MBR (and the change log) to every other storage unit.
-	host := c.groupHost(g)
-	var others []*simnet.Node
-	for _, l := range c.Tree.Leaves() {
-		if n := c.unitNode[l]; n != host {
-			others = append(others, n)
-		}
-	}
-	c.Sim.ResetCounters()
-	size := replicaPerSize + 8*len(changes)
-	host.Multicast(others, size, func(*simnet.Node) {})
-	c.Sim.Run()
-	return c.Sim.Messages()
+	return int64(len(c.Tree.Leaves()) - 1)
 }
 
 // PropagateAll flushes every group (used between experiment phases to

@@ -1,7 +1,7 @@
 // Package engine is the sharded store engine behind the root package's
 // Store: it owns N independent shards — each with one semantic R-tree,
-// its cluster deployment, virtual-time state and lock — so concurrent
-// queries and writes on different shards never contend.
+// its cluster deployment and lock — so concurrent queries and writes on
+// different shards never contend.
 //
 // Placement is semantic and stable: the file population is cut into N
 // contiguous regions of the LSI-ordered semantic space at build time,
@@ -72,10 +72,12 @@ type Config struct {
 	// OfflineGroupBudget overrides the off-line search breadth: each
 	// shard's off-line complex query searches at most this many groups,
 	// and a multi-shard off-line top-k fans out to at most this many
-	// shards. 0 keeps the adaptive heuristics (offlineMaxGroups /
-	// SharedOfflineBudget / offlineMaxShards); a budget at least the
-	// group and shard counts makes the off-line path exhaustive. The
-	// evaluation harness sweeps this knob to map the recall/cost curve.
+	// shards. 0 keeps the adaptive heuristics: the cluster's
+	// offlineMaxGroups on a lone shard, metadata.OfflineFanout on each
+	// shard of a multi-shard fan-out and over the shards themselves. A
+	// budget at least the group and shard counts makes the off-line
+	// path exhaustive. The evaluation harness sweeps this knob to map
+	// the recall/cost curve.
 	OfflineGroupBudget int
 	// Norm, when fitted, is used verbatim instead of fitting a
 	// normalizer to the build corpus. A federation of stores must share

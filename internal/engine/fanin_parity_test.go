@@ -17,11 +17,13 @@ import (
 // fanInParityHash is the SHA-256 of everything the engine's routing,
 // top-k fold and report composition decide on the fixed stream below —
 // target sets, merged ids in order, distance bits and composed report
-// bits. It was recorded by running this test file, unmodified,
-// against the commit before the engine and the gateway shared one
-// fan-in (e401604): a mismatch means a target selection, a tie-break or
-// an arithmetic order moved.
-const fanInParityHash = "87639aa23beab6b12f80a4df2f7954cebb2d7b564e8b24e4ad898bc56a7b3256"
+// bits. It was first recorded against the commit before the engine and
+// the gateway shared one fan-in (e401604), and re-recorded once when
+// latency became a closed form instead of a difference of absolute
+// virtual clocks — a change to the last bits of latency only, which
+// fanInRoundedHash held across: a mismatch means a target selection, a
+// tie-break or an arithmetic order moved.
+const fanInParityHash = "08fd5aa5a2403c88e0decf398e2b92946ad886525a3e092c36558e0afc1122eb"
 
 // fanInRoundedHash digests the same stream with each report's latency
 // printed to twelve significant digits instead of its raw bits, so it

@@ -15,20 +15,20 @@ import (
 )
 
 // Shard is one independent slice of a sharded deployment: its own
-// semantic R-tree, cluster deployment, virtual-time state and lock.
-// Shards never share mutable state, so operations on different shards
-// proceed fully in parallel; within a shard the same two-level locking
-// as the original single-store design applies (an RWMutex for tree
-// structure, a capacity-1 query slot for the simulated phase).
+// semantic R-tree, cluster deployment and lock. Shards never share
+// mutable state, so operations on different shards proceed fully in
+// parallel; within a shard the same two-level locking as the original
+// single-store design applies (an RWMutex for tree structure, a
+// capacity-1 query slot for the deployment's per-query state).
 type Shard struct {
 	id      int
 	cluster *cluster.Cluster
 
 	// mu keeps tree structure stable: readers share it, mutators hold
-	// it exclusively. qslot serializes the deployment's simulation
-	// machinery (sim counters, home-unit RNG, lazy id cache); it is a
-	// capacity-1 channel semaphore rather than a mutex so waiters can
-	// abandon the wait on context cancellation. epoch counts this
+	// it exclusively. qslot serializes the two things a read mutates:
+	// the deployment's home-unit RNG and its lazily built id index. It
+	// is a capacity-1 channel semaphore rather than a mutex so waiters
+	// can abandon the wait on context cancellation. epoch counts this
 	// shard's committed mutations; the engine composes shard epochs
 	// into the store-wide epoch.
 	mu    sync.RWMutex
@@ -60,19 +60,9 @@ func newShard(id int, tree *semtree.Tree, clusterCfg cluster.Config, budget int)
 	}
 }
 
-// offlineBudget resolves the off-line group budget of a sharded
-// fan-out on this shard: the configured override wins; otherwise the
-// deployment's shared heuristic budget.
-func (s *Shard) offlineBudget() int {
-	if s.budget > 0 {
-		return s.budget
-	}
-	return s.cluster.SharedOfflineBudget()
-}
-
-// runQueryCtx serializes the deployment's virtual-time machinery around
-// f with a cancellable wait: a context cancelled while queued for the
-// query slot — or observed cancelled once it is acquired — returns
+// runQueryCtx runs f holding the query slot (home-unit RNG, lazy id
+// index), with a cancellable wait: a context cancelled while queued for
+// the slot — or observed cancelled once it is acquired — returns
 // ctx.Err() without running f. The shard read lock must be held.
 func (s *Shard) runQueryCtx(ctx context.Context, f func() error) error {
 	select {
@@ -131,9 +121,9 @@ type projectOpts struct {
 // rangeQuery answers a range query on this shard. When sharded is set
 // — the shard is one member of a multi-shard fan-out — a shard whose
 // whole population falls outside the query rectangle is skipped without
-// drawing on its deployment's RNG or simulation state, and the off-line
-// path runs under the shared group budget (the cross-shard union
-// supplies breadth, so every shard forgoes the solo 3-group floor).
+// drawing on its deployment's RNG, and the off-line path runs under the
+// shared budget metadata.OfflineFanout (the cross-shard union supplies
+// breadth, so every shard forgoes the solo 3-group floor).
 func (s *Shard) rangeQuery(ctx context.Context, q query.Range, online, sharded bool, opts projectOpts) (answer, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -147,7 +137,7 @@ func (s *Shard) rangeQuery(ctx context.Context, q query.Range, online, sharded b
 		case online:
 			a.ids, a.res = c.RangeOnline(q)
 		case sharded:
-			a.ids, a.res = c.RangeOfflineN(q, s.offlineBudget())
+			a.ids, a.res = c.RangeOfflineN(q, metadata.OfflineFanout(len(c.Tree.FirstLevelIndexUnits()), s.budget))
 		default:
 			a.ids, a.res = c.RangeOfflineN(q, s.budget)
 		}
@@ -173,7 +163,7 @@ func (s *Shard) topK(ctx context.Context, q query.TopK, online, sharded, wantDis
 		case online:
 			a.ids, a.res = c.TopKOnline(q)
 		case sharded:
-			a.ids, a.res = c.TopKOfflineN(q, s.offlineBudget())
+			a.ids, a.res = c.TopKOfflineN(q, metadata.OfflineFanout(len(c.Tree.FirstLevelIndexUnits()), s.budget))
 		default:
 			a.ids, a.res = c.TopKOfflineN(q, s.budget)
 		}

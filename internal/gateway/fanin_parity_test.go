@@ -16,13 +16,15 @@ import (
 // gatewayFanInParityHash is the SHA-256 of everything the gateway's
 // routing, top-k fold and report composition decide on the fixed stream
 // below — member target sets, merged ids in order, distance bits,
-// composed report bits and insert placements. It was recorded by
-// running this test against the commit before the engine and the
-// gateway shared one fan-in (e401604); the only edit needed there is
-// hashReport reading the wire report's two latency fields under the
-// Sec-suffixed names they had then. A mismatch means a target
+// composed report bits and insert placements. It was first recorded
+// against the commit before the engine and the gateway shared one
+// fan-in (e401604), reading the wire report's two latency fields under
+// the Sec-suffixed names they had then, and re-recorded once when
+// latency became a closed form instead of a difference of absolute
+// virtual clocks — a change to the last bits of latency only, which
+// gatewayFanInRoundedHash held across. A mismatch means a target
 // selection, a tie-break or an arithmetic order moved.
-const gatewayFanInParityHash = "7e82d5779fd85f30a6579ebf021e5a50167f70c6b223111c9f461f4585fb8919"
+const gatewayFanInParityHash = "f9dc0c4eddd98ace80d4742b4877cb324923c4acbf5ff51ca98a7e0108dbf4b2"
 
 // gatewayFanInRoundedHash digests the same stream with each report's
 // latency printed to twelve significant digits instead of its raw bits,

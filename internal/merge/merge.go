@@ -20,10 +20,7 @@
 // and how children's reports fold is engine.Compose.
 package merge
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // Cand is one top-k candidate: a file id with its true normalized
 // squared distance to the query point.
@@ -85,9 +82,11 @@ func TopK(lists [][]Cand, k int) []Cand {
 			}
 		}
 	}
+	// Popping the max-heap yields the worst first: fill from the back.
 	out := make([]Cand, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return Less(out[i], out[j]) })
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(&h).(Cand)
+	}
 	return out
 }
 

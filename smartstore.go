@@ -120,10 +120,10 @@ const (
 type Config struct {
 	// Shards is the number of independent engine shards the deployment
 	// is partitioned into. Each shard owns one semantic R-tree, its
-	// cluster deployment, virtual-time state and lock, so
-	// operations on different shards never contend; queries fan out to
-	// the relevant shards in parallel and merge. Default 1, which
-	// reproduces the unsharded store exactly. Must not exceed Units.
+	// cluster deployment and lock, so operations on different shards
+	// never contend; queries fan out to the relevant shards in parallel
+	// and merge. Default 1, which reproduces the unsharded store
+	// exactly. Must not exceed Units.
 	Shards int
 	// Units is the number of storage units (metadata servers), summed
 	// across shards. The prototype evaluation uses 60. Default 60.
@@ -224,12 +224,11 @@ func (cfg Config) engineConfig() engine.Config {
 //
 // A Store is a facade over the sharded engine (internal/engine): the
 // deployment is partitioned into Config.Shards independent shards, each
-// with one semantic R-tree, its cluster deployment, virtual-time state
-// and lock. A Store is safe for concurrent use — queries take
-// per-shard shared locks and fan out in parallel, mutations route to
-// their owning shard (multi-shard batches lock all target shards in a
-// deadlock-free total order), and operations on different shards never
-// contend on a lock. With Shards: 1 (the default) the engine executes
+// with one semantic R-tree, its cluster deployment and lock. A Store is
+// safe for concurrent use — queries take per-shard shared locks and fan
+// out in parallel, mutations route to their owning shard (multi-shard
+// batches lock all target shards in a deadlock-free total order), and
+// operations on different shards never contend on a lock. With Shards: 1 (the default) the engine executes
 // exactly the pre-sharding store's code path.
 type Store struct {
 	cfg Config
