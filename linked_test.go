@@ -92,6 +92,31 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	}
 }
 
+// TestDependencyFences keeps the service and the paper's reproduction
+// apart: the serving daemons depend on none of the reproduction-only
+// packages (the paper-era baselines and experiment drivers), and
+// smartbench, the paper's tables-and-figures runner, depends on none of
+// the serving stack — the service is measured by bench/.
+func TestDependencyFences(t *testing.T) {
+	fences := []struct {
+		programs []string
+		banned   *regexp.Regexp
+	}{
+		{[]string{"./cmd/smartstored", "./cmd/smartgate"},
+			regexp.MustCompile(`^repro/internal/(baseline|btree|kmeans|core|experiments|eval)$`)},
+		{[]string{"./cmd/smartbench"},
+			regexp.MustCompile(`^repro(/internal/(server|client|gateway|wire|wal|repl|engine))?$`)},
+	}
+	for _, f := range fences {
+		deps := goOut(t, ".", append([]string{"list", "-deps"}, f.programs...)...)
+		for _, dep := range strings.Fields(deps) {
+			if f.banned.MatchString(dep) {
+				t.Errorf("go list -deps %s lists %s", strings.Join(f.programs, " "), dep)
+			}
+		}
+	}
+}
+
 // goOut runs the go command in dir and returns its standard output.
 func goOut(t *testing.T, dir string, args ...string) string {
 	t.Helper()
