@@ -52,7 +52,8 @@ func complexCost(cost simnet.CostModel, home *semtree.Node, groups []groupCost, 
 	// idle[i] is when hosts[i] has worked off its queue; home's opens at t0.
 	hosts, idle := []*semtree.Node{home}, []simnet.Time{t0}
 	arrive := t0 + cost.TransferTime(queryMsgBytes)
-	done := make([]simnet.Time, len(groups))
+	done := make([]simnet.Time, len(groups))  // group finishes searching
+	reply := make([]simnet.Time, len(groups)) // its reply reaches home
 	total := 0
 	for g, gc := range groups {
 		h := slices.Index(hosts, gc.host)
@@ -62,6 +63,7 @@ func complexCost(cost simnet.CostModel, home *semtree.Node, groups []groupCost, 
 		}
 		idle[h] = max(idle[h], arrive) + gc.work
 		done[g] = idle[h]
+		reply[g] = done[g] + cost.TransferTime(resultMsgBase+resultPerID*gc.ids)
 		total += gc.ids
 	}
 	order = make([]int, len(groups))
@@ -70,10 +72,6 @@ func complexCost(cost simnet.CostModel, home *semtree.Node, groups []groupCost, 
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(done[a], done[b]) })
 	// Replies reach home in (arrival, completion order).
-	reply := make([]simnet.Time, len(groups))
-	for g, gc := range groups {
-		reply[g] = done[g] + cost.TransferTime(resultMsgBase+resultPerID*gc.ids)
-	}
 	fanIn := slices.Clone(order)
 	slices.SortStableFunc(fanIn, func(a, b int) int { return cmp.Compare(reply[a], reply[b]) })
 	last := idle[0]

@@ -12,11 +12,12 @@ import (
 )
 
 // TestCostClosedForms drives the closed forms with a cost model whose
-// every time is an exact binary fraction: T(256) = 17, T(64+16n) = 5+n,
+// every time is an exact binary fraction: T(256) = 5, T(64+16n) = 2+n/4,
 // ProbeCost(n) = n/2, LSIFold = 2, MsgHandle = 1.
 func TestCostClosedForms(t *testing.T) {
-	cost := simnet.CostModel{HopLatency: 1, BandwidthBps: 16, MemProbe: 0.5, LSIFold: 2, MsgHandle: 1}
-	home, a, b, c := &semtree.Node{ID: 10}, &semtree.Node{ID: 11}, &semtree.Node{ID: 12}, &semtree.Node{ID: 13}
+	cost := simnet.CostModel{HopLatency: 1, BandwidthBps: 64, MemProbe: 0.5, LSIFold: 2, MsgHandle: 1}
+	home := &semtree.Node{ID: 10}
+	a, b, c := &semtree.Node{ID: 11}, &semtree.Node{ID: 12}, &semtree.Node{ID: 13}
 	type outcome struct {
 		order    []int
 		latency  simnet.Time
@@ -39,34 +40,36 @@ func TestCostClosedForms(t *testing.T) {
 		got  outcome
 		want outcome
 	}{
-		// Home folds the query in (17 + 2) and answers at once.
-		{"no groups", complexQuery(false), outcome{nil, 19, 1}},
-		{"no groups on-line", complexQuery(true), outcome{nil, 17, 1}},
-		// Hosts get the query at 36 and finish at 39 and 40; replies
-		// reach home at 45 and 47, are handled by 46 and 48, and the
-		// 3-id answer takes 8 more.
+		// Home folds the query in (5 + 2) and answers at once.
+		{"no groups", complexQuery(false), outcome{nil, 7, 1}},
+		{"no groups on-line", complexQuery(true), outcome{nil, 5, 1}},
+		// Hosts get the query at 12 and finish at 15 and 16. Replies
+		// reach home at 17.25 and 18.5 and are handled by 18.25 and
+		// 19.5; the 3-id answer takes 2.75 more.
 		{"two groups on two hosts", complexQuery(false,
-			groupCost{a, 3, 1}, groupCost{b, 4, 2}), outcome{[]int{0, 1}, 56, 6}},
-		// One host searches the second group after the first: 39, 43.
+			groupCost{a, 3, 1}, groupCost{b, 4, 2}), outcome{[]int{0, 1}, 22.25, 6}},
+		// One host searches the second group after the first: 15, 19.
 		{"two groups on one host", complexQuery(false,
-			groupCost{a, 3, 1}, groupCost{a, 4, 2}), outcome{[]int{0, 1}, 59, 6}},
-		// On-line, home checks two groups (1) and searches group 0 itself
-		// from 35 to 45; group 1's reply arrives at 44 and waits behind
-		// that search, group 0's arrives at 50.
+			groupCost{a, 3, 1}, groupCost{a, 4, 2}), outcome{[]int{0, 1}, 25.25, 6}},
+		// On-line, home checks four groups (2) and searches group 0 itself
+		// from 12 to 18. The other three replies arrive at 15 and wait
+		// for that search (18 to 21); group 0's arrives at 20 and is
+		// handled from 21.
 		{"group hosted on home", complexQuery(true,
-			groupCost{home, 10, 0}, groupCost{a, 3, 1}), outcome{[]int{1, 0}, 57, 6}},
-		// Both finish at 39: ids join in group order. The shorter reply
-		// of group 1 reaches home first (45, then 46).
+			groupCost{home, 6, 0}, groupCost{a, 1, 0}, groupCost{b, 1, 0}, groupCost{c, 1, 0}),
+			outcome{[]int{1, 2, 3, 0}, 24, 10}},
+		// Both finish at 15: ids join in group order, although the
+		// shorter reply of group 1 reaches home first.
 		{"two groups finish at once", complexQuery(false,
-			groupCost{a, 3, 2}, groupCost{b, 3, 1}), outcome{[]int{0, 1}, 55, 6}},
-		// The answer waits for the slowest group (39, reply at 44).
+			groupCost{a, 3, 2}, groupCost{b, 3, 1}), outcome{[]int{0, 1}, 22, 6}},
+		// The answer waits for the slowest group (15, reply at 17).
 		{"slowest group decides", complexQuery(false,
-			groupCost{a, 1, 0}, groupCost{b, 3, 0}, groupCost{c, 2, 0}), outcome{[]int{0, 2, 1}, 50, 8}},
-		// 17 + 3 of Bloom work, then two 2-id replies of 7.
-		{"point", point(3, 2, 0), outcome{nil, 34, 4}},
-		{"point forwarded to three units", point(3, 2, 3), outcome{nil, 34, 6}},
-		// 17 + a one-record probe and a fold-in (2.5) + a 64-byte ack.
-		{"insert", update(), outcome{nil, 24.5, 2}},
+			groupCost{a, 1, 0}, groupCost{b, 3, 0}, groupCost{c, 2, 0}), outcome{[]int{0, 2, 1}, 20, 8}},
+		// 5 + 3 of Bloom work, then two 2-id replies of 2.5.
+		{"point", point(3, 2, 0), outcome{nil, 13, 4}},
+		{"point forwarded to three units", point(3, 2, 3), outcome{nil, 13, 6}},
+		// 5 + a one-record probe and a fold-in (2.5) + a 64-byte ack.
+		{"insert", update(), outcome{nil, 9.5, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,8 +88,8 @@ func TestCostClosedForms(t *testing.T) {
 // units. A report is a function of the deployment's state, so the two
 // answers and reports are bit-identical.
 func TestReportIndependentOfHistory(t *testing.T) {
-	busy, set := deploy(t, 3000, 60, 11, Config{Seed: 11})
-	fresh, _ := deploy(t, 3000, 60, 11, Config{Seed: 11})
+	busy, set := deploy(t, 800, 16, 11, Config{Seed: 11})
+	fresh, _ := deploy(t, 800, 16, 11, Config{Seed: 11})
 	gen := trace.NewQueryGen(set, stats.Zipf, trace.DefaultQueryAttrs(), 12)
 	for i := 0; i < 5000; i++ {
 		q := gen.TopK(1 + i%10)
