@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/metadata"
@@ -179,6 +180,74 @@ func TestTopKOnlineRecallExactOnSnapshot(t *testing.T) {
 		}
 		if gotWorst > wantWorst+1e-9 {
 			t.Fatalf("online topk k-th distance %v worse than truth %v", gotWorst, wantWorst)
+		}
+	}
+}
+
+// TestRerankTopKTiesAcrossGroups pools two groups' answers in group
+// order, as runComplex does, on a one-attribute query whose point is an
+// access count files of both groups share, so several candidates from
+// each group sit at exactly the same distance. The rerank must return
+// them ascending by (dist, id), interleaving the groups, and skip an id
+// no file resolves to.
+func TestRerankTopKTiesAcrossGroups(t *testing.T) {
+	c, _ := deploy(t, 2000, 24, 41, Config{Seed: 41})
+	groups := c.Tree.FirstLevelIndexUnits()
+	g1, g2 := groups[0], groups[1]
+	idsAt := func(g *semtree.Node) map[float64][]uint64 {
+		m := map[float64][]uint64{}
+		for _, l := range g.Leaves(nil) {
+			for _, f := range l.Unit.Files {
+				v := f.Attrs[metadata.AttrAccessFreq]
+				m[v] = append(m[v], f.ID)
+			}
+		}
+		return m
+	}
+	at1, at2 := idsAt(g1), idsAt(g2)
+	// A shared count where the second group holds a lower id than the
+	// first: pooled in group order, the tied ids arrive out of id order.
+	point, tied := 0.0, 0
+	for v, ids1 := range at1 {
+		ids2 := at2[v]
+		if n := len(ids1) + len(ids2); len(ids2) > 0 && slices.Min(ids2) < slices.Max(ids1) &&
+			(n > tied || n == tied && v < point) {
+			point, tied = v, n
+		}
+	}
+	if tied == 0 {
+		t.Fatal("no access count shared out of id order by the two groups; the tie is not exercised")
+	}
+	q := query.NewTopK([]metadata.Attr{metadata.AttrAccessFreq}, []float64{point}, tied+4)
+	ids1, _ := c.Tree.SearchGroupTopK(g1, q)
+	ids2, _ := c.Tree.SearchGroupTopK(g2, q)
+	const unresolved = ^uint64(0)
+	pool := slices.Concat(ids1, []uint64{unresolved}, ids2)
+
+	got := c.rerankTopK(pool, q)
+	type cand struct {
+		id   uint64
+		dist float64
+	}
+	var want []cand
+	for _, id := range pool {
+		if f, ok := c.FileByID(id); ok {
+			want = append(want, cand{id, q.Dist(c.Tree.Norm, f)})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].dist != want[j].dist {
+			return want[i].dist < want[j].dist
+		}
+		return want[i].id < want[j].id
+	})
+	want = want[:q.K]
+	if len(got) != len(want) {
+		t.Fatalf("rerank returned %d ids, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i].id {
+			t.Fatalf("rank %d: got id %d, want %d (dist %v); %d tied at dist %v", i, got[i], want[i].id, want[i].dist, tied, want[0].dist)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"slices"
+
+	"repro/internal/merge"
 	"repro/internal/metadata"
 	"repro/internal/query"
 	"repro/internal/semtree"
@@ -140,29 +143,17 @@ func contributingHops(found [][]uint64, final []uint64) int {
 // arrive in group completion order.
 func (c *Cluster) rerankTopK(ids []uint64, q query.TopK) []uint64 {
 	byID := c.fileByID()
-	type cand struct {
-		id   uint64
-		dist float64
-	}
-	cands := make([]cand, 0, len(ids))
+	cands := make([]merge.Cand, 0, len(ids))
 	for _, id := range ids {
 		if f, ok := byID[id]; ok {
-			cands = append(cands, cand{id, q.Dist(c.Tree.Norm, f)})
+			cands = append(cands, merge.Cand{ID: id, Dist: q.Dist(c.Tree.Norm, f)})
 		}
 	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && (cands[j].dist < cands[j-1].dist ||
-			(cands[j].dist == cands[j-1].dist && cands[j].id < cands[j-1].id)); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	k := q.K
-	if k > len(cands) {
-		k = len(cands)
-	}
+	slices.SortFunc(cands, merge.Compare)
+	k := min(q.K, len(cands))
 	out := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
+	for i, cd := range cands[:k] {
+		out[i] = cd.ID
 	}
 	return out
 }

@@ -10,9 +10,12 @@
 //     population, so the union is exact;
 //   - top-k answers keep the k globally nearest candidates by true
 //     normalized distance under a bounded max-heap, ordered ascending by
-//     (distance, id) — the same total order the per-cluster rerank uses,
-//     so a merged answer matches the single-deployment answer on
-//     identical data.
+//     (distance, id), so a merged answer matches the single-deployment
+//     answer on identical data.
+//
+// Compare declares that (distance, id) order once: the per-group search
+// (semtree.Tree.SearchGroupTopK), the per-cluster rerank
+// (internal/cluster) and both fan-ins rank by it.
 //
 // The rest of what the two layers share sits beside the types it works
 // on: which children a query or a write goes to is centroid routing in
@@ -20,7 +23,10 @@
 // and how children's reports fold is engine.Compose.
 package merge
 
-import "container/heap"
+import (
+	"cmp"
+	"container/heap"
+)
 
 // Cand is one top-k candidate: a file id with its true normalized
 // squared distance to the query point.
@@ -29,14 +35,22 @@ type Cand struct {
 	Dist float64 // normalized squared distance to the query point
 }
 
-// Less is the (distance, id) ascending total order every top-k answer
-// is ranked by: nearer first, ties broken by ascending id.
-func Less(a, b Cand) bool {
+// Compare is the (distance, id) ascending total order every top-k answer
+// is ranked by: nearer first, ties broken by ascending id. It returns a
+// negative number when a ranks before b, a positive one when after, and
+// zero only for equal candidates — the form slices.SortFunc takes.
+func Compare(a, b Cand) int {
 	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+		if a.Dist < b.Dist {
+			return -1
+		}
+		return 1
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
+
+// Less reports whether a ranks before b under Compare.
+func Less(a, b Cand) bool { return Compare(a, b) < 0 }
 
 // candHeap is a bounded max-heap over (dist, id): the root is the
 // current worst of the k best, so a better candidate replaces it in

@@ -77,6 +77,29 @@ func TestTopKMatchesSort(t *testing.T) {
 	}
 }
 
+// TestCompare pins the (dist, id) order the group search, the cluster
+// rerank and TopK share, and Less as its negative half.
+func TestCompare(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b Cand
+		want int
+	}{
+		{"nearer first", Cand{ID: 9, Dist: 0.1}, Cand{ID: 2, Dist: 0.2}, -1},
+		{"farther last", Cand{ID: 2, Dist: 0.2}, Cand{ID: 9, Dist: 0.1}, 1},
+		{"equal dist, lower id first", Cand{ID: 2, Dist: 0.3}, Cand{ID: 9, Dist: 0.3}, -1},
+		{"equal dist, higher id last", Cand{ID: 9, Dist: 0.3}, Cand{ID: 2, Dist: 0.3}, 1},
+		{"equal", Cand{ID: 4, Dist: 0.3}, Cand{ID: 4, Dist: 0.3}, 0},
+	} {
+		if got := Compare(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Compare(%v, %v) = %d, want %d", tc.name, tc.a, tc.b, got, tc.want)
+		}
+		if got := Less(tc.a, tc.b); got != (tc.want < 0) {
+			t.Errorf("%s: Less(%v, %v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want < 0)
+		}
+	}
+}
+
 func TestUnion(t *testing.T) {
 	ids, dups := Union([][]uint64{{1, 2}, {3}, {}, {4, 2}})
 	if want := []uint64{1, 2, 3, 4}; !reflect.DeepEqual(ids, want) {

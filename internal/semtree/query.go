@@ -2,8 +2,10 @@ package semtree
 
 import (
 	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/merge"
 	"repro/internal/metadata"
 	"repro/internal/query"
 )
@@ -396,38 +398,33 @@ func (t *Tree) SearchGroupRange(group *Node, q query.Range) ([]uint64, QueryStat
 	return out, st
 }
 
-// SearchGroupTopK scans only the given group's units for a top-k query.
+// SearchGroupTopK scans every file under the given first-level group
+// for a top-k query — the local search the off-line approach performs at
+// the routed target (§3.4) — and returns the group's min(k, files) nearest
+// ids, ascending by merge.Compare's (dist, id) order.
 func (t *Tree) SearchGroupTopK(group *Node, q query.TopK) ([]uint64, QueryStats) {
 	var st QueryStats
 	st.GroupsTouched = 1
-	type cand struct {
-		id   uint64
-		dist float64
-	}
-	var cands []cand
 	var leaves []*Node
 	leaves = group.Leaves(leaves)
-	for _, n := range leaves {
+	n := 0
+	for _, l := range leaves {
+		n += l.Unit.Len()
+	}
+	cands := make([]merge.Cand, 0, n)
+	for _, l := range leaves {
 		st.NodesVisited++
 		st.UnitsSearched++
-		for _, f := range n.Unit.Files {
+		for _, f := range l.Unit.Files {
 			st.RecordsScanned++
-			cands = append(cands, cand{f.ID, q.Dist(t.Norm, f)})
+			cands = append(cands, merge.Cand{ID: f.ID, Dist: q.Dist(t.Norm, f)})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
-		}
-		return cands[i].id < cands[j].id
-	})
-	k := q.K
-	if k > len(cands) {
-		k = len(cands)
-	}
+	slices.SortFunc(cands, merge.Compare)
+	k := min(q.K, len(cands))
 	out := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].id
+	for i, c := range cands[:k] {
+		out[i] = c.ID
 	}
 	return out, st
 }
