@@ -38,7 +38,6 @@ func main() {
 	files := flag.Int("files", 5000, "sample population")
 	units := flag.Int("units", 60, "storage units")
 	seed := flag.Uint64("seed", 42, "random seed")
-	versioning := flag.Bool("versioning", false, "enable consistency versioning")
 	online := flag.Bool("online", false, "use the on-line multicast query path")
 	loadPath := flag.String("load", "", "restore the store from a snapshot file instead of synthesizing")
 	savePath := flag.String("save", "", "write the built store to a snapshot file before querying")
@@ -82,7 +81,7 @@ func main() {
 			fatal(err)
 		}
 		store, err = smartstore.Load(f, smartstore.Config{
-			Seed: *seed, Versioning: *versioning, Mode: mode,
+			Seed: *seed, Mode: mode,
 		})
 		f.Close()
 		if err != nil {
@@ -94,7 +93,7 @@ func main() {
 			fatal(err)
 		}
 		store, err = smartstore.Build(set.Files, smartstore.Config{
-			Units: *units, Seed: *seed, Versioning: *versioning, Mode: mode,
+			Units: *units, Seed: *seed, Mode: mode,
 		})
 		if err != nil {
 			fatal(err)

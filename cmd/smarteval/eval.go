@@ -30,7 +30,7 @@ type Options struct {
 	Seed uint64
 	// RoundSize is the replay round length (0 → max(64, 8×Clients)):
 	// each round runs its queries concurrently, then applies its
-	// mutations and flushes, so queries never race replica propagation.
+	// mutations, so queries never race a write the mirror has not seen.
 	RoundSize int
 	// Pace honours the ops' arrival offsets (bursty scenarios) instead
 	// of replaying closed-loop.
@@ -67,7 +67,6 @@ type runState struct {
 	pointHits     int
 	mismatches    int
 	mutations     int
-	flushes       int
 }
 
 func (st *runState) observe(kind string, ms float64, err error) {
@@ -136,7 +135,6 @@ func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResul
 		Seed:          opts.Seed,
 		WallSec:       wall,
 		Mutations:     st.mutations,
-		Flushes:       st.flushes,
 		PerOp:         map[string]*LatencyStat{},
 		RangeRecall:   recallStat(st.rangeRecalls),
 		TopKRecall:    recallStat(st.topkRecalls),
@@ -174,7 +172,7 @@ func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResul
 
 // runRound executes one replay round: the round's queries concurrently
 // under the worker pool (optionally paced by arrival offset), then its
-// mutations in stream order, then one flush if anything mutated.
+// mutations in stream order.
 func runRound(ctx context.Context, ops []trace.Op, truth *eval.Truth, st *runState, opts Options) error {
 	var queries, mutations []trace.Op
 	for _, op := range ops {
@@ -224,18 +222,11 @@ func runRound(ctx context.Context, ops []trace.Op, truth *eval.Truth, st *runSta
 	close(jobs)
 	wg.Wait()
 
-	if len(mutations) == 0 {
-		return nil
-	}
 	for _, op := range mutations {
 		if err := runMutation(ctx, op, truth, st, opts); err != nil {
 			return err
 		}
 	}
-	if _, err := opts.Client.FlushCtx(ctx); err != nil {
-		return fmt.Errorf("eval: flush: %w", err)
-	}
-	st.flushes++
 	return nil
 }
 

@@ -97,7 +97,7 @@ func TestRunExactWithExhaustiveBudget(t *testing.T) {
 	}
 }
 
-// A mutating scenario must stay exact under the round/flush protocol:
+// A mutating scenario must stay exact under the round protocol:
 // inserts land under server-allocated ids, deletes and modifies agree
 // with the mirror's verdicts, and recall never degrades.
 func TestRunMutatingScenarioStaysExact(t *testing.T) {
@@ -116,7 +116,7 @@ func TestRunMutatingScenarioStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Mutations == 0 || res.Flushes == 0 {
+	if res.Mutations == 0 {
 		t.Fatalf("insert-heavy scenario mutated nothing: %+v", res)
 	}
 	if res.Mismatches != 0 {

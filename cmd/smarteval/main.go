@@ -22,9 +22,9 @@
 // Every mutation is mirrored into the internal/eval ground truth. The
 // replay is round-based: each round's queries run concurrently
 // (latency is measured there), then the round's mutations apply — to
-// the served store and the mirror — followed by a flush, so replica
-// propagation can never make the comparison ambiguous: every query
-// races only queries, never an unpropagated write. See DESIGN.md §10.
+// the served store and the mirror — so the comparison can never be
+// ambiguous: every query races only queries, never a write the mirror
+// has not seen. See DESIGN.md §10.
 //
 // Recall floors turn the report into a gate: with -floor-range /
 // -floor-topk set, any scenario whose mean recall drops below its

@@ -53,7 +53,6 @@ type ScenarioResult struct {
 	Throughput float64 `json:"throughput_ops_sec"` // ops / wall second
 	Errors     int     `json:"errors"`             // failed operations, all kinds
 	Mutations  int     `json:"mutations"`          // inserts + deletes + modifies applied
-	Flushes    int     `json:"flushes"`            // round-boundary flushes issued
 
 	// PerOp breaks latency down by op kind ("point", "insert", ...).
 	PerOp map[string]*LatencyStat `json:"per_op"`
@@ -61,8 +60,8 @@ type ScenarioResult struct {
 	RangeRecall *RecallStat `json:"range_recall,omitempty"` // range recall vs exact truth
 	TopKRecall  *RecallStat `json:"topk_recall,omitempty"`  // top-k recall vs exact truth
 	// RangeSpurious counts answered range ids outside the exact truth.
-	// With the round-flush protocol it should be zero; nonzero values
-	// flag a staleness or correctness bug, not a recall artefact.
+	// Acknowledged writes answer at once, so it should be zero; nonzero
+	// values flag a staleness or correctness bug, not a recall artefact.
 	RangeSpurious int `json:"range_spurious"`
 
 	PointQueries int     `json:"point_queries"`  // point lookups issued

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smartstored -addr :7070 -trace MSN -files 20000
-//	smartstored -addr :7070 -load store.snap -versioning
+//	smartstored -addr :7070 -load store.snap
 //	smartstored -addr :7070 -trace HP -cache 8192 -workers 16
 //	smartstored -addr :7070 -shards 4 -data-dir /var/lib/smartstore
 //
@@ -68,7 +68,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	idOffset := flag.Uint64("id-offset", 0, "offset added to every trace-synthesized file id (gives each member of a smartgate federation a disjoint id space)")
 	loadPath := flag.String("load", "", "restore the store from a snapshot file instead of synthesizing")
-	versioning := flag.Bool("versioning", false, "enable consistency versioning")
 	online := flag.Bool("online", false, "use the on-line multicast query path")
 	offlineBudget := flag.Int("offline-budget", 0, "off-line search budget: groups per shard and shards per query (0 = adaptive heuristics; ≥ group and shard counts = exhaustive, exact answers)")
 	maxChildren := flag.Int("max-children", 0, "semantic R-tree max fan-out M (default 0 = 10)")
@@ -102,7 +101,6 @@ func main() {
 		shards:          *shards,
 		seed:            *seed,
 		idOffset:        *idOffset,
-		versioning:      *versioning,
 		online:          *online,
 		offlineBudget:   *offlineBudget,
 		maxChildren:     *maxChildren,
@@ -249,7 +247,7 @@ type bootstrapOpts struct {
 	files, units, shards     int
 	seed                     uint64
 	idOffset                 uint64
-	versioning, online       bool
+	online                   bool
 	offlineBudget            int
 	maxChildren, minChildren int
 	dataDir                  string
@@ -279,7 +277,6 @@ func buildConfig(o bootstrapOpts) (smartstore.Config, error) {
 		Units:              o.units,
 		Shards:             o.shards,
 		Seed:               o.seed,
-		Versioning:         o.versioning,
 		Mode:               mode,
 		OfflineGroupBudget: o.offlineBudget,
 		MaxChildren:        o.maxChildren,

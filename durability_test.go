@@ -1,10 +1,12 @@
 package smartstore_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -128,10 +130,6 @@ func TestCrashRecoveryFourShards(t *testing.T) {
 	if preEpoch == 0 || preStats.Files <= 800 {
 		t.Fatalf("workload did not mutate: epoch %d files %d", preEpoch, preStats.Files)
 	}
-	if err := store.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	preFlushEpoch := store.Epoch()
 	preRange := rangeIDs(t, store)
 	sample := *set.Files[7]
 
@@ -146,12 +144,12 @@ func TestCrashRecoveryFourShards(t *testing.T) {
 	if got := recovered.MaxFileID(); got != preMax {
 		t.Fatalf("recovered MaxFileID = %d, want %d", got, preMax)
 	}
-	if got := recovered.Epoch(); got != preFlushEpoch {
-		// Effectual flushes are logged too, so the recovered epoch must
-		// match the pre-crash value exactly — the /v1/stats guarantee.
-		t.Fatalf("recovered epoch = %d, want %d", got, preFlushEpoch)
+	if got := recovered.Epoch(); got != preEpoch {
+		// Every effectual mutation is logged, so the recovered epoch
+		// must match the pre-crash value exactly — the /v1/stats
+		// guarantee.
+		t.Fatalf("recovered epoch = %d, want %d", got, preEpoch)
 	}
-	recovered.Flush()
 	postRange := rangeIDs(t, recovered)
 	if len(postRange) != len(preRange) {
 		t.Fatalf("recovered range answer %d ids, want %d", len(postRange), len(preRange))
@@ -439,28 +437,84 @@ func TestRecoveryIgnoresPreCheckpointRecords(t *testing.T) {
 	}
 }
 
-// TestFlushEpochSurvivesCrash: effectual flushes are logged, so a
-// flush that bumped the epoch as the *last* pre-crash mutation is not
-// lost — /v1/stats epoch matches exactly after recovery.
+// TestFlushEpochSurvivesCrash: logs written before acknowledged writes
+// became visible at once hold body-free flush records, each stamped
+// with the epoch its propagation bumped. Such a log still replays, by
+// recovery and by shipping, along the stamped epoch trajectory: the
+// flush applies nothing but keeps its epoch, and the inserts on either
+// side of it answer.
 func TestFlushEpochSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	store, set := buildDurableStore(t, dir, 300, 8, 2)
-	f := &smartstore.File{ID: store.MaxFileID() + 1, Path: "/fl/a.dat", Attrs: set.Files[9].Attrs}
-	if _, err := store.Insert(f); err != nil {
+	store, set := buildDurableStore(t, dir, 300, 8, 1)
+	var snap bytes.Buffer
+	if err := store.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.Delete(f.ID); err != nil {
+	e0, n0 := store.Epoch(), store.Stats().Files
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Flush(); err != nil { // delete left pending work → effectual
+
+	a := *set.Files[9]
+	a.ID, a.Path = 700001, "/fl/a.dat"
+	b := *set.Files[11]
+	b.ID, b.Path = 700002, "/fl/b.dat"
+	recs := []wal.Record{
+		{Op: wal.OpInsert, Epoch: e0 + 1, Files: []smartstore.File{a}},
+		{Op: wal.OpFlush, Epoch: e0 + 2},
+		{Op: wal.OpInsert, Epoch: e0 + 3, Files: []smartstore.File{b}},
+	}
+	log, tail, err := wal.Open(filepath.Join(dir, "shard-0000.wal"), 0, wal.SyncNever, wal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := store.Epoch()
-	recovered := reopen(t, dir)
-	defer recovered.Close()
-	if got := recovered.Epoch(); got != want {
-		t.Fatalf("recovered epoch = %d, want %d (trailing flush bump lost)", got, want)
+	if len(tail) != 0 {
+		t.Fatalf("clean close left %d records", len(tail))
 	}
+	for i := range recs {
+		if err := log.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	answers := func(t *testing.T, s *smartstore.Store) {
+		t.Helper()
+		if got := s.Stats().Files; got != n0+2 {
+			t.Fatalf("files = %d, want %d", got, n0+2)
+		}
+		for _, f := range []smartstore.File{a, b} {
+			if got := ask(t, s, smartstore.NewPointQuery(f.Path)).IDs; !slices.Equal(got, []uint64{f.ID}) {
+				t.Fatalf("point %s = %v, want [%d]", f.Path, got, f.ID)
+			}
+		}
+	}
+	t.Run("recover", func(t *testing.T) {
+		recovered := reopen(t, dir)
+		defer recovered.Close()
+		if got := recovered.Epoch(); got != e0+3 {
+			t.Fatalf("recovered epoch = %d, want %d", got, e0+3)
+		}
+		answers(t, recovered)
+	})
+	t.Run("ship", func(t *testing.T) {
+		follower, err := smartstore.Load(&snap, smartstore.Config{Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer follower.Close()
+		for _, rec := range recs {
+			if n, err := follower.ApplyReplicated(0, []wal.Record{rec}); err != nil || n != 1 {
+				t.Fatalf("apply %s: n=%d err=%v", rec.Op, n, err)
+			}
+			if got := follower.Epoch(); got != rec.Epoch {
+				t.Fatalf("after %s: epoch %d, want the stamped %d", rec.Op, got, rec.Epoch)
+			}
+		}
+		answers(t, follower)
+	})
 }
 
 // A crash between a checkpoint's temp-file write and its rename leaves

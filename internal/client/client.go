@@ -422,12 +422,14 @@ func (c *Client) ModifyRecord(ctx context.Context, rec server.FileRecord) (*serv
 	return &out, nil
 }
 
-// Flush propagates all pending changes to replicas.
+// Flush sends the legacy POST /v1/flush. Acknowledged writes already
+// answer queries, so it changes nothing; the reply carries the current
+// epoch.
 func (c *Client) Flush() (*server.FlushResponse, error) {
 	return c.FlushCtx(context.Background())
 }
 
-// FlushCtx propagates all pending changes to replicas under ctx.
+// FlushCtx is Flush under ctx.
 func (c *Client) FlushCtx(ctx context.Context) (*server.FlushResponse, error) {
 	var out server.FlushResponse
 	if err := c.postCtx(ctx, "/v1/flush", struct{}{}, &out, false); err != nil {

@@ -98,15 +98,15 @@ func TestClientMutations(t *testing.T) {
 		t.Fatalf("insert response %+v", ins)
 	}
 
-	if _, err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	pt, err := cl.Query(context.Background(), smartstore.NewPointQuery("/client/new.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt.Count != 1 || pt.IDs[0] != ins.IDs[0] {
-		t.Fatalf("point after insert+flush: %+v want id %d", pt, ins.IDs[0])
+		t.Fatalf("point after insert: %+v want id %d", pt, ins.IDs[0])
+	}
+	if fl, err := cl.Flush(); err != nil || fl.Epoch != ins.Epoch {
+		t.Fatalf("legacy flush: %+v, %v; want epoch %d", fl, err, ins.Epoch)
 	}
 
 	f.ID = ins.IDs[0]

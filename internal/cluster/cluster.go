@@ -2,8 +2,9 @@
 // cluster, implementing the distributed aspects of SmartStore: mapping
 // index units onto storage units (§4.2), multi-mapping the root for
 // reliability (§4.3), the on-line multicast and off-line pre-processing
-// query paths (§3.3–3.4), and consistency via versioning with lazy
-// replica updates (§4.4).
+// query paths (§3.3–3.4), and — when configured with a lazy-update
+// threshold — consistency via versioning with lazy replica updates
+// (§4.4).
 //
 // Every storage unit is its own server. Each operation's latency and
 // message count is a closed form over its fixed message pattern and the
@@ -23,17 +24,20 @@ import (
 
 // Config parameterizes a deployment.
 type Config struct {
-	// Versioning enables the §4.4 consistency mechanism; without it,
-	// queries see only the last-propagated snapshot and lose recall as
-	// updates accumulate (Tables 5–6).
+	// LazyUpdateThreshold, when positive, turns on the lazy replica
+	// model of §3.4: it is the fraction of a group's files that may
+	// change before the index unit multicasts fresh replicas (§5.1 sets
+	// 5%), and until then queries see the last-propagated snapshot.
+	// Zero — the serving default — has no lazy model: every change is
+	// visible to the next query and sends no replica messages.
+	LazyUpdateThreshold float64
+	// Versioning enables the §4.4 consistency mechanism under a lazy
+	// threshold; without it, queries see only the last-propagated
+	// snapshot and lose recall as updates accumulate (Tables 5–6).
 	Versioning bool
 	// VersionRatio is the file modification-to-version ratio (§5.6);
 	// 1 = comprehensive versioning. Zero selects 4.
 	VersionRatio int
-	// LazyUpdateThreshold is the fraction of a group's files that may
-	// change before the index unit multicasts fresh replicas (§3.4,
-	// §5.1 sets 5%). Zero selects 0.05.
-	LazyUpdateThreshold float64
 	// Cost is the virtual cost model. Zero value selects the default.
 	Cost simnet.CostModel
 	// Seed drives home-unit selection and index-unit mapping.
@@ -49,9 +53,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.VersionRatio == 0 {
 		c.VersionRatio = 4
-	}
-	if c.LazyUpdateThreshold == 0 {
-		c.LazyUpdateThreshold = 0.05
 	}
 	if c.Cost == (simnet.CostModel{}) {
 		c.Cost = simnet.DefaultCostModel()
@@ -69,7 +70,8 @@ type Cluster struct {
 
 	hostOf map[*semtree.Node]*semtree.Node // index unit → hosting leaf
 
-	// Versioning state, per first-level group.
+	// Lazy-update and versioning state, per first-level group; nil
+	// without a lazy-update threshold.
 	chains  map[*semtree.Node]*version.Chain
 	pending map[*semtree.Node]map[uint64]*metadata.File // unpropagated inserts
 	deleted map[*semtree.Node]map[uint64]bool           // unpropagated deletes
@@ -111,13 +113,15 @@ func (c *Cluster) FileByID(id uint64) (*metadata.File, bool) {
 func New(tree *semtree.Tree, cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		Tree:    tree,
-		Cfg:     cfg,
-		hostOf:  make(map[*semtree.Node]*semtree.Node),
-		chains:  make(map[*semtree.Node]*version.Chain),
-		pending: make(map[*semtree.Node]map[uint64]*metadata.File),
-		deleted: make(map[*semtree.Node]map[uint64]bool),
-		rng:     stats.NewRNG(cfg.Seed),
+		Tree:   tree,
+		Cfg:    cfg,
+		hostOf: make(map[*semtree.Node]*semtree.Node),
+		rng:    stats.NewRNG(cfg.Seed),
+	}
+	if cfg.LazyUpdateThreshold > 0 {
+		c.chains = make(map[*semtree.Node]*version.Chain)
+		c.pending = make(map[*semtree.Node]map[uint64]*metadata.File)
+		c.deleted = make(map[*semtree.Node]map[uint64]bool)
 	}
 	c.mapIndexUnits()
 	for _, g := range tree.FirstLevelIndexUnits() {
@@ -125,9 +129,11 @@ func New(tree *semtree.Tree, cfg Config) *Cluster {
 		// No cost reads where; the draw fixes HomeUnit's stream, which
 		// the reproduction's golden output pins.
 		c.rng.IntN(len(g.Leaves(nil)))
-		c.chains[g] = version.NewChain(cfg.VersionRatio)
-		c.pending[g] = make(map[uint64]*metadata.File)
-		c.deleted[g] = make(map[uint64]bool)
+		if c.chains != nil {
+			c.chains[g] = version.NewChain(cfg.VersionRatio)
+			c.pending[g] = make(map[uint64]*metadata.File)
+			c.deleted[g] = make(map[uint64]bool)
+		}
 	}
 	return c
 }
@@ -202,13 +208,8 @@ func (c *Cluster) GroupSize(g *semtree.Node) int {
 }
 
 // Chains exposes the per-group version chains (benches measure their
-// space, Fig. 14a).
+// space, Fig. 14a); nil without a lazy-update threshold.
 func (c *Cluster) Chains() map[*semtree.Node]*version.Chain { return c.chains }
-
-// PendingCount returns the number of unpropagated changes in group g.
-func (c *Cluster) PendingCount(g *semtree.Node) int {
-	return len(c.pending[g]) + len(c.deleted[g])
-}
 
 // IndexSizeBytes returns the per-node average index footprint: the
 // decentralized tree plus replica vectors and version chains, divided

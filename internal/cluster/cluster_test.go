@@ -298,7 +298,9 @@ func TestStalenessWithoutVersioning(t *testing.T) {
 		}
 	}
 	// After propagation they appear.
-	c.PropagateAll()
+	for _, g := range c.Tree.FirstLevelIndexUnits() {
+		c.propagate(g)
+	}
 	got, _ = c.RangeOnline(q)
 	gotSet = map[uint64]bool{}
 	for _, id := range got {
@@ -355,6 +357,58 @@ func TestLazyUpdateTriggersPropagation(t *testing.T) {
 	}
 	if c.ReplicaMulticasts == before {
 		t.Fatal("2% threshold never triggered replica multicast over 100 inserts")
+	}
+}
+
+// TestNoLazyModelWithoutThreshold pins the serving default: with no
+// lazy-update threshold an insert, a modify and a delete are visible
+// to the very next query, and no change sends a replica message.
+func TestNoLazyModelWithoutThreshold(t *testing.T) {
+	c, set := deploy(t, 800, 10, 47, Config{Seed: 47})
+	all := query.NewRange(
+		trace.DefaultQueryAttrs(),
+		[]float64{-1e18, -1e18, -1e18},
+		[]float64{1e18, 1e18, 1e18},
+	)
+	has := func(ids []uint64, id uint64) bool { return slices.Contains(ids, id) }
+
+	attrs := trace.DefaultQueryAttrs()
+	f := &metadata.File{ID: 900000, Path: "/new/f.bin", Attrs: set.Files[3].Attrs}
+	f.Attrs[attrs[0]] += 0.5 // no stored file shares its attributes
+	at := make([]float64, len(attrs))
+	for i, a := range attrs {
+		at[i] = f.Attrs[a]
+	}
+	if _, want := updateCost(c.Cfg.Cost); c.InsertFile(f).Messages != want {
+		t.Fatalf("insert sent a replica multicast, want only the %d update messages", want)
+	}
+	if got, _ := c.Point(query.Point{Filename: f.Path}); !has(got, f.ID) {
+		t.Fatal("insert invisible to a point query")
+	}
+	if got, _ := c.RangeOnline(all); !has(got, f.ID) {
+		t.Fatal("insert invisible to an on-line range")
+	}
+	if got, _ := c.TopKOnline(query.NewTopK(attrs, at, 1)); !has(got, f.ID) {
+		t.Fatal("insert is not its own nearest neighbour")
+	}
+
+	mod := *set.Files[5]
+	mod.Attrs[metadata.AttrSize] = 42
+	if _, ok := c.ModifyFile(&mod); !ok {
+		t.Fatal("ModifyFile failed")
+	}
+	if got, _ := c.RangeOnline(all); !has(got, mod.ID) {
+		t.Fatal("modified file vanished from an on-line range")
+	}
+
+	if _, ok := c.DeleteFile(f.ID); !ok {
+		t.Fatal("DeleteFile failed")
+	}
+	if got, _ := c.RangeOnline(all); has(got, f.ID) {
+		t.Fatal("deleted file still answers")
+	}
+	if c.ReplicaMulticasts != 0 || c.Chains() != nil {
+		t.Fatalf("lazy state without a threshold: %d multicasts, chains %v", c.ReplicaMulticasts, c.Chains())
 	}
 }
 

@@ -219,9 +219,10 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 }
 
 // searchGroupRange searches one group's units for a range query,
-// respecting the consistency model: results reflect the propagated
-// snapshot; with versioning enabled the group's version chain is walked
-// backward to surface unpropagated changes (§4.4).
+// respecting the consistency model: under a lazy-update threshold,
+// results reflect the propagated snapshot, and with versioning enabled
+// the group's version chain is walked backward to surface unpropagated
+// changes (§4.4).
 func (c *Cluster) searchGroupRange(g *semtree.Node, q query.Range) ([]uint64, semtree.QueryStats, int) {
 	validateGroup(g)
 	ids, st := c.Tree.SearchGroupRange(g, q)
@@ -241,7 +242,8 @@ func (c *Cluster) searchGroupTopK(g *semtree.Node, q query.TopK) ([]uint64, semt
 // applyConsistency filters unpropagated files out of the snapshot answer
 // and, when versioning is on, walks the version chain backward to
 // recover them. It returns the updated ids and the number of version
-// entries examined (the Fig. 14b extra-latency driver).
+// entries examined (the Fig. 14b extra-latency driver). Without a
+// lazy-update threshold nothing is ever pending and ids pass through.
 func (c *Cluster) applyConsistency(g *semtree.Node, ids []uint64,
 	match func(*metadata.File) bool) ([]uint64, int) {
 
@@ -297,8 +299,8 @@ func (c *Cluster) Point(q query.Point) ([]uint64, Result) {
 	// is drawn does not enter the cost; the draw keeps HomeUnit's stream.
 	c.HomeUnit()
 	ids, st := c.Tree.PointQuery(q)
-	// Pending files are not yet in index-unit Bloom filters; with
-	// versioning the chain recovers them.
+	// Under a lazy-update threshold, pending files are not yet in
+	// index-unit Bloom filters; with versioning the chain recovers them.
 	ids = c.pointConsistency(q, ids, &st)
 	// Bloom checks are per-node index operations and do not grow with
 	// the virtual population; the exact-match confirmation probes do.

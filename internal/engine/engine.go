@@ -65,9 +65,11 @@ type Config struct {
 	// Tree carries fan-out bounds and the admission threshold; its
 	// Attrs field is ignored (Config.Attrs wins).
 	Tree semtree.Config
-	// Cluster carries versioning, lazy-update, seed and virtual-scale
-	// settings. Shard 0 uses Cluster.Seed verbatim; later shards derive
-	// distinct deterministic seeds from it.
+	// Cluster carries seed and virtual-scale settings; the serving
+	// engine leaves its lazy-update threshold at zero, so every
+	// acknowledged mutation answers the next query. Shard 0 uses
+	// Cluster.Seed verbatim; later shards derive distinct deterministic
+	// seeds from it.
 	Cluster cluster.Config
 	// OfflineGroupBudget overrides the off-line search breadth: each
 	// shard's off-line complex query searches at most this many groups,
@@ -661,19 +663,6 @@ func (e *Engine) modify(id uint64, next func(*Shard) *metadata.File) (Report, bo
 		return Report{}, false, err
 	}
 	return reportFrom(res), found, nil
-}
-
-// Flush propagates all pending changes on every shard. Each shard whose
-// deployment had pending work logs the flush (durable deployments) and
-// bumps its epoch; a WAL append failure stops the sweep with that
-// shard's replicas untouched.
-func (e *Engine) Flush() error {
-	for _, s := range e.shards {
-		if _, err := s.flush(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats aggregates structural statistics across shards, with the

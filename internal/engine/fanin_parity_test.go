@@ -18,18 +18,21 @@ import (
 // top-k fold and report composition decide on the fixed stream below —
 // target sets, merged ids in order, distance bits and composed report
 // bits. It was first recorded against the commit before the engine and
-// the gateway shared one fan-in (e401604), and re-recorded once when
-// latency became a closed form instead of a difference of absolute
-// virtual clocks — a change to the last bits of latency only, which
-// fanInRoundedHash held across: a mismatch means a target selection, a
+// the gateway shared one fan-in (e401604), and re-recorded twice since:
+// once when latency became a closed form instead of a difference of
+// absolute virtual clocks — a change to the last bits of latency only,
+// which fanInRoundedHash held across — and once, with the rounded
+// digest, when acknowledged writes stopped waiting for a lazy replica
+// refresh: the insert batch sends no replica multicast and its files
+// answer the queries after it. A mismatch means a target selection, a
 // tie-break or an arithmetic order moved.
-const fanInParityHash = "08fd5aa5a2403c88e0decf398e2b92946ad886525a3e092c36558e0afc1122eb"
+const fanInParityHash = "b3c25b224f11b108689e479a0f4536523744412499bbeb848439ecafe84f5af5"
 
 // fanInRoundedHash digests the same stream with each report's latency
 // printed to twelve significant digits instead of its raw bits, so it
 // holds across a change that moves latency only in its last bits
-// (recorded at dd2159f).
-const fanInRoundedHash = "8ef93bcd51fd03957f6dd1cc4227bdac53e8ce8fb801d1d4d646b62b3f24588b"
+// (first recorded at dd2159f).
+const fanInRoundedHash = "1849ef0e733cf14fd3a3395b5fc754530b189bb4e475c521218875e5a94fde1a"
 
 // parityDigest feeds the raw-bit and the rounded digest at once.
 type parityDigest struct{ raw, rounded hash.Hash }

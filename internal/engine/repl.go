@@ -52,10 +52,10 @@ func (e *Engine) applyRecordLocked(i int, rec wal.Record) bool {
 			return false
 		}
 	case wal.OpFlush:
-		// Replay the propagation at the same point in the mutation
-		// order, so everything logged before it becomes visible where
-		// it did on the leader (or before the crash).
-		s.cluster.PropagateAll()
+		// A legacy replica propagation from an older log: every
+		// mutation is already visible, so there is nothing to apply,
+		// but the record counts as effectual so its epoch stamp is
+		// adopted and the shard replays the logged epoch trajectory.
 	}
 	return true
 }

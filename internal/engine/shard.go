@@ -173,11 +173,10 @@ func (s *Shard) topK(ctx context.Context, q query.TopK, online, sharded, wantDis
 				if f, ok := c.FileByID(id); ok {
 					a.dists[i] = q.Dist(c.Tree.Norm, f)
 				} else {
-					// A candidate the id index cannot resolve is a stale
-					// replica answer (e.g. a pending-deleted file still in
-					// the propagated snapshot). Rank it last so it can
-					// never displace a live result — the single-deployment
-					// rerank skips such ids the same way.
+					// A candidate the id index cannot resolve is not a
+					// live file. Rank it last so it can never displace a
+					// live result — the single-deployment rerank skips
+					// such ids the same way.
 					a.dists[i] = math.Inf(1)
 				}
 			}
@@ -300,41 +299,6 @@ func (s *Shard) insertFilesLocked(files []*metadata.File) cluster.Result {
 		total.VersionLatency += res.VersionLatency
 	}
 	return total
-}
-
-// flush propagates all pending changes on this shard, reporting whether
-// anything was pending (the condition for an epoch bump). An effectual
-// flush is logged (OpFlush, body-free) before propagating, so a
-// recovered shard replays the same epoch trajectory and propagates at
-// the same points of its log; a no-op flush logs nothing and bumps
-// nothing.
-func (s *Shard) flush() (bool, error) {
-	s.mu.Lock()
-	changed := false
-	for _, g := range s.cluster.Tree.FirstLevelIndexUnits() {
-		if s.cluster.PendingCount(g) > 0 {
-			changed = true
-			break
-		}
-	}
-	wait := noWait
-	if changed {
-		var err error
-		wait, err = s.stageRecord(wal.Record{Op: wal.OpFlush})
-		if err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
-	}
-	s.cluster.PropagateAll()
-	if changed {
-		s.epoch.Add(1)
-	}
-	s.mu.Unlock()
-	if err := wait(); err != nil {
-		return false, err
-	}
-	return changed, nil
 }
 
 // ShardStats is one shard's slice of the deployment: its units, index

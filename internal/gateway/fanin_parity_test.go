@@ -19,18 +19,21 @@ import (
 // composed report bits and insert placements. It was first recorded
 // against the commit before the engine and the gateway shared one
 // fan-in (e401604), reading the wire report's two latency fields under
-// the Sec-suffixed names they had then, and re-recorded once when
-// latency became a closed form instead of a difference of absolute
-// virtual clocks — a change to the last bits of latency only, which
-// gatewayFanInRoundedHash held across. A mismatch means a target
-// selection, a tie-break or an arithmetic order moved.
-const gatewayFanInParityHash = "f9dc0c4eddd98ace80d4742b4877cb324923c4acbf5ff51ca98a7e0108dbf4b2"
+// the Sec-suffixed names they had then, and re-recorded twice since:
+// once when latency became a closed form instead of a difference of
+// absolute virtual clocks — a change to the last bits of latency only,
+// which gatewayFanInRoundedHash held across — and once, with the
+// rounded digest, when acknowledged writes stopped waiting for a lazy
+// replica refresh: the stream's inserts now answer the queries after
+// them. A mismatch means a target selection, a tie-break or an
+// arithmetic order moved.
+const gatewayFanInParityHash = "53ee1e70d2003c1549bd6e361a3642044da722e6ebd86ffd682738d653913deb"
 
 // gatewayFanInRoundedHash digests the same stream with each report's
 // latency printed to twelve significant digits instead of its raw bits,
 // so it holds across a change that moves latency only in its last bits
-// (recorded at dd2159f).
-const gatewayFanInRoundedHash = "b80a6e4994293eae920aa7a82e3c73349e3c2b30c4d06fab96db2209a80de5df"
+// (first recorded at dd2159f).
+const gatewayFanInRoundedHash = "58639b0a8e67df900cda549b915e96e482d7282dfd45ab7553bf15da1085e144"
 
 // parityDigest feeds the raw-bit and the rounded digest at once.
 type parityDigest struct{ raw, rounded hash.Hash }

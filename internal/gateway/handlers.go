@@ -207,32 +207,6 @@ func (g *Gateway) Modify(ctx context.Context, rec server.FileRecord) (server.Mut
 	})
 }
 
-func (g *Gateway) Flush(ctx context.Context) (server.FlushResponse, error) {
-	healthy := g.healthy()
-	if len(healthy) == 0 {
-		return server.FlushResponse{}, errAllDown
-	}
-	resps := make([]*server.FlushResponse, len(healthy))
-	errs := make([]error, len(healthy))
-	var wg sync.WaitGroup
-	for i, b := range healthy {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			resps[i], errs[i] = b.client().FlushCtx(ctx)
-		}(i, b)
-	}
-	wg.Wait()
-	var out server.FlushResponse
-	for i, err := range errs {
-		if err != nil {
-			return server.FlushResponse{}, g.backendFailed(healthy[i], "flush", err)
-		}
-		out.Epoch += resps[i].Epoch
-	}
-	return out, nil
-}
-
 // Stats aggregates the healthy backends' store stats (sums for sizes
 // and the composed epoch, max for heights, the unit-weighted mean for
 // index bytes per node, as the engine composes shards) and adds the

@@ -36,8 +36,6 @@ type Backend interface {
 	Delete(ctx context.Context, id uint64) (MutateResponse, error)
 	// Modify merges rec.Attrs into the stored file with rec's non-zero id.
 	Modify(ctx context.Context, rec FileRecord) (MutateResponse, error)
-	// Flush propagates pending changes to replicas.
-	Flush(ctx context.Context) (FlushResponse, error)
 	// Stats reports everything but the Server counters (the cache
 	// section excepted) and Build, which the Core fills in.
 	Stats(ctx context.Context) (StatsResponse, error)
@@ -483,12 +481,16 @@ func (c *Core) handleModify(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
+// handleFlush answers the legacy flush request. Every acknowledged
+// write already answers queries, so there is nothing to propagate: the
+// reply only reports the current epoch, for clients written against
+// the old lazy-replica store.
 func (c *Core) handleFlush(w http.ResponseWriter, r *http.Request) error {
-	resp, err := c.backend.Flush(r.Context())
+	st, err := c.backend.Stats(r.Context())
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, FlushResponse{Epoch: st.Store.Epoch})
 	return nil
 }
 

@@ -292,16 +292,6 @@ func (s *Server) Modify(_ context.Context, rec FileRecord) (MutateResponse, erro
 	return MutateResponse{Found: found, Epoch: s.store.Epoch(), Report: rep}, nil
 }
 
-func (s *Server) Flush(context.Context) (FlushResponse, error) {
-	if err := s.writable(); err != nil {
-		return FlushResponse{}, err
-	}
-	if err := s.store.Flush(); err != nil {
-		return FlushResponse{}, err
-	}
-	return FlushResponse{Epoch: s.store.Epoch()}, nil
-}
-
 func (s *Server) Stats(context.Context) (StatsResponse, error) {
 	var walStats *WALStats
 	if s.store.Durable() {

@@ -175,17 +175,21 @@ func TestInsertDeleteModifyRoundTrip(t *testing.T) {
 		t.Fatalf("auto id %d collides with explicit id range", ins2.IDs[0])
 	}
 
-	// Inserted files become point-query visible after propagation.
-	var fl FlushResponse
-	if code := postJSON(t, ts.URL+"/v1/flush", struct{}{}, &fl); code != 200 {
-		t.Fatalf("flush status %d", code)
-	}
+	// An acknowledged insert answers the next point query.
 	var pt QueryResponse
 	if code := postQuery(t, ts.URL, WireQuery{Kind: "point", Path: "/served/auto.dat"}, &pt); code != 200 {
 		t.Fatalf("point status %d", code)
 	}
 	if len(pt.IDs) != 1 || pt.IDs[0] != ins.IDs[0] {
-		t.Fatalf("point after insert+flush: %v want [%d]", pt.IDs, ins.IDs[0])
+		t.Fatalf("point after insert: %v want [%d]", pt.IDs, ins.IDs[0])
+	}
+	// The legacy flush changes nothing and reports the current epoch.
+	var fl FlushResponse
+	if code := postJSON(t, ts.URL+"/v1/flush", struct{}{}, &fl); code != 200 {
+		t.Fatalf("flush status %d", code)
+	}
+	if fl.Epoch != ins2.Epoch {
+		t.Fatalf("flush epoch %d, want the last insert's %d", fl.Epoch, ins2.Epoch)
 	}
 
 	// Modify the explicit file with a partial attrs map: only the named

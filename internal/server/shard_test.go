@@ -112,10 +112,6 @@ func TestCacheInvalidatesOnAnyShardMutation(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/v1/insert", InsertRequest{Files: []FileRecord{src}}, nil); code != 200 {
 		t.Fatalf("insert status %d", code)
 	}
-	// Propagate the pending insert so the snapshot answer includes it.
-	if code := postJSON(t, ts.URL+"/v1/flush", struct{}{}, nil); code != 200 {
-		t.Fatal("flush failed")
-	}
 	postJSON(t, ts.URL+"/v1/query", QueryRequest{WireQuery: rq}, &third)
 	if third.Cached {
 		t.Fatal("cache served a stale entry across a shard mutation")

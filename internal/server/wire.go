@@ -88,7 +88,8 @@ type MutateResponse struct {
 	Report Report `json:"report"`
 }
 
-// FlushResponse answers an explicit replica propagation.
+// FlushResponse answers the legacy POST /v1/flush, which changes
+// nothing and reports the current epoch.
 type FlushResponse struct {
 	Epoch uint64 `json:"epoch"`
 }

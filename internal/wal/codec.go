@@ -18,9 +18,10 @@ const (
 	OpDelete Op = 2
 	// OpModify replaces one file's attribute vector.
 	OpModify Op = 3
-	// OpFlush records an effectual replica propagation — it carries no
-	// body, only the epoch bump, so a recovered shard resumes the exact
-	// pre-crash epoch trajectory and replica state.
+	// OpFlush is a legacy record: older stores logged a body-free
+	// epoch bump for every effectual replica propagation. It still
+	// decodes, and replays as a no-op that keeps its epoch, so old logs
+	// recover along their stamped trajectory; nothing writes it now.
 	OpFlush Op = 4
 )
 

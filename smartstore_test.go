@@ -159,9 +159,7 @@ func TestTopKQueryReturnsK(t *testing.T) {
 }
 
 func TestInsertDeleteModifyLifecycle(t *testing.T) {
-	store, set := buildStore(t, 400, smartstore.Config{
-		Units: 8, Versioning: true, LazyUpdateThreshold: 0.9,
-	})
+	store, set := buildStore(t, 400, smartstore.Config{Units: 8})
 	nf := &smartstore.File{ID: 777777, Path: "/lifecycle/test.bin"}
 	nf.Attrs = set.Files[0].Attrs
 
@@ -176,7 +174,7 @@ func TestInsertDeleteModifyLifecycle(t *testing.T) {
 		t.Fatal("re-inserting an existing id did not error")
 	}
 	if !slices.Contains(ask(t, store, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
-		t.Fatal("inserted file not findable with versioning on")
+		t.Fatal("inserted file not findable")
 	}
 
 	mod := *nf
@@ -189,24 +187,6 @@ func TestInsertDeleteModifyLifecycle(t *testing.T) {
 	}
 	if _, ok, _ := store.Delete(nf.ID); ok {
 		t.Fatal("double delete succeeded")
-	}
-}
-
-func TestFlushMakesInsertsVisibleWithoutVersioning(t *testing.T) {
-	store, set := buildStore(t, 400, smartstore.Config{
-		Units: 8, Versioning: false, LazyUpdateThreshold: 0.9,
-	})
-	nf := &smartstore.File{ID: 888888, Path: "/flush/test.bin"}
-	nf.Attrs = set.Files[0].Attrs
-	if _, err := store.Insert(nf); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	if slices.Contains(ask(t, store, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
-		t.Fatal("unpropagated insert visible without versioning")
-	}
-	store.Flush()
-	if !slices.Contains(ask(t, store, smartstore.NewPointQuery(nf.Path)).IDs, nf.ID) {
-		t.Fatal("insert invisible after Flush")
 	}
 }
 

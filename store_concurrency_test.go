@@ -92,8 +92,8 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 			}
 		}(r)
 	}
-	// Writers insert fresh files, modify and delete existing ones, and
-	// occasionally force propagation.
+	// Writers insert fresh files, modify existing ones in whole and in
+	// part, and delete what they inserted.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -129,7 +129,10 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 						t.Errorf("delete: %v", err)
 					}
 				case 3:
-					store.Flush()
+					id := set.Files[(w*61+i*17)%len(set.Files)].ID
+					if _, _, err := store.ModifyAttrs(id, map[smartstore.Attr]float64{smartstore.AttrATime: float64(i)}); err != nil {
+						t.Errorf("modify attrs: %v", err)
+					}
 				}
 			}
 		}(w)
@@ -159,12 +162,11 @@ func TestEpochAdvancesPerMutation(t *testing.T) {
 	}
 	store.Modify(f)
 	store.Delete(f.ID)
-	store.Flush() // delete left pending changes → flush bumps
-	if store.Epoch() != 4 {
-		t.Fatalf("epoch after modify+delete+flush: %d", store.Epoch())
+	if store.Epoch() != 3 {
+		t.Fatalf("epoch after modify+delete: %d", store.Epoch())
 	}
 	// No-op mutations must not invalidate caches: delete of a missing
-	// id, modify of a missing file, flush with nothing pending.
+	// id, modify of a missing file.
 	if _, found, _ := store.Delete(f.ID); found {
 		t.Fatal("second delete reported found")
 	}
@@ -173,21 +175,20 @@ func TestEpochAdvancesPerMutation(t *testing.T) {
 	if _, found, _ := store.Modify(&missing); found {
 		t.Fatal("modify of missing id reported found")
 	}
-	store.Flush()
-	if store.Epoch() != 4 {
+	if store.Epoch() != 3 {
 		t.Fatalf("no-op mutations advanced epoch to %d", store.Epoch())
 	}
 	// Queries must not advance the epoch.
 	ask(t, store, smartstore.NewPointQuery("/epoch/a.dat"))
 	ask(t, store, smartstore.NewRangeQuery([]smartstore.Attr{smartstore.AttrMTime}, []float64{0}, []float64{1}))
-	if store.Epoch() != 4 {
+	if store.Epoch() != 3 {
 		t.Fatalf("read path advanced epoch to %d", store.Epoch())
 	}
 	// Empty batches commit nothing and bump nothing.
 	if _, err := store.InsertBatch(nil); err != nil {
 		t.Fatalf("empty batch errored: %v", err)
 	}
-	if store.Epoch() != 4 {
+	if store.Epoch() != 3 {
 		t.Fatalf("empty batch advanced epoch to %d", store.Epoch())
 	}
 	// Batches reusing a stored id, repeating an id internally, or
@@ -205,7 +206,7 @@ func TestEpochAdvancesPerMutation(t *testing.T) {
 	if _, err := store.InsertBatch([]*smartstore.File{{Path: "/epoch/noid.dat"}}); err == nil {
 		t.Fatal("batch with zero id accepted")
 	}
-	if store.Epoch() != 4 {
+	if store.Epoch() != 3 {
 		t.Fatalf("rejected batches advanced epoch to %d", store.Epoch())
 	}
 	if ids := ask(t, store, smartstore.NewPointQuery("/epoch/x.dat")).IDs; len(ids) != 0 {
