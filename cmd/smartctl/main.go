@@ -45,7 +45,6 @@ func main() {
 	records := flag.Bool("records", false, "inline full file records in query answers")
 	limit := flag.Int("limit", 0, "truncate query answers to at most this many ids (0 = unlimited)")
 	queryMode := flag.String("mode", "", "per-query mode override: offline or online (empty = store default)")
-	wireFlag := flag.String("wire", "auto", "remote query codec: auto (negotiate binary), json, or binary")
 	flag.Parse()
 
 	args := flag.Args()
@@ -62,17 +61,13 @@ func main() {
 		fatal(fmt.Errorf("the metrics verb reads a daemon's /v1/metrics; it needs -remote"))
 	}
 	if *remote != "" {
-		wireMode, err := client.ParseWireMode(*wireFlag)
-		if err != nil {
-			fatal(err)
-		}
-		runRemote(*remote, args, opts, wireMode)
+		runRemote(*remote, args, opts)
 		return
 	}
 
-	mode := smartstore.OffLine
+	mode := smartstore.ModeOffline
 	if *online {
-		mode = smartstore.OnLine
+		mode = smartstore.ModeOnline
 	}
 	var store *smartstore.Store
 	if *loadPath != "" {
@@ -187,8 +182,8 @@ func printLocal(q smartstore.Query, res smartstore.Result) {
 
 // runRemote executes one verb against a smartstored daemon through the
 // unified /v1/query endpoint.
-func runRemote(addr string, args []string, opts smartstore.QueryOptions, wire client.WireMode) {
-	cl := client.NewWithOptions(addr, client.Options{Wire: wire})
+func runRemote(addr string, args []string, opts smartstore.QueryOptions) {
+	cl := client.New(addr)
 	if args[0] == "metrics" {
 		printMetrics(cl)
 		return

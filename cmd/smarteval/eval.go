@@ -160,13 +160,6 @@ func RunTracked(ctx context.Context, scn Scenario, opts Options) (*ScenarioResul
 		res.PerOp[k] = latStat(st.lat[k], st.errs[k])
 		res.Errors += st.errs[k]
 	}
-	if res.Config.Wire == "" {
-		if opts.Client.BinaryNegotiated() {
-			res.Config.Wire = "binary"
-		} else {
-			res.Config.Wire = "json"
-		}
-	}
 	return res, truth, nil
 }
 

@@ -166,9 +166,6 @@ func TestRunAdaptiveOfflineReportsRecall(t *testing.T) {
 	if res.RangeRecall.Mean <= 0 || res.RangeRecall.Mean > 1 {
 		t.Fatalf("range recall mean out of (0,1]: %+v", res.RangeRecall)
 	}
-	if res.Config.Wire == "" {
-		t.Fatal("wire codec not recorded in the result config")
-	}
 }
 
 // The multi-tenant scenario interleaves three tenants deterministically

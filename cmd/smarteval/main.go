@@ -63,7 +63,6 @@ type options struct {
 	shards    []int
 	budgets   []int
 	fsync     string
-	wire      client.WireMode
 	jsonPath  string
 	floorRng  float64
 	floorTopK float64
@@ -102,7 +101,6 @@ func run() int {
 	shardsList := flag.String("shards", "1,4", "comma list of shard counts to sweep (in-process mode)")
 	budgetsList := flag.String("budgets", "0", "comma list of offline group budgets to sweep (0 = adaptive heuristics)")
 	flag.StringVar(&o.fsync, "fsync", "", "build in-process stores durable in a temp dir with this WAL fsync policy: always, interval or never (empty = in-memory)")
-	wireFlag := flag.String("wire", "auto", "query codec: auto, json or binary")
 	flag.StringVar(&o.jsonPath, "json", "EVAL_report.json", "write the machine-readable report here (empty disables)")
 	flag.Float64Var(&o.floorRng, "floor-range", 0, "fail if any scenario's mean range recall drops below this (0 disables)")
 	flag.Float64Var(&o.floorTopK, "floor-topk", 0, "fail if any scenario's mean top-k recall drops below this (0 disables)")
@@ -115,10 +113,6 @@ func run() int {
 	}
 	if o.budgets, err = parseIntList(*budgetsList); err != nil {
 		fmt.Fprintf(os.Stderr, "smarteval: -budgets: %v\n", err)
-		return 2
-	}
-	if o.wire, err = client.ParseWireMode(*wireFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "smarteval: %v\n", err)
 		return 2
 	}
 	scns, err := ByNames(o.scenarios)
@@ -183,12 +177,12 @@ func runRemote(ctx context.Context, scns []Scenario, o options, rep *report) err
 	if err != nil {
 		return err
 	}
-	cl := client.NewWithOptions(o.remote, client.Options{Wire: o.wire})
+	cl := client.New(o.remote)
 	if !cl.Healthy() {
 		return fmt.Errorf("no healthy daemon at %s", o.remote)
 	}
 	for _, scn := range scns {
-		cfg := Config{Endpoint: o.remote, Wire: wireName(o.wire), Mode: "remote"}
+		cfg := Config{Endpoint: o.remote, Mode: "remote"}
 		res, truth, err := RunTracked(ctx, scn, evalOptions(cl, set, o, cfg))
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", scn.Name, err)
@@ -263,10 +257,10 @@ func runCell(ctx context.Context, scn Scenario, set *trace.Set, shards, budget i
 	defer srv.Close()
 
 	addr := ln.Addr().String()
-	cl := client.NewWithOptions(addr, client.Options{Wire: o.wire})
+	cl := client.New(addr)
 	ecfg := Config{
 		Endpoint: addr, Shards: shards, Fsync: o.fsync,
-		Wire: wireName(o.wire), OfflineBudget: budget, Mode: "inproc",
+		OfflineBudget: budget, Mode: "inproc",
 	}
 	return Run(ctx, scn, evalOptions(cl, set, o, ecfg))
 }
@@ -279,18 +273,9 @@ func evalOptions(cl *client.Client, set *trace.Set, o options, cfg Config) Optio
 	}
 }
 
-// wireName renders the forced codec, empty for auto (the runner fills
-// in whatever the client actually negotiated).
-func wireName(m client.WireMode) string {
-	if m == client.WireAuto {
-		return ""
-	}
-	return m.String()
-}
-
 func printResult(r *ScenarioResult) {
-	line := fmt.Sprintf("%-13s shards=%-2d budget=%-3d wire=%-6s %8.0f ops/s",
-		r.Scenario, r.Config.Shards, r.Config.OfflineBudget, r.Config.Wire, r.Throughput)
+	line := fmt.Sprintf("%-13s shards=%-2d budget=%-3d %8.0f ops/s",
+		r.Scenario, r.Config.Shards, r.Config.OfflineBudget, r.Throughput)
 	if st, ok := r.PerOp["range"]; ok && st.Count > 0 {
 		line += fmt.Sprintf("  range p95 %6.2fms", st.P95Ms)
 	}

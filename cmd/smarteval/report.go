@@ -31,7 +31,6 @@ type Config struct {
 	Endpoint      string `json:"endpoint"`                 // "inprocess" or the remote address
 	Shards        int    `json:"shards,omitempty"`         // engine shards of the store under test
 	Fsync         string `json:"fsync,omitempty"`          // WAL sync policy when durable
-	Wire          string `json:"wire"`                     // query codec: "json" or "binary"
 	OfflineBudget int    `json:"offline_budget,omitempty"` // §10 offline group budget (0 = adaptive)
 	Mode          string `json:"mode,omitempty"`           // query path: "online" or "offline"
 }

@@ -261,9 +261,9 @@ type bootstrapOpts struct {
 // shared by leader bootstrap and follower bootstrap (repl.Bootstrap),
 // so both modes interpret -fsync, -units and friends identically.
 func buildConfig(o bootstrapOpts) (smartstore.Config, error) {
-	mode := smartstore.OffLine
+	mode := smartstore.ModeOffline
 	if o.online {
-		mode = smartstore.OnLine
+		mode = smartstore.ModeOnline
 	}
 	durability := smartstore.DurabilityAlways
 	if o.dataDir != "" {

@@ -45,7 +45,7 @@ func main() {
 	// An audit wants completeness, so use the exact on-line multicast
 	// path (§3.3) rather than the bounded off-line search.
 	store, err := smartstore.Build(set.Files, smartstore.Config{
-		Units: 60, Seed: 17, Mode: smartstore.OnLine,
+		Units: 60, Seed: 17, Mode: smartstore.ModeOnline,
 	})
 	if err != nil {
 		log.Fatal(err)

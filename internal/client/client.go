@@ -5,10 +5,10 @@
 // unified POST /v1/query endpoint, with context cancellation aborting
 // the HTTP exchange.
 //
-// Queries default to the length-prefixed binary codec with automatic
-// JSON fallback: the client always advertises the codec via Accept,
-// and upgrades request bodies to binary once the server answers in it
-// (Options.Wire forces either codec). Mutations and stats stay JSON.
+// Queries always travel in the length-prefixed binary codec, both
+// ways: the request body is binary and Accept asks for a binary
+// answer. A 200 answer in any other content type is an error, never a
+// guess. Error replies, mutations and stats stay JSON.
 //
 // Idempotent reads — queries, stats, metrics, health — can retry
 // transient failures (transport errors, 502/503/504) with bounded
@@ -30,58 +30,12 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	smartstore "repro"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
-
-// WireMode selects the /v1/query codec (the mutation and stats
-// endpoints are always JSON).
-type WireMode int
-
-const (
-	// WireAuto (the default) asks for binary responses on every query
-	// (Accept: application/x-smartstore-bin) while sending JSON request
-	// bodies, and upgrades request bodies to binary once a binary
-	// response proves the server speaks the codec. Against an older
-	// JSON-only server everything stays JSON — the fallback costs
-	// nothing but the ignored Accept header.
-	WireAuto WireMode = iota
-	// WireJSON forces JSON both ways.
-	WireJSON
-	// WireBinary forces binary request bodies immediately. Only for
-	// servers known to speak the codec — an older server answers 400.
-	WireBinary
-)
-
-// ParseWireMode resolves a -wire flag value: "auto", "json" or
-// "binary".
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "", "auto":
-		return WireAuto, nil
-	case "json":
-		return WireJSON, nil
-	case "binary":
-		return WireBinary, nil
-	default:
-		return WireAuto, fmt.Errorf("unknown wire mode %q (want auto, json or binary)", s)
-	}
-}
-
-func (m WireMode) String() string {
-	switch m {
-	case WireJSON:
-		return "json"
-	case WireBinary:
-		return "binary"
-	default:
-		return "auto"
-	}
-}
 
 // Options parameterizes a Client beyond its address. The zero value
 // reproduces the legacy behaviour: one attempt, 60s overall timeout.
@@ -98,9 +52,6 @@ type Options struct {
 	// OnRetry, when set, observes every retry about to be attempted —
 	// the hook a gateway counts client_retries_total with.
 	OnRetry func(path string, attempt int, err error)
-	// Wire selects the /v1/query codec; the zero value is WireAuto
-	// (binary when the server speaks it, JSON otherwise).
-	Wire WireMode
 }
 
 func (o Options) withDefaults() Options {
@@ -137,10 +88,6 @@ type Client struct {
 	hc    *http.Client
 	opts  Options
 	trace bool
-	// binOK latches once a binary response proves the server speaks
-	// the codec (WireAuto only). A pointer so WithTrace copies share
-	// the learned state.
-	binOK *atomic.Bool
 }
 
 // New builds a client for a daemon at addr — either a bare "host:port"
@@ -167,23 +114,8 @@ func NewWithOptions(addr string, opts Options) *Client {
 		base: base,
 		// The per-attempt bound lives in the request context, not
 		// http.Client.Timeout, so each retry gets a fresh window.
-		hc:    &http.Client{Transport: tr},
-		opts:  opts.withDefaults(),
-		binOK: &atomic.Bool{},
-	}
-}
-
-// BinaryNegotiated reports whether queries currently go out with
-// binary request bodies: always under WireBinary, never under
-// WireJSON, and once the server has proven itself under WireAuto.
-func (c *Client) BinaryNegotiated() bool {
-	switch c.opts.Wire {
-	case WireBinary:
-		return true
-	case WireJSON:
-		return false
-	default:
-		return c.binOK.Load()
+		hc:   &http.Client{Transport: tr},
+		opts: opts.withDefaults(),
 	}
 }
 
@@ -282,15 +214,21 @@ func (c *Client) get(path string, out any) error {
 	})
 }
 
+// statusError turns a non-200 reply into a StatusError carrying the
+// message of its JSON error body.
+func statusError(path string, resp *http.Response) error {
+	se := &StatusError{Code: resp.StatusCode}
+	var we server.ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&we) == nil && we.Error != "" {
+		se.Msg = we.Error
+	}
+	return fmt.Errorf("client: %s: %w", path, se)
+}
+
 func (c *Client) finish(path string, resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		se := &StatusError{Code: resp.StatusCode}
-		var we server.ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&we) == nil && we.Error != "" {
-			se.Msg = we.Error
-		}
-		return fmt.Errorf("client: %s: %w", path, se)
+		return statusError(path, resp)
 	}
 	if out == nil {
 		return nil
@@ -306,22 +244,11 @@ func (c *Client) finish(path string, resp *http.Response, out any) error {
 // projection) travel with the query; cancelling ctx aborts the
 // round trip. Queries are idempotent and retry per Options.
 //
-// The request body is binary when the wire mode says so (forced, or
-// auto-latched); the response decoder dispatches on the reply's
-// Content-Type, so either codec is accepted regardless of what was
-// sent. Non-200 replies are always JSON.
+// The request and a 200 answer are binary; an answer in another
+// content type fails with an error naming it. Non-200 replies are JSON.
 func (c *Client) Query(ctx context.Context, q smartstore.Query) (out *server.QueryResponse, err error) {
 	const path = "/v1/query"
-	qreq := server.QueryRequest{WireQuery: server.QueryToWire(q)}
-	var body []byte
-	var contentType string
-	if c.BinaryNegotiated() {
-		body, err = wire.EncodeRequest(&qreq)
-		contentType = wire.ContentType
-	} else {
-		body, err = json.Marshal(qreq)
-		contentType = "application/json"
-	}
+	body, err := wire.EncodeRequest(&server.QueryRequest{WireQuery: server.QueryToWire(q)})
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding %s request: %w", path, err)
 	}
@@ -330,10 +257,8 @@ func (c *Client) Query(ctx context.Context, q smartstore.Query) (out *server.Que
 		if err != nil {
 			return fmt.Errorf("client: %s: %w", path, err)
 		}
-		req.Header.Set("Content-Type", contentType)
-		if c.opts.Wire != WireJSON {
-			req.Header.Set("Accept", wire.ContentType)
-		}
+		req.Header.Set("Content-Type", wire.ContentType)
+		req.Header.Set("Accept", wire.ContentType)
 		if c.trace {
 			req.Header.Set(server.TraceHeader, "1")
 		}
@@ -343,23 +268,12 @@ func (c *Client) Query(ctx context.Context, q smartstore.Query) (out *server.Que
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			se := &StatusError{Code: resp.StatusCode}
-			var we server.ErrorResponse
-			if json.NewDecoder(resp.Body).Decode(&we) == nil && we.Error != "" {
-				se.Msg = we.Error
-			}
-			return fmt.Errorf("client: %s: %w", path, se)
+			return statusError(path, resp)
 		}
-		if wire.IsBinary(resp.Header.Get("Content-Type")) {
-			if c.opts.Wire == WireAuto {
-				c.binOK.Store(true)
-			}
-			out, err = wire.DecodeResponse(resp.Body)
-		} else {
-			out = &server.QueryResponse{}
-			err = json.NewDecoder(resp.Body).Decode(out)
+		if ct := resp.Header.Get("Content-Type"); !wire.IsBinary(ct) {
+			return fmt.Errorf("client: %s answered in %q, not %s", path, ct, wire.ContentType)
 		}
-		if err != nil {
+		if out, err = wire.DecodeResponse(resp.Body); err != nil {
 			return fmt.Errorf("client: decoding %s response: %w", path, err)
 		}
 		return nil

@@ -1,9 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -29,6 +31,34 @@ func newServedStore(t testing.TB) (*Client, *smartstore.Store, *smartstore.Trace
 	ts := httptest.NewServer(server.New(store, server.Options{}))
 	t.Cleanup(ts.Close)
 	return New(ts.URL), store, set
+}
+
+// postBatch posts qs to the daemon at url as one JSON /v1/query batch
+// and decodes the answer.
+func postBatch(t *testing.T, url string, qs []smartstore.Query) *server.BatchQueryResponse {
+	t.Helper()
+	req := server.QueryRequest{Queries: make([]server.WireQuery, len(qs))}
+	for i, q := range qs {
+		req.Queries[i] = server.QueryToWire(q)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, %v: %s", resp.StatusCode, err, raw)
+	}
+	out := &server.BatchQueryResponse{}
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestClientQueriesMatchLibrary(t *testing.T) {
@@ -197,7 +227,7 @@ func TestClientUnifiedQueryAndBatch(t *testing.T) {
 		smartstore.NewTopKQuery(attrs, []float64{
 			anchor.Attrs[smartstore.AttrMTime],
 			anchor.Attrs[smartstore.AttrReadBytes]}, 5),
-	}, false)
+	})
 	if len(batch.Results) != 2 {
 		t.Fatalf("%d results for 2 queries", len(batch.Results))
 	}

@@ -1,14 +1,11 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"sync/atomic"
+	"strings"
+	"sync"
 	"testing"
 
 	smartstore "repro"
@@ -16,10 +13,10 @@ import (
 	"repro/internal/wire"
 )
 
-// newServedStoreWire is newServedStore with a chosen wire mode, also
-// returning the daemon URL for extra clients.
-func newServedStoreWire(t testing.TB, mode WireMode) (*Client, string, *smartstore.TraceSet) {
-	t.Helper()
+// TestClientFirstQueryIsBinary: a fresh client's very first /v1/query
+// already travels in the binary codec both ways — there is no JSON
+// round trip to learn the codec from.
+func TestClientFirstQueryIsBinary(t *testing.T) {
 	set, err := smartstore.GenerateTrace("EECS", 800, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -28,144 +25,60 @@ func newServedStoreWire(t testing.TB, mode WireMode) (*Client, string, *smartsto
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(store, server.Options{}))
+	var mu sync.Mutex
+	var contentTypes, accepts []string
+	srv := server.New(store, server.Options{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			mu.Lock()
+			contentTypes = append(contentTypes, r.Header.Get("Content-Type"))
+			accepts = append(accepts, r.Header.Get("Accept"))
+			mu.Unlock()
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(ts.Close)
-	return NewWithOptions(ts.URL, Options{Wire: mode}), ts.URL, set
-}
 
-// postBatch posts qs to the daemon at url as one /v1/query batch, in
-// the binary codec both ways or in JSON, and decodes the answer.
-func postBatch(t *testing.T, url string, qs []smartstore.Query, binary bool) *server.BatchQueryResponse {
-	t.Helper()
-	req := server.QueryRequest{Queries: make([]server.WireQuery, len(qs))}
-	for i, q := range qs {
-		req.Queries[i] = server.QueryToWire(q)
-	}
-	body, err := json.Marshal(req)
-	contentType := "application/json"
-	if binary {
-		body, err = wire.EncodeRequest(&req)
-		contentType = wire.ContentType
-	}
+	cl := New(ts.URL)
+	resp, err := cl.Query(context.Background(), smartstore.NewPointQuery(set.Files[1].Path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/query", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if resp.Count == 0 {
+		t.Fatalf("point query for %q found nothing", set.Files[1].Path)
 	}
-	hreq.Header.Set("Content-Type", contentType)
-	hreq.Header.Set("Accept", contentType)
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(contentTypes) != 1 {
+		t.Fatalf("%d /v1/query requests for one query", len(contentTypes))
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d, %v: %s", resp.StatusCode, err, raw)
-	}
-	out := &server.BatchQueryResponse{}
-	if binary {
-		out, err = wire.DecodeBatchResponseBytes(raw)
-	} else {
-		err = json.Unmarshal(raw, out)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestClientWireModes: the three modes return identical answers; auto
-// latches binary after the first response, json never negotiates it.
-func TestClientWireModes(t *testing.T) {
-	clAuto, url, set := newServedStoreWire(t, WireAuto)
-	clJSON := NewWithOptions(url, Options{Wire: WireJSON})
-	clBin := NewWithOptions(url, Options{Wire: WireBinary})
-
-	if clAuto.BinaryNegotiated() {
-		t.Fatal("auto client claims binary before any response")
-	}
-	attrs := []smartstore.Attr{smartstore.AttrMTime}
-	q := smartstore.NewRangeQuery(attrs, []float64{0}, []float64{1e9})
-	q.Options.Limit = 25
-
-	respAuto, err := clAuto.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !clAuto.BinaryNegotiated() {
-		t.Fatal("auto client did not latch binary against a binary-capable daemon")
-	}
-	respJSON, err := clJSON.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clJSON.BinaryNegotiated() {
-		t.Fatal("forced-JSON client negotiated binary")
-	}
-	respBin, err := clBin.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cache served the repeat queries, so the reports replay and
-	// the three answers must be fully identical — Cached excepted on
-	// the first.
-	respAuto.Cached, respJSON.Cached, respBin.Cached = false, false, false
-	if !reflect.DeepEqual(respAuto, respJSON) || !reflect.DeepEqual(respJSON, respBin) {
-		t.Fatalf("wire modes disagree:\n  auto: %+v\n  json: %+v\n  bin:  %+v",
-			respAuto, respJSON, respBin)
-	}
-
-	// Batch through the binary codec matches JSON too.
-	qs := []smartstore.Query{
-		smartstore.NewPointQuery(set.Files[1].Path),
-		q,
-	}
-	bAuto := postBatch(t, url, qs, true)
-	bJSON := postBatch(t, url, qs, false)
-	for i := range bAuto.Results {
-		bAuto.Results[i].Cached = false
-		bJSON.Results[i].Cached = false
-	}
-	if !reflect.DeepEqual(bAuto, bJSON) {
-		t.Fatalf("batch answers disagree across codecs")
+	if !wire.IsBinary(contentTypes[0]) || !wire.IsBinary(accepts[0]) {
+		t.Fatalf("first query sent Content-Type %q, Accept %q; want %s both",
+			contentTypes[0], accepts[0], wire.ContentType)
 	}
 }
 
-// TestClientFallsBackToJSON: against a daemon that ignores the Accept
-// header (a pre-binary smartstored), the auto client keeps speaking
-// JSON and never latches binary.
-func TestClientFallsBackToJSON(t *testing.T) {
-	var sawBinaryBody atomic.Bool
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		if wire.IsBinary(r.Header.Get("Content-Type")) {
-			sawBinaryBody.Store(true)
-		}
+// TestClientRejectsJSONAnswer: a daemon that ignores the binary Accept
+// header and answers 200 in JSON gets an error naming the content type
+// it answered in, never a misdecoded answer.
+func TestClientRejectsJSONAnswer(t *testing.T) {
+	jsonOnly := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"kind":"point","ids":[5],"count":1,"cached":false,"report":{"latency_sec":0,"messages":1,"hops":0,"units_searched":1}}`))
 	}))
-	defer legacy.Close()
+	defer jsonOnly.Close()
 
-	cl := New(legacy.URL)
-	for i := 0; i < 3; i++ {
+	cl := New(jsonOnly.URL)
+	for i := 0; i < 2; i++ {
 		resp, err := cl.Query(context.Background(), smartstore.NewPointQuery("/x"))
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			t.Fatalf("query %d: a JSON answer decoded as %+v", i, resp)
 		}
-		if len(resp.IDs) != 1 || resp.IDs[0] != 5 {
-			t.Fatalf("bad decode via fallback: %+v", resp)
+		if resp != nil {
+			t.Fatalf("query %d: error %v came with an answer %+v", i, err, resp)
 		}
-	}
-	if cl.BinaryNegotiated() {
-		t.Fatal("client latched binary against a JSON-only daemon")
-	}
-	if sawBinaryBody.Load() {
-		t.Fatal("auto client sent a binary body before the daemon ever answered binary")
+		if !strings.Contains(err.Error(), "application/json") {
+			t.Fatalf("query %d: error %q does not name the content type", i, err)
+		}
 	}
 }

@@ -38,8 +38,6 @@ type Config struct {
 	// VersionRatio is the file modification-to-version ratio (§5.6);
 	// 1 = comprehensive versioning. Zero selects 4.
 	VersionRatio int
-	// Cost is the virtual cost model. Zero value selects the default.
-	Cost simnet.CostModel
 	// Seed drives home-unit selection and index-unit mapping.
 	Seed uint64
 	// VirtualScale maps the in-memory sample population onto the full
@@ -53,9 +51,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.VersionRatio == 0 {
 		c.VersionRatio = 4
-	}
-	if c.Cost == (simnet.CostModel{}) {
-		c.Cost = simnet.DefaultCostModel()
 	}
 	if c.VirtualScale == 0 {
 		c.VirtualScale = 1

@@ -116,6 +116,24 @@ func TestRangeOfflineFewerMessages(t *testing.T) {
 	}
 }
 
+// VirtualScale multiplies the record counts entering the cost model,
+// so the same search over a scaled population reports a longer latency.
+func TestVirtualScaleRaisesLatency(t *testing.T) {
+	small, set := deploy(t, 500, 10, 3, Config{Seed: 3})
+	big, _ := deploy(t, 500, 10, 3, Config{Seed: 3, VirtualScale: 1e6})
+	// A full-space window guarantees records are scanned.
+	lo, hi := set.Norm.Bounds(metadata.AttrSize)
+	q, err := query.MakeRange([]metadata.Attr{metadata.AttrSize}, []float64{lo}, []float64{hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rs := small.RangeOffline(q)
+	_, rb := big.RangeOffline(q)
+	if rb.Latency <= rs.Latency {
+		t.Fatalf("scaled latency %v not above unscaled %v", rb.Latency, rs.Latency)
+	}
+}
+
 func TestRangeOfflineRecallHigh(t *testing.T) {
 	c, set := deploy(t, 1500, 15, 17, Config{Seed: 17})
 	gen := trace.NewQueryGen(set, stats.Zipf, nil, 19)
@@ -379,7 +397,7 @@ func TestNoLazyModelWithoutThreshold(t *testing.T) {
 	for i, a := range attrs {
 		at[i] = f.Attrs[a]
 	}
-	if _, want := updateCost(c.Cfg.Cost); c.InsertFile(f).Messages != want {
+	if _, want := updateCost(defaultCost); c.InsertFile(f).Messages != want {
 		t.Fatalf("insert sent a replica multicast, want only the %d update messages", want)
 	}
 	if got, _ := c.Point(query.Point{Filename: f.Path}); !has(got, f.ID) {

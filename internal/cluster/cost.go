@@ -20,6 +20,9 @@ const (
 // model. A storage unit is its own server and works on one request at
 // a time, in arrival order; the client does no work.
 
+// defaultCost is the cost model every deployment is accounted under.
+var defaultCost = simnet.DefaultCostModel()
+
 // groupCost is one searched group's share of a complex query: the leaf
 // whose server hosts the group, the time the search takes there, and
 // the number of ids the host replies with.

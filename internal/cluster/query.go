@@ -182,7 +182,7 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 		// threshold bounding chain length this stays under ~10% of
 		// query latency (§5.6).
 		const versionProbeFraction = 0.25
-		vLat := c.Cfg.Cost.ProbeCost(int(float64(vChecked) * c.Cfg.VirtualScale * versionProbeFraction))
+		vLat := defaultCost.ProbeCost(int(float64(vChecked) * c.Cfg.VirtualScale * versionProbeFraction))
 		res.VersionChecked += vChecked
 		res.VersionLatency += vLat
 		// Member units scan their shares in parallel; the group's wall
@@ -194,7 +194,7 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 		perUnitTotal := c.GroupSize(g) / len(g.Leaves(nil))
 		scaled := int(float64(st.RecordsScanned) * c.Cfg.VirtualScale / float64(nUnits))
 		unitTotal := int(float64(perUnitTotal) * c.Cfg.VirtualScale)
-		work := c.Cfg.Cost.MsgHandle + c.Cfg.Cost.ScanCost(scaled, unitTotal) + vLat
+		work := defaultCost.MsgHandle + defaultCost.ScanCost(scaled, unitTotal) + vLat
 		costs[i] = groupCost{host: c.groupHost(g), work: work, ids: len(ids)}
 		found[i] = ids
 		// A group counts toward routing distance when it contributes
@@ -206,7 +206,7 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 		res.UnitsSearched += st.UnitsSearched
 		res.RecordsScanned += st.RecordsScanned
 	}
-	order, latency, messages := complexCost(c.Cfg.Cost, home, costs, online)
+	order, latency, messages := complexCost(defaultCost, home, costs, online)
 	var out []uint64
 	for _, i := range order {
 		out = append(out, found[i]...)
@@ -304,10 +304,10 @@ func (c *Cluster) Point(q query.Point) ([]uint64, Result) {
 	ids = c.pointConsistency(q, ids, &st)
 	// Bloom checks are per-node index operations and do not grow with
 	// the virtual population; the exact-match confirmation probes do.
-	work := simnet.Time(st.BloomChecks)*c.Cfg.Cost.BloomCheck +
-		c.Cfg.Cost.ProbeCost(int(float64(st.RecordsScanned)*c.Cfg.VirtualScale))
+	work := simnet.Time(st.BloomChecks)*defaultCost.BloomCheck +
+		defaultCost.ProbeCost(int(float64(st.RecordsScanned)*c.Cfg.VirtualScale))
 	var res Result
-	res.Latency, res.Messages = pointCost(c.Cfg.Cost, work, len(ids), st.UnitsSearched)
+	res.Latency, res.Messages = pointCost(defaultCost, work, len(ids), st.UnitsSearched)
 	res.UnitsSearched = st.UnitsSearched
 	res.RecordsScanned = st.RecordsScanned
 	if st.GroupsTouched > 1 {

@@ -15,7 +15,7 @@ func (c *Cluster) InsertFile(f *metadata.File) Result {
 		c.byID[f.ID] = f
 	}
 	leaf := c.Tree.InsertFile(f)
-	res.Latency, res.Messages = updateCost(c.Cfg.Cost)
+	res.Latency, res.Messages = updateCost(defaultCost)
 	res.Messages += c.recordChange(c.Tree.GroupOf(leaf), version.Insert, f)
 	return res
 }
@@ -30,7 +30,7 @@ func (c *Cluster) ModifyFile(f *metadata.File) (Result, bool) {
 	if !ok {
 		return res, false
 	}
-	res.Latency, res.Messages = updateCost(c.Cfg.Cost)
+	res.Latency, res.Messages = updateCost(defaultCost)
 	res.Messages += c.recordChange(c.Tree.GroupOf(leaf), version.Modify, existing)
 	return res, true
 }
@@ -47,7 +47,7 @@ func (c *Cluster) DeleteFile(id uint64) (Result, bool) {
 	if c.byID != nil {
 		delete(c.byID, id)
 	}
-	res.Latency, res.Messages = updateCost(c.Cfg.Cost)
+	res.Latency, res.Messages = updateCost(defaultCost)
 	res.Messages += c.recordChange(c.Tree.GroupOf(leaf), version.Delete, target)
 	return res, true
 }

@@ -59,17 +59,13 @@ type Config struct {
 	Units int
 	// Attrs is the grouping predicate shared by every shard.
 	Attrs []metadata.Attr
-	// Online selects the on-line multicast path as the default complex
-	// query execution.
-	Online bool
 	// Tree carries fan-out bounds and the admission threshold; its
 	// Attrs field is ignored (Config.Attrs wins).
 	Tree semtree.Config
-	// Cluster carries seed and virtual-scale settings; the serving
-	// engine leaves its lazy-update threshold at zero, so every
-	// acknowledged mutation answers the next query. Shard 0 uses
-	// Cluster.Seed verbatim; later shards derive distinct deterministic
-	// seeds from it.
+	// Cluster carries the deployment seed; the serving engine leaves its
+	// lazy-update threshold at zero, so every acknowledged mutation
+	// answers the next query. Shard 0 uses Cluster.Seed verbatim; later
+	// shards derive distinct deterministic seeds from it.
 	Cluster cluster.Config
 	// OfflineGroupBudget overrides the off-line search breadth: each
 	// shard's off-line complex query searches at most this many groups,

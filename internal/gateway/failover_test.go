@@ -32,7 +32,7 @@ func TestGatewayFailsOverToFollower(t *testing.T) {
 		part[i%2] = append(part[i%2], f)
 	}
 	st0, err := smartstore.Build(part[0], smartstore.Config{
-		Units: 8, Shards: 2, Seed: 17, Mode: smartstore.OnLine, Normalizer: norm,
+		Units: 8, Shards: 2, Seed: 17, Mode: smartstore.ModeOnline, Normalizer: norm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestGatewayFailsOverToFollower(t *testing.T) {
 	t.Cleanup(ts0.Close)
 
 	st1, err := smartstore.Build(part[1], smartstore.Config{
-		Units: 8, Shards: 2, Seed: 17, Mode: smartstore.OnLine, Normalizer: norm,
+		Units: 8, Shards: 2, Seed: 17, Mode: smartstore.ModeOnline, Normalizer: norm,
 		DataDir: t.TempDir(), Durability: smartstore.DurabilityNever,
 	})
 	if err != nil {
@@ -56,7 +56,7 @@ func TestGatewayFailsOverToFollower(t *testing.T) {
 	defer cancel()
 	ropts := repl.Options{PollEvery: 5 * time.Millisecond, Logf: func(string, ...any) {}}
 	fst, _, err := repl.Bootstrap(ctx, ts1.URL, "", smartstore.Config{
-		Seed: 17, Mode: smartstore.OnLine, Normalizer: norm,
+		Seed: 17, Mode: smartstore.ModeOnline, Normalizer: norm,
 	}, ropts)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestGatewayStaysDegradedOnBehindFollower(t *testing.T) {
 	}
 	norm := smartstore.FitNormalizer(set.Files)
 	st1, err := smartstore.Build(set.Files, smartstore.Config{
-		Units: 8, Shards: 2, Seed: 17, Mode: smartstore.OnLine, Normalizer: norm,
+		Units: 8, Shards: 2, Seed: 17, Mode: smartstore.ModeOnline, Normalizer: norm,
 		DataDir: t.TempDir(), Durability: smartstore.DurabilityNever,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func TestGatewayStaysDegradedOnBehindFollower(t *testing.T) {
 	ctx := context.Background()
 	ropts := repl.Options{Logf: func(string, ...any) {}}
 	fst, _, err := repl.Bootstrap(ctx, ts1.URL, "", smartstore.Config{
-		Seed: 17, Mode: smartstore.OnLine, Normalizer: norm,
+		Seed: 17, Mode: smartstore.ModeOnline, Normalizer: norm,
 	}, ropts)
 	if err != nil {
 		t.Fatal(err)

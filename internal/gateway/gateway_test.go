@@ -18,6 +18,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/server"
 	"repro/internal/snapshot"
+	"repro/internal/wire"
 )
 
 // queryAttrs is the placement predicate every store in these tests
@@ -40,6 +41,9 @@ type federation struct {
 	gateURL   string
 	gw        *Gateway
 	backends  []*httptest.Server
+	// memberJSONQueries counts /v1/query requests reaching any member
+	// without a binary body.
+	memberJSONQueries atomic.Int64
 }
 
 func buildFederation(t testing.TB, n, nBackends int) *federation {
@@ -54,7 +58,7 @@ func buildFederation(t testing.TB, n, nBackends int) *federation {
 			Units:      units,
 			Shards:     shards,
 			Seed:       17,
-			Mode:       smartstore.OnLine,
+			Mode:       smartstore.ModeOnline,
 			Normalizer: norm,
 		}
 	}
@@ -81,7 +85,13 @@ func buildFederation(t testing.TB, n, nBackends int) *federation {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(server.New(st, server.Options{}))
+		member := server.New(st, server.Options{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/query" && !wire.IsBinary(r.Header.Get("Content-Type")) {
+				fed.memberJSONQueries.Add(1)
+			}
+			member.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		fed.backends = append(fed.backends, ts)
 		urls[i] = ts.URL

@@ -131,11 +131,9 @@ func TestGatewayCodecEquivalence(t *testing.T) {
 			}
 		})
 	}
-	// The gateway's backend clients negotiate the binary codec on
-	// their own — the fan-out above must have latched it.
-	for i, b := range fed.gw.backends {
-		if !b.client().BinaryNegotiated() {
-			t.Fatalf("backend %d fan-out still on JSON", i)
-		}
+	// Whatever codec the gateway was asked in, its hops to the members
+	// travel in binary, the first one included.
+	if n := fed.memberJSONQueries.Load(); n != 0 {
+		t.Fatalf("%d member /v1/query requests without a binary body", n)
 	}
 }

@@ -403,6 +403,30 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 }
 
+// Config.Validate is the check a snapshot's tree configuration meets
+// on restore and a daemon's fan-out flags meet at bootstrap.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"defaults", Config{}, true},
+		{"boundary fan-out", Config{MaxChildren: 4, MinChildren: 2}, true},
+		{"min above half of max", Config{MaxChildren: 10, MinChildren: 7}, false},
+		{"min below two", Config{MaxChildren: 10, MinChildren: 1}, false},
+		{"max too small", Config{MaxChildren: 3, MinChildren: 2}, false},
+		{"negative max", Config{MaxChildren: -2}, false},
+		{"threshold one", Config{BaseThreshold: 1}, true},
+		{"threshold above one", Config{BaseThreshold: 1.5}, false},
+		{"negative threshold", Config{BaseThreshold: -0.1}, false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, tc.cfg, err, tc.ok)
+		}
+	}
+}
+
 func sameIDs(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false

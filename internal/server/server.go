@@ -142,19 +142,6 @@ func (s *Server) registerCacheMetrics(reg *obs.Registry) {
 // Healthy: a local store that is up is healthy.
 func (s *Server) Healthy() bool { return true }
 
-// resolveMode replaces ModeDefault with the store's configured path so
-// cache keys treat "default" and an explicit option equal to it as the
-// same query.
-func (s *Server) resolveMode(m smartstore.QueryMode) smartstore.QueryMode {
-	if m != smartstore.ModeDefault {
-		return m
-	}
-	if s.store.Mode() == smartstore.OnLine {
-		return smartstore.ModeOnline
-	}
-	return smartstore.ModeOffline
-}
-
 // Query runs one validated query through the cache, which keys
 // invalidation on the epochs of exactly the shards the query targets.
 // The epoch vector is observed before executing so a mutation landing
@@ -165,7 +152,7 @@ func (s *Server) Query(ctx context.Context, q smartstore.Query) (QueryResponse, 
 		resp, _, err := s.runQuery(ctx, q)
 		return resp, err
 	}
-	key := queryKey(q, s.resolveMode(q.Options.Mode))
+	key := queryKey(q, s.store.ResolveMode(q.Options.Mode))
 	epochs := s.store.ShardEpochs()
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		lookupStart := time.Now()

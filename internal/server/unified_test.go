@@ -189,7 +189,7 @@ func TestCacheOptionAwareness(t *testing.T) {
 	// An explicit mode equal to the store default shares its entry.
 	explicitDefault := dims
 	explicitDefault.Mode = "offline"
-	if store.Mode() != smartstore.OffLine {
+	if store.Mode() != smartstore.ModeOffline {
 		t.Fatal("test assumes an off-line default store")
 	}
 	var expl QueryResponse

@@ -17,8 +17,8 @@ import (
 // its enqueue wakes the committer immediately and the batch is just it.
 //
 // Ordering guarantee: Append returns nil only after an fsync that
-// covers the record — exactly the acknowledgement contract the
-// ungrouped SyncAlways path had. A failed group fsync fails every
+// covers the record — the same acknowledgement contract as one fsync
+// per append. A failed group fsync fails every
 // waiter in the batch, rolls the active segment back to the durable
 // watermark (those frames were never acknowledged and must not replay),
 // and marks the log sticky-broken: after a failed fsync the kernel may

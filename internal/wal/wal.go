@@ -99,12 +99,6 @@ type Options struct {
 	// the capacity still lands (in a segment of its own) — capacity
 	// bounds rotation, not record size.
 	SegmentBytes int64
-
-	// noGroupCommit disables the SyncAlways group committer, making
-	// every appender pay its own fsync — the pre-segmentation behaviour,
-	// kept (package-internal) as the benchmark baseline group commit is
-	// measured against.
-	noGroupCommit bool
 }
 
 // Log is one shard's append-only write-ahead log over a segment
@@ -116,7 +110,6 @@ type Log struct {
 	shard  int
 	policy SyncPolicy
 	segCap int64
-	group  bool
 
 	// mu guards the segment state (active, sealed, sizes) and the sticky
 	// error. fsyncs happen outside it wherever possible: the group
@@ -141,7 +134,7 @@ type Log struct {
 	// committer only after the queue can no longer grow.
 	appenders sync.WaitGroup
 
-	// Group-commit plumbing (SyncAlways with grouping enabled).
+	// Group-commit plumbing (SyncAlways only).
 	commitCh      chan commitReq
 	stopCh        chan struct{}
 	committerDone chan struct{}
@@ -214,13 +207,12 @@ func Open(path string, shard int, policy SyncPolicy, opts Options) (*Log, []Reco
 		shard:  shard,
 		policy: policy,
 		segCap: segCap,
-		group:  policy == SyncAlways && !opts.noGroupCommit,
 	}
 	recs, err := l.load()
 	if err != nil {
 		return nil, nil, err
 	}
-	if l.group {
+	if l.policy == SyncAlways {
 		l.startCommitter()
 	}
 	return l, recs, nil
@@ -341,8 +333,8 @@ func (l *Log) append(rec *Record) error {
 // error paths — because under group commit it holds the appender
 // registration Close drains before stopping the committer; leaking it
 // hangs Close. Calling it again is harmless (the first verdict is
-// replayed). Under SyncInterval/SyncNever and ungrouped SyncAlways
-// the verdict is already settled and wait returns it immediately.
+// replayed). Under SyncInterval/SyncNever the verdict is already
+// settled and wait returns it immediately.
 func (l *Log) AppendAsync(rec *Record) (wait func() error, err error) {
 	if o := l.obsv.Load(); o != nil && o.AppendNs != nil {
 		start := time.Now()
@@ -408,7 +400,7 @@ func (l *Log) appendAsync(rec *Record) (func() error, error) {
 	}
 	seg.size += int64(len(frame))
 	l.updateLiveLocked()
-	if l.group {
+	if l.policy == SyncAlways {
 		// Registered before releasing mu, so Close (which marks closed
 		// under mu first) cannot stop the committer while this appender
 		// is between the write and the enqueue. The registration is
@@ -424,19 +416,6 @@ func (l *Log) appendAsync(rec *Record) (func() error, error) {
 			})
 			return verdict
 		}, nil
-	}
-	if l.policy == SyncAlways {
-		// Ungrouped always-sync (benchmark baseline): pay the fsync
-		// inline, rolling the frame back on failure exactly like the
-		// pre-segmentation log.
-		if err := l.syncFile(seg.f); err != nil {
-			seg.size -= int64(len(frame))
-			l.updateLiveLocked()
-			err = l.rollbackLocked(seg, err)
-			l.mu.Unlock()
-			return nil, err
-		}
-		seg.acked = seg.size
 	}
 	l.mu.Unlock()
 	return settledWait(nil), nil
@@ -476,7 +455,7 @@ func (l *Log) rotateLocked() error {
 			// exactly like a failed group commit would (under the other
 			// policies every appended frame is already acknowledged, and
 			// discarding any of them would be the real corruption).
-			if l.group {
+			if l.policy == SyncAlways {
 				if terr := seg.f.Truncate(seg.acked); terr != nil {
 					l.err = fmt.Errorf("wal: %s broken: seal fsync failed (%v) and rollback failed (%v)",
 						seg.path, err, terr)
@@ -627,7 +606,7 @@ func (l *Log) Close() error {
 	// New appends are now rejected; wait out the ones already past the
 	// closed check, then stop the committer.
 	l.appenders.Wait()
-	if l.group {
+	if l.policy == SyncAlways {
 		close(l.stopCh)
 		<-l.committerDone
 	}

@@ -899,11 +899,10 @@ func TestAppendAsync(t *testing.T) {
 // pre-AppendAsync behaviour: same-shard writers serialize through each
 // other's fsyncs); without it the writers stage via AppendAsync under
 // the lock and await the group commit outside it, so their fsyncs
-// overlap. Ungrouped drops group commit entirely: every appender pays
-// its own fsync under the lock, the pre-segmentation behaviour.
-func benchmarkAppendAlways(b *testing.B, group, ackInLock bool) {
+// overlap.
+func benchmarkAppendAlways(b *testing.B, ackInLock bool) {
 	dir := filepath.Join(b.TempDir(), "w")
-	l, _, err := Open(dir, 0, SyncAlways, Options{SegmentBytes: 1 << 30, noGroupCommit: !group})
+	l, _, err := Open(dir, 0, SyncAlways, Options{SegmentBytes: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -955,6 +954,5 @@ func benchmarkAppendAlways(b *testing.B, group, ackInLock bool) {
 	}
 }
 
-func BenchmarkWALAppendSyncAlways(b *testing.B)          { benchmarkAppendAlways(b, true, false) }
-func BenchmarkWALAppendSyncAlwaysAckInLock(b *testing.B) { benchmarkAppendAlways(b, true, true) }
-func BenchmarkWALAppendSyncAlwaysUngrouped(b *testing.B) { benchmarkAppendAlways(b, false, true) }
+func BenchmarkWALAppendSyncAlways(b *testing.B)          { benchmarkAppendAlways(b, false) }
+func BenchmarkWALAppendSyncAlwaysAckInLock(b *testing.B) { benchmarkAppendAlways(b, true) }

@@ -53,16 +53,20 @@ func ParseQueryKind(name string) (QueryKind, error) {
 	return 0, fmt.Errorf("%w: unknown kind %q", ErrInvalidQuery, name)
 }
 
-// QueryMode optionally overrides the store's configured execution path
-// for one query. The zero value defers to the store default.
+// QueryMode selects the complex-query execution path of §3.3–3.4, as a
+// store's default (Config.Mode) or for one query (QueryOptions.Mode).
 type QueryMode int
 
 const (
-	// ModeDefault uses the store's configured Mode.
+	// ModeDefault, on a query, runs on the store's Mode; as Config.Mode
+	// it means ModeOffline.
 	ModeDefault QueryMode = iota
-	// ModeOffline forces the off-line pre-processing path (§3.4).
+	// ModeOffline routes a query directly to its most-correlated
+	// semantic group using locally replicated index-unit vectors (§3.4).
+	// Fast and message-frugal; recall bounded by grouping quality.
 	ModeOffline
-	// ModeOnline forces the on-line multicast path (§3.3).
+	// ModeOnline multicasts the query to every first-level group host
+	// (§3.3). Exact; more messages.
 	ModeOnline
 )
 
@@ -199,14 +203,15 @@ type Result = engine.Answer
 // shares — the wire layer's /v1/query endpoint calls it directly.
 //
 // Do validates before touching the store and returns errors wrapping
-// ErrInvalidQuery. The query then fans out to the relevant engine
-// shards in parallel: range queries skip shards whose root MBR misses
-// the query rectangle, top-k answers merge by true normalized distance,
-// and the report aggregates max-latency / summed-messages across
-// shards. The context is honoured
-// between routing phases: before admission, while each shard waits for
-// its deployment's query slot, and again between query execution and
-// record projection; a cancelled context returns ctx.Err().
+// ErrInvalidQuery. The query runs on the path ResolveMode picks for
+// its Options.Mode, and fans out to the relevant engine shards in
+// parallel: range queries skip shards whose root MBR misses the query
+// rectangle, top-k answers merge by true normalized distance, and the
+// report aggregates max-latency / summed-messages across shards. The
+// context is honoured between routing phases: before admission, while
+// each shard waits for its deployment's query slot, and again between
+// query execution and record projection; a cancelled context returns
+// ctx.Err().
 func (s *Store) Do(ctx context.Context, q Query) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
@@ -215,15 +220,8 @@ func (s *Store) Do(ctx context.Context, q Query) (Result, error) {
 		return Result{}, err
 	}
 
-	online := s.cfg.Mode == OnLine
-	switch q.Options.Mode {
-	case ModeOnline:
-		online = true
-	case ModeOffline:
-		online = false
-	}
 	opts := engine.QueryOpts{
-		Online:         online,
+		Online:         s.ResolveMode(q.Options.Mode) == ModeOnline,
 		Limit:          q.Options.Limit,
 		IncludeRecords: q.Options.IncludeRecords,
 		IncludeDists:   q.Options.IncludeDists,
@@ -244,4 +242,15 @@ func (s *Store) Do(ctx context.Context, q Query) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
 	return s.eng.TopK(ctx, tq, opts)
+}
+
+// ResolveMode returns the path a query with Options.Mode m runs on:
+// m itself, or the store's Mode when m is ModeDefault. It is the one
+// place the choice is made; Do executes on it and a result cache keys
+// on it, so "default" and an explicit mode equal to it are one query.
+func (s *Store) ResolveMode(m QueryMode) QueryMode {
+	if m == ModeDefault {
+		return s.Mode()
+	}
+	return m
 }

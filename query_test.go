@@ -118,7 +118,7 @@ func TestDoPerQueryModeOverride(t *testing.T) {
 	// Enough storage units that the off-line path's routed-group cap is
 	// well below the group count — otherwise both paths search every
 	// group and are indistinguishable.
-	store, _ := buildStore(t, 3000, smartstore.Config{Units: 60}) // default OffLine
+	store, _ := buildStore(t, 3000, smartstore.Config{Units: 60}) // default ModeOffline
 	attrs := []smartstore.Attr{smartstore.AttrMTime, smartstore.AttrReadBytes}
 	q := smartstore.NewRangeQuery(attrs, []float64{0, 0}, []float64{1e9, 1e12})
 

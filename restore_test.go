@@ -81,7 +81,7 @@ func TestRestoreAnswersMatch(t *testing.T) {
 		unflushed bool
 	}{
 		{name: "offline", cfg: smartstore.Config{}},
-		{name: "online", cfg: smartstore.Config{Mode: smartstore.OnLine}},
+		{name: "online", cfg: smartstore.Config{Mode: smartstore.ModeOnline}},
 		{name: "unflushed", cfg: smartstore.Config{}, unflushed: true},
 	}
 	set, err := smartstore.GenerateTrace("MSN", 600, 42)

@@ -103,19 +103,6 @@ func FitNormalizer(files []*File) *Normalizer {
 	return n
 }
 
-// Mode selects the complex-query execution path of §3.3–3.4.
-type Mode int
-
-const (
-	// OffLine routes a query directly to its most-correlated semantic
-	// group using locally replicated index-unit vectors (§3.4). Fast and
-	// message-frugal; recall bounded by grouping quality.
-	OffLine Mode = iota
-	// OnLine multicasts the query to every first-level group host
-	// (§3.3). Exact; more messages.
-	OnLine
-)
-
 // Config parameterizes Build.
 type Config struct {
 	// Shards is the number of independent engine shards the deployment
@@ -132,17 +119,13 @@ type Config struct {
 	// special interest (§3.1.1). Default: mtime, read and write volume
 	// (the paper's example query dimensions).
 	Attrs []Attr
-	// Mode is the default complex-query path. Default OffLine.
-	Mode Mode
+	// Mode is the complex-query path a query takes when its own
+	// Options.Mode is ModeDefault. ModeDefault here means ModeOffline.
+	Mode QueryMode
 	// MaxChildren / MinChildren bound semantic R-tree fan-out (§4.1).
 	MaxChildren, MinChildren int
-	// BaseThreshold overrides the sampled level-1 admission threshold.
-	BaseThreshold float64
 	// Seed drives all randomized decisions. Deterministic per seed.
 	Seed uint64
-	// VirtualScale maps the in-memory sample onto a (much larger)
-	// virtual population for latency modelling; see DESIGN.md §4.
-	VirtualScale float64
 	// DataDir, when set, makes the store durable: every shard appends
 	// mutations to its own write-ahead log under DataDir before
 	// applying them, and Checkpoint/Close persist snapshots there. A
@@ -194,17 +177,12 @@ func (cfg Config) engineConfig() engine.Config {
 		Shards: cfg.Shards,
 		Units:  cfg.Units,
 		Attrs:  cfg.Attrs,
-		Online: cfg.Mode == OnLine,
 		Tree: semtree.Config{
-			Attrs:         cfg.Attrs,
-			BaseThreshold: cfg.BaseThreshold,
-			MaxChildren:   cfg.MaxChildren,
-			MinChildren:   cfg.MinChildren,
+			Attrs:       cfg.Attrs,
+			MaxChildren: cfg.MaxChildren,
+			MinChildren: cfg.MinChildren,
 		},
-		Cluster: cluster.Config{
-			Seed:         cfg.Seed,
-			VirtualScale: cfg.VirtualScale,
-		},
+		Cluster:            cluster.Config{Seed: cfg.Seed},
 		Norm:               cfg.Normalizer,
 		OfflineGroupBudget: cfg.OfflineGroupBudget,
 	}
@@ -470,9 +448,14 @@ func (s *Store) FileByID(id uint64) (File, bool) {
 // scan.
 func (s *Store) MaxFileID() uint64 { return s.eng.MaxFileID() }
 
-// Mode returns the store's configured default query execution path; a
-// Query whose Options.Mode is ModeDefault runs on it.
-func (s *Store) Mode() Mode { return s.cfg.Mode }
+// Mode returns the path a Query whose Options.Mode is ModeDefault runs
+// on: ModeOnline when Config.Mode says so, ModeOffline otherwise.
+func (s *Store) Mode() QueryMode {
+	if s.cfg.Mode == ModeOnline {
+		return ModeOnline
+	}
+	return ModeOffline
+}
 
 // Shards returns the engine shard count.
 func (s *Store) Shards() int { return s.eng.Shards() }

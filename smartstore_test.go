@@ -58,7 +58,6 @@ func TestBuildRejectsInvalidFanOut(t *testing.T) {
 		{Units: 10, MaxChildren: 10, MinChildren: 1},
 		{Units: 10, MaxChildren: 3, MinChildren: 2},
 		{Units: 10, MaxChildren: -2},
-		{Units: 10, BaseThreshold: 1.5},
 	}
 	for i, cfg := range bad {
 		func() {
@@ -119,7 +118,7 @@ func TestPointQuery(t *testing.T) {
 }
 
 func TestRangeQueryOfflineAndOnline(t *testing.T) {
-	for _, mode := range []smartstore.Mode{smartstore.OffLine, smartstore.OnLine} {
+	for _, mode := range []smartstore.QueryMode{smartstore.ModeOffline, smartstore.ModeOnline} {
 		store, set := buildStore(t, 800, smartstore.Config{Units: 10, Mode: mode, Seed: uint64(mode)})
 		gen := trace.NewQueryGen(set, stats.Zipf, nil, 7)
 		var rec stats.Summary
@@ -134,7 +133,7 @@ func TestRangeQueryOfflineAndOnline(t *testing.T) {
 			rec.Add(stats.Recall(want, res.IDs))
 			n++
 		}
-		if n > 0 && mode == smartstore.OnLine && rec.Mean() != 1 {
+		if n > 0 && mode == smartstore.ModeOnline && rec.Mean() != 1 {
 			t.Fatalf("online recall = %v, want 1", rec.Mean())
 		}
 		if n > 0 && rec.Mean() < 0.7 {
@@ -187,22 +186,6 @@ func TestInsertDeleteModifyLifecycle(t *testing.T) {
 	}
 	if _, ok, _ := store.Delete(nf.ID); ok {
 		t.Fatal("double delete succeeded")
-	}
-}
-
-func TestVirtualScaleRaisesLatency(t *testing.T) {
-	small, set := buildStore(t, 500, smartstore.Config{Units: 10, Seed: 3})
-	big, err := smartstore.Build(set.Files, smartstore.Config{Units: 10, Seed: 3, VirtualScale: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A full-space window guarantees records are scanned.
-	attrs := []smartstore.Attr{smartstore.AttrSize}
-	lo, hi := set.Norm.Bounds(smartstore.AttrSize)
-	q := smartstore.NewRangeQuery(attrs, []float64{lo}, []float64{hi})
-	rs, rb := ask(t, small, q).Report, ask(t, big, q).Report
-	if rb.Latency <= rs.Latency {
-		t.Fatalf("scaled latency %v not above unscaled %v", rb.Latency, rs.Latency)
 	}
 }
 

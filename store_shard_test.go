@@ -26,7 +26,7 @@ func cloneFiles(files []*smartstore.File) []*smartstore.File {
 }
 
 // buildShardPair builds the same corpus twice: once unsharded (the
-// ground truth) and once across shards. OnLine mode makes complex-query
+// ground truth) and once across shards. ModeOnline makes complex-query
 // answers exact on the propagated snapshot, so the two stores must
 // agree whenever they hold the same data.
 func buildShardPair(t testing.TB, shards int) (s1, sN *smartstore.Store, set *smartstore.TraceSet) {
@@ -36,12 +36,12 @@ func buildShardPair(t testing.TB, shards int) (s1, sN *smartstore.Store, set *sm
 		t.Fatal(err)
 	}
 	s1, err = smartstore.Build(cloneFiles(set.Files),
-		smartstore.Config{Units: 24, Seed: 17, Mode: smartstore.OnLine})
+		smartstore.Config{Units: 24, Seed: 17, Mode: smartstore.ModeOnline})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sN, err = smartstore.Build(cloneFiles(set.Files),
-		smartstore.Config{Units: 24, Shards: shards, Seed: 17, Mode: smartstore.OnLine})
+		smartstore.Config{Units: 24, Shards: shards, Seed: 17, Mode: smartstore.ModeOnline})
 	if err != nil {
 		t.Fatal(err)
 	}
