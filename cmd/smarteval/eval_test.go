@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"testing"
@@ -16,6 +17,13 @@ import (
 // a loopback listener, returning a connected client.
 func startServed(t *testing.T, set *trace.Set, cfg smartstore.Config) *client.Client {
 	t.Helper()
+	return client.New(serve(t, set, cfg))
+}
+
+// serve builds an in-process store over the set, serves it on a
+// loopback listener and returns the listener's address.
+func serve(t *testing.T, set *trace.Set, cfg smartstore.Config) string {
+	t.Helper()
 	store, err := smartstore.Build(set.Files, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -27,7 +35,7 @@ func startServed(t *testing.T, set *trace.Set, cfg smartstore.Config) *client.Cl
 	srv := &http.Server{Handler: server.New(store, server.Options{DisableMetrics: true})}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return client.New(ln.Addr().String())
+	return ln.Addr().String()
 }
 
 func scenario(t *testing.T, name string) Scenario {
@@ -253,5 +261,40 @@ func TestPercentile(t *testing.T) {
 	}
 	if s[0] != 5 {
 		t.Fatal("Percentile mutated its input")
+	}
+}
+
+// A remote cell reports what the daemon's /v1/stats tells — its shard
+// count — and leaves out what it cannot know: the off-line budget. It
+// carries no "mode" key.
+func TestRemoteCellReportsDaemonShards(t *testing.T) {
+	set, err := smartstore.GenerateTrace("MSN", 300, 9)
+	if err != nil {
+		t.Fatalf("GenerateTrace: %v", err)
+	}
+	addr := serve(t, set, smartstore.Config{Units: 12, Shards: 2, Seed: 9})
+	o := options{remote: addr, trace: "MSN", files: 300, seed: 9, ops: 60, clients: 2}
+	rep := &report{}
+	if err := runRemote(context.Background(), []Scenario{scenario(t, "zipf-hot")}, o, rep); err != nil {
+		t.Fatalf("runRemote: %v", err)
+	}
+	if len(rep.Results) != 1 {
+		t.Fatalf("%d cells, want 1", len(rep.Results))
+	}
+	buf, err := json.Marshal(rep.Results[0].Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]any
+	if err := json.Unmarshal(buf, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg["endpoint"] != addr || cfg["shards"] != 2.0 {
+		t.Errorf("remote cell config %s, want endpoint %s and shards 2", buf, addr)
+	}
+	for _, key := range []string{"mode", "offline_budget", "fsync"} {
+		if _, ok := cfg[key]; ok {
+			t.Errorf("remote cell config %s carries %q", buf, key)
+		}
 	}
 }

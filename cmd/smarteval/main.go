@@ -181,8 +181,12 @@ func runRemote(ctx context.Context, scns []Scenario, o options, rep *report) err
 	if !cl.Healthy() {
 		return fmt.Errorf("no healthy daemon at %s", o.remote)
 	}
+	st, err := cl.Stats()
+	if err != nil {
+		return err
+	}
+	cfg := Config{Endpoint: o.remote, Shards: st.Store.Shards}
 	for _, scn := range scns {
-		cfg := Config{Endpoint: o.remote, Mode: "remote"}
 		res, truth, err := RunTracked(ctx, scn, evalOptions(cl, set, o, cfg))
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", scn.Name, err)
@@ -256,11 +260,10 @@ func runCell(ctx context.Context, scn Scenario, set *trace.Set, shards, budget i
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	addr := ln.Addr().String()
-	cl := client.New(addr)
+	cl := client.New(ln.Addr().String())
 	ecfg := Config{
-		Endpoint: addr, Shards: shards, Fsync: o.fsync,
-		OfflineBudget: budget, Mode: "inproc",
+		Endpoint: inProcess, Shards: shards, Fsync: o.fsync,
+		OfflineBudget: budget,
 	}
 	return Run(ctx, scn, evalOptions(cl, set, o, ecfg))
 }
@@ -274,8 +277,12 @@ func evalOptions(cl *client.Client, set *trace.Set, o options, cfg Config) Optio
 }
 
 func printResult(r *ScenarioResult) {
-	line := fmt.Sprintf("%-13s shards=%-2d budget=%-3d %8.0f ops/s",
-		r.Scenario, r.Config.Shards, r.Config.OfflineBudget, r.Throughput)
+	budget := "?" // a daemon does not report its off-line budget
+	if r.Config.Endpoint == inProcess {
+		budget = strconv.Itoa(r.Config.OfflineBudget)
+	}
+	line := fmt.Sprintf("%-13s shards=%-2d budget=%-3s %8.0f ops/s",
+		r.Scenario, r.Config.Shards, budget, r.Throughput)
 	if st, ok := r.PerOp["range"]; ok && st.Count > 0 {
 		line += fmt.Sprintf("  range p95 %6.2fms", st.P95Ms)
 	}

@@ -26,14 +26,19 @@ type RecallStat struct {
 }
 
 // Config tags a result with the deployment knobs it ran under — the
-// sweep axes of cmd/smarteval.
+// sweep axes of cmd/smarteval. A remote cell knows only what the
+// daemon's /v1/stats reports: its shard count, not its fsync policy or
+// off-line budget, which it leaves out.
 type Config struct {
-	Endpoint      string `json:"endpoint"`                 // "inprocess" or the remote address
+	Endpoint      string `json:"endpoint"`                 // inProcess or the remote address
 	Shards        int    `json:"shards,omitempty"`         // engine shards of the store under test
 	Fsync         string `json:"fsync,omitempty"`          // WAL sync policy when durable
 	OfflineBudget int    `json:"offline_budget,omitempty"` // §10 offline group budget (0 = adaptive)
-	Mode          string `json:"mode,omitempty"`           // query path: "online" or "offline"
 }
+
+// inProcess is the Endpoint of a cell that ran against a store the
+// harness built itself.
+const inProcess = "inprocess"
 
 // ScenarioResult is one scenario × config cell of EVAL_report.json.
 type ScenarioResult struct {

@@ -2,9 +2,9 @@
 // cluster, implementing the distributed aspects of SmartStore: mapping
 // index units onto storage units (§4.2), multi-mapping the root for
 // reliability (§4.3), the on-line multicast and off-line pre-processing
-// query paths (§3.3–3.4), and — when configured with a lazy-update
-// threshold — consistency via versioning with lazy replica updates
-// (§4.4).
+// query paths (§3.3–3.4), and — when a Replicas model is configured —
+// the seams where the paper's lazy replica updates and versioning
+// (§3.4, §4.4) see changes and filter answers.
 //
 // Every storage unit is its own server. Each operation's latency and
 // message count is a closed form over its fixed message pattern and the
@@ -19,25 +19,15 @@ import (
 	"repro/internal/semtree"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/version"
 )
 
 // Config parameterizes a deployment.
 type Config struct {
-	// LazyUpdateThreshold, when positive, turns on the lazy replica
-	// model of §3.4: it is the fraction of a group's files that may
-	// change before the index unit multicasts fresh replicas (§5.1 sets
-	// 5%), and until then queries see the last-propagated snapshot.
-	// Zero — the serving default — has no lazy model: every change is
-	// visible to the next query and sends no replica messages.
-	LazyUpdateThreshold float64
-	// Versioning enables the §4.4 consistency mechanism under a lazy
-	// threshold; without it, queries see only the last-propagated
-	// snapshot and lose recall as updates accumulate (Tables 5–6).
-	Versioning bool
-	// VersionRatio is the file modification-to-version ratio (§5.6);
-	// 1 = comprehensive versioning. Zero selects 4.
-	VersionRatio int
+	// Replicas, when set, runs a lazy replica model over the
+	// deployment's changes and answers (§3.4, §4.4). Nil — every serving
+	// path — has none: every change is visible to the next query and
+	// sends no replica messages. Only internal/core sets one.
+	Replicas Replicas
 	// Seed drives home-unit selection and index-unit mapping.
 	Seed uint64
 	// VirtualScale maps the in-memory sample population onto the full
@@ -49,9 +39,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VersionRatio == 0 {
-		c.VersionRatio = 4
-	}
 	if c.VirtualScale == 0 {
 		c.VirtualScale = 1
 	}
@@ -64,15 +51,6 @@ type Cluster struct {
 	Cfg  Config
 
 	hostOf map[*semtree.Node]*semtree.Node // index unit → hosting leaf
-
-	// Lazy-update and versioning state, per first-level group; nil
-	// without a lazy-update threshold.
-	chains  map[*semtree.Node]*version.Chain
-	pending map[*semtree.Node]map[uint64]*metadata.File // unpropagated inserts
-	deleted map[*semtree.Node]map[uint64]bool           // unpropagated deletes
-
-	// ReplicaMulticasts counts lazy-update propagation rounds.
-	ReplicaMulticasts int
 
 	// byID caches the id → file map used by top-k reranking and id
 	// lookups; mutations maintain it incrementally once built.
@@ -113,22 +91,12 @@ func New(tree *semtree.Tree, cfg Config) *Cluster {
 		hostOf: make(map[*semtree.Node]*semtree.Node),
 		rng:    stats.NewRNG(cfg.Seed),
 	}
-	if cfg.LazyUpdateThreshold > 0 {
-		c.chains = make(map[*semtree.Node]*version.Chain)
-		c.pending = make(map[*semtree.Node]map[uint64]*metadata.File)
-		c.deleted = make(map[*semtree.Node]map[uint64]bool)
-	}
 	c.mapIndexUnits()
 	for _, g := range tree.FirstLevelIndexUnits() {
 		// §4.3 maps one root replica onto a random unit of each group.
 		// No cost reads where; the draw fixes HomeUnit's stream, which
 		// the reproduction's golden output pins.
 		c.rng.IntN(len(g.Leaves(nil)))
-		if c.chains != nil {
-			c.chains[g] = version.NewChain(cfg.VersionRatio)
-			c.pending[g] = make(map[uint64]*metadata.File)
-			c.deleted[g] = make(map[uint64]bool)
-		}
 	}
 	return c
 }
@@ -187,33 +155,14 @@ type Result struct {
 	Hops           int // routing distance in groups beyond the first (Fig. 8)
 	UnitsSearched  int
 	RecordsScanned int
-	VersionChecked int // version-chain entries examined (Fig. 14b)
-	VersionLatency simnet.Time
+	VersionLatency simnet.Time // version-chain walks' share of Latency (Fig. 14b)
 }
-
-// GroupSize returns the number of files currently under group g.
-func (c *Cluster) GroupSize(g *semtree.Node) int {
-	var leaves []*semtree.Node
-	leaves = g.Leaves(leaves)
-	n := 0
-	for _, l := range leaves {
-		n += l.Unit.Len()
-	}
-	return n
-}
-
-// Chains exposes the per-group version chains (benches measure their
-// space, Fig. 14a); nil without a lazy-update threshold.
-func (c *Cluster) Chains() map[*semtree.Node]*version.Chain { return c.chains }
 
 // IndexSizeBytes returns the per-node average index footprint: the
-// decentralized tree plus replica vectors and version chains, divided
-// by the number of servers (Fig. 7 reports per-node space overhead).
+// decentralized tree plus replica vectors, divided by the number of
+// servers (Fig. 7 reports per-node space overhead).
 func (c *Cluster) IndexSizeBytes() int {
 	total := c.Tree.SizeBytes()
-	for _, ch := range c.chains {
-		total += ch.SizeBytes()
-	}
 	// Off-line replicas: every server stores every first-level group's
 	// semantic vector + MBR (§3.4).
 	groups := len(c.Tree.FirstLevelIndexUnits())

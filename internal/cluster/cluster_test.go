@@ -288,96 +288,6 @@ func TestPointQueryHitRate(t *testing.T) {
 	}
 }
 
-func TestStalenessWithoutVersioning(t *testing.T) {
-	cfg := Config{Seed: 47, Versioning: false, LazyUpdateThreshold: 0.5}
-	c, set := deploy(t, 800, 10, 47, cfg)
-	// Insert new files that would match a broad query.
-	var inserted []uint64
-	for i := 0; i < 30; i++ {
-		f := &metadata.File{ID: uint64(900000 + i), Path: "/new/f.bin"}
-		f.Attrs = set.Files[i].Attrs // clone an existing profile
-		c.InsertFile(f)
-		inserted = append(inserted, f.ID)
-	}
-	// A full-space online query must miss the unpropagated inserts.
-	q := query.NewRange(
-		trace.DefaultQueryAttrs(),
-		[]float64{-1e18, -1e18, -1e18},
-		[]float64{1e18, 1e18, 1e18},
-	)
-	got, _ := c.RangeOnline(q)
-	gotSet := map[uint64]bool{}
-	for _, id := range got {
-		gotSet[id] = true
-	}
-	for _, id := range inserted {
-		if gotSet[id] {
-			t.Fatalf("unpropagated insert %d visible without versioning", id)
-		}
-	}
-	// After propagation they appear.
-	for _, g := range c.Tree.FirstLevelIndexUnits() {
-		c.propagate(g)
-	}
-	got, _ = c.RangeOnline(q)
-	gotSet = map[uint64]bool{}
-	for _, id := range got {
-		gotSet[id] = true
-	}
-	for _, id := range inserted {
-		if !gotSet[id] {
-			t.Fatalf("insert %d invisible after propagation", id)
-		}
-	}
-}
-
-func TestVersioningRecoversRecentInserts(t *testing.T) {
-	cfg := Config{Seed: 53, Versioning: true, VersionRatio: 2, LazyUpdateThreshold: 0.5}
-	c, set := deploy(t, 800, 10, 53, cfg)
-	var inserted []uint64
-	for i := 0; i < 30; i++ {
-		f := &metadata.File{ID: uint64(900000 + i), Path: "/new/f.bin"}
-		f.Attrs = set.Files[i].Attrs
-		c.InsertFile(f)
-		inserted = append(inserted, f.ID)
-	}
-	q := query.NewRange(
-		trace.DefaultQueryAttrs(),
-		[]float64{-1e18, -1e18, -1e18},
-		[]float64{1e18, 1e18, 1e18},
-	)
-	got, res := c.RangeOnline(q)
-	gotSet := map[uint64]bool{}
-	for _, id := range got {
-		gotSet[id] = true
-	}
-	for _, id := range inserted {
-		if !gotSet[id] {
-			t.Fatalf("versioning failed to surface insert %d", id)
-		}
-	}
-	if res.VersionChecked == 0 {
-		t.Fatal("no version entries examined")
-	}
-	if res.VersionLatency <= 0 {
-		t.Fatal("version latency not accounted")
-	}
-}
-
-func TestLazyUpdateTriggersPropagation(t *testing.T) {
-	cfg := Config{Seed: 59, Versioning: true, LazyUpdateThreshold: 0.02}
-	c, set := deploy(t, 500, 5, 59, cfg)
-	before := c.ReplicaMulticasts
-	for i := 0; i < 100; i++ {
-		f := &metadata.File{ID: uint64(800000 + i), Path: "/bulk/f.bin"}
-		f.Attrs = set.Files[i%len(set.Files)].Attrs
-		c.InsertFile(f)
-	}
-	if c.ReplicaMulticasts == before {
-		t.Fatal("2% threshold never triggered replica multicast over 100 inserts")
-	}
-}
-
 // TestNoLazyModelWithoutThreshold pins the serving default: with no
 // lazy-update threshold an insert, a modify and a delete are visible
 // to the very next query, and no change sends a replica message.
@@ -412,27 +322,33 @@ func TestNoLazyModelWithoutThreshold(t *testing.T) {
 
 	mod := *set.Files[5]
 	mod.Attrs[metadata.AttrSize] = 42
-	if _, ok := c.ModifyFile(&mod); !ok {
+	res, ok := c.ModifyFile(&mod)
+	if !ok {
 		t.Fatal("ModifyFile failed")
+	}
+	if _, want := updateCost(defaultCost); res.Messages != want {
+		t.Fatalf("modify sent %d messages, want only the %d update messages", res.Messages, want)
 	}
 	if got, _ := c.RangeOnline(all); !has(got, mod.ID) {
 		t.Fatal("modified file vanished from an on-line range")
 	}
 
-	if _, ok := c.DeleteFile(f.ID); !ok {
+	res, ok = c.DeleteFile(f.ID)
+	if !ok {
 		t.Fatal("DeleteFile failed")
+	}
+	if _, want := updateCost(defaultCost); res.Messages != want {
+		t.Fatalf("delete sent %d messages, want only the %d update messages", res.Messages, want)
 	}
 	if got, _ := c.RangeOnline(all); has(got, f.ID) {
 		t.Fatal("deleted file still answers")
 	}
-	if c.ReplicaMulticasts != 0 || c.Chains() != nil {
-		t.Fatalf("lazy state without a threshold: %d multicasts, chains %v", c.ReplicaMulticasts, c.Chains())
-	}
 }
 
+// TestDeleteAndModifyFile runs without a replica model; internal/core
+// runs the same steps under its lazy one.
 func TestDeleteAndModifyFile(t *testing.T) {
-	cfg := Config{Seed: 61, Versioning: true, LazyUpdateThreshold: 0.9}
-	c, set := deploy(t, 400, 8, 61, cfg)
+	c, set := deploy(t, 400, 8, 61, Config{Seed: 61})
 	target := set.Files[17]
 
 	if _, ok := c.DeleteFile(target.ID); !ok {

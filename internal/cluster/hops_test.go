@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"repro/internal/query"
-	"repro/internal/trace"
-)
+import "testing"
 
 func TestContributingHops(t *testing.T) {
 	cases := []struct {
@@ -70,40 +65,4 @@ func TestOfflineMaxGroupsScaling(t *testing.T) {
 	if groupsBig > 8 && mBig >= groupsBig {
 		t.Fatal("off-line search must stay bounded well below all-groups multicast")
 	}
-}
-
-func TestVersionLatencyScalesWithVirtualPopulation(t *testing.T) {
-	cfg := Config{Seed: 95, Versioning: true, LazyUpdateThreshold: 0.9, VirtualScale: 1000}
-	c, set := deploy(t, 600, 10, 95, cfg)
-	for i := 0; i < 40; i++ {
-		nf := *set.Files[i]
-		nf.ID = uint64(700000 + i)
-		nf.Path = "/v/f.bin"
-		c.InsertFile(&nf)
-	}
-	q := fullSpaceRange()
-	_, res := c.RangeOnline(q)
-	if res.VersionChecked == 0 {
-		t.Fatal("no version entries examined")
-	}
-	small, _ := deploy(t, 600, 10, 95, Config{Seed: 95, Versioning: true, LazyUpdateThreshold: 0.9})
-	for i := 0; i < 40; i++ {
-		nf := *set.Files[i]
-		nf.ID = uint64(700000 + i)
-		nf.Path = "/v/f.bin"
-		small.InsertFile(&nf)
-	}
-	_, resSmall := small.RangeOnline(q)
-	if res.VersionLatency <= resSmall.VersionLatency {
-		t.Fatalf("version latency %v not scaled above unscaled %v",
-			res.VersionLatency, resSmall.VersionLatency)
-	}
-}
-
-func fullSpaceRange() query.Range {
-	return query.NewRange(
-		trace.DefaultQueryAttrs(),
-		[]float64{-1e18, -1e18, -1e18},
-		[]float64{1e18, 1e18, 1e18},
-	)
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/semtree"
 	"repro/internal/simnet"
-	"repro/internal/version"
 )
 
 // RangeOnline answers a range query with the on-line multicast approach
@@ -173,9 +172,9 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 	touched := 0
 	for i, g := range groups {
 		ids, st, vChecked := search(g)
-		// The version walk happens at the group host and adds the
-		// Fig. 14(b) extra latency. Version entries scale with the
-		// virtual population like other probes, but each entry is a
+		// A replica model's version walk happens at the group host and
+		// adds the Fig. 14(b) extra latency. Version entries scale with
+		// the virtual population like other probes, but each entry is a
 		// compact in-memory delta ("versions only maintain changes that
 		// require small storage overheads", §4.4), so it costs a
 		// fraction of a full record probe; with the lazy-update
@@ -183,7 +182,6 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 		// query latency (§5.6).
 		const versionProbeFraction = 0.25
 		vLat := defaultCost.ProbeCost(int(float64(vChecked) * c.Cfg.VirtualScale * versionProbeFraction))
-		res.VersionChecked += vChecked
 		res.VersionLatency += vLat
 		// Member units scan their shares in parallel; the group's wall
 		// time is one unit's share against that unit's resident
@@ -191,7 +189,7 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 		// memory speed while the centralized baselines page from disk
 		// (§5.2).
 		nUnits := max(st.UnitsSearched, 1)
-		perUnitTotal := c.GroupSize(g) / len(g.Leaves(nil))
+		perUnitTotal := g.FileCount() / len(g.Leaves(nil))
 		scaled := int(float64(st.RecordsScanned) * c.Cfg.VirtualScale / float64(nUnits))
 		unitTotal := int(float64(perUnitTotal) * c.Cfg.VirtualScale)
 		work := defaultCost.MsgHandle + defaultCost.ScanCost(scaled, unitTotal) + vLat
@@ -218,15 +216,16 @@ func (c *Cluster) runComplex(home *semtree.Node, groups []*semtree.Node,
 	return out, res, found
 }
 
-// searchGroupRange searches one group's units for a range query,
-// respecting the consistency model: under a lazy-update threshold,
-// results reflect the propagated snapshot, and with versioning enabled
-// the group's version chain is walked backward to surface unpropagated
-// changes (§4.4).
+// searchGroupRange searches one group's units for a range query. Under
+// a replica model the answer is the group's replicated view, and the
+// model reports the version entries it examined (§4.4).
 func (c *Cluster) searchGroupRange(g *semtree.Node, q query.Range) ([]uint64, semtree.QueryStats, int) {
 	validateGroup(g)
 	ids, st := c.Tree.SearchGroupRange(g, q)
-	ids, examined := c.applyConsistency(g, ids, func(f *metadata.File) bool { return q.Matches(f) })
+	if c.Cfg.Replicas == nil {
+		return ids, st, 0
+	}
+	ids, examined := c.Cfg.Replicas.Filter(g, ids, q.Matches)
 	return ids, st, examined
 }
 
@@ -234,61 +233,12 @@ func (c *Cluster) searchGroupRange(g *semtree.Node, q query.Range) ([]uint64, se
 func (c *Cluster) searchGroupTopK(g *semtree.Node, q query.TopK) ([]uint64, semtree.QueryStats, int) {
 	validateGroup(g)
 	ids, st := c.Tree.SearchGroupTopK(g, q)
+	if c.Cfg.Replicas == nil {
+		return ids, st, 0
+	}
 	// Versioned candidates join the pool; rerankTopK finalizes order.
-	ids, examined := c.applyConsistency(g, ids, func(*metadata.File) bool { return true })
+	ids, examined := c.Cfg.Replicas.Filter(g, ids, func(*metadata.File) bool { return true })
 	return ids, st, examined
-}
-
-// applyConsistency filters unpropagated files out of the snapshot answer
-// and, when versioning is on, walks the version chain backward to
-// recover them. It returns the updated ids and the number of version
-// entries examined (the Fig. 14b extra-latency driver). Without a
-// lazy-update threshold nothing is ever pending and ids pass through.
-func (c *Cluster) applyConsistency(g *semtree.Node, ids []uint64,
-	match func(*metadata.File) bool) ([]uint64, int) {
-
-	pend := c.pending[g]
-	del := c.deleted[g]
-	if len(pend) == 0 && len(del) == 0 {
-		return ids, 0
-	}
-	// The propagated snapshot does not include pending inserts, and
-	// still includes pending deletes.
-	kept := ids[:0]
-	for _, id := range ids {
-		if _, isPending := pend[id]; isPending {
-			continue
-		}
-		kept = append(kept, id)
-	}
-	ids = kept
-
-	if !c.Cfg.Versioning {
-		return ids, 0
-	}
-	chain := c.chains[g]
-	seen := map[uint64]bool{}
-	examined := chain.WalkBackward(func(ch version.Change) bool {
-		if seen[ch.File.ID] {
-			return true
-		}
-		seen[ch.File.ID] = true
-		switch ch.Kind {
-		case version.Insert, version.Modify:
-			if match(ch.File) {
-				ids = append(ids, ch.File.ID)
-			}
-		case version.Delete:
-			for i, id := range ids {
-				if id == ch.File.ID {
-					ids = append(ids[:i], ids[i+1:]...)
-					break
-				}
-			}
-		}
-		return true
-	})
-	return ids, examined
 }
 
 // Point answers a filename point query (§3.3.3): the home unit checks
@@ -299,9 +249,13 @@ func (c *Cluster) Point(q query.Point) ([]uint64, Result) {
 	// is drawn does not enter the cost; the draw keeps HomeUnit's stream.
 	c.HomeUnit()
 	ids, st := c.Tree.PointQuery(q)
-	// Under a lazy-update threshold, pending files are not yet in
-	// index-unit Bloom filters; with versioning the chain recovers them.
-	ids = c.pointConsistency(q, ids, &st)
+	if c.Cfg.Replicas != nil {
+		// A replica model's walk probes records like the confirmation
+		// does.
+		var examined int
+		ids, examined = c.Cfg.Replicas.FilterPoint(q.Filename, ids)
+		st.RecordsScanned += examined
+	}
 	// Bloom checks are per-node index operations and do not grow with
 	// the virtual population; the exact-match confirmation probes do.
 	work := simnet.Time(st.BloomChecks)*defaultCost.BloomCheck +
@@ -314,34 +268,4 @@ func (c *Cluster) Point(q query.Point) ([]uint64, Result) {
 		res.Hops = st.GroupsTouched - 1
 	}
 	return ids, res
-}
-
-func (c *Cluster) pointConsistency(q query.Point, ids []uint64, st *semtree.QueryStats) []uint64 {
-	// Drop pending inserts (their names are not yet in propagated
-	// index-unit filters — modelling staleness false negatives), then
-	// recover via versions when enabled.
-	for _, g := range c.Tree.FirstLevelIndexUnits() {
-		pend := c.pending[g]
-		if len(pend) == 0 {
-			continue
-		}
-		kept := ids[:0]
-		for _, id := range ids {
-			if _, isPending := pend[id]; isPending {
-				continue
-			}
-			kept = append(kept, id)
-		}
-		ids = kept
-		if c.Cfg.Versioning {
-			examined := c.chains[g].WalkBackward(func(ch version.Change) bool {
-				if ch.Kind != version.Delete && ch.File.Path == q.Filename {
-					ids = append(ids, ch.File.ID)
-				}
-				return true
-			})
-			st.RecordsScanned += examined
-		}
-	}
-	return ids
 }

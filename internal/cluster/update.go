@@ -3,8 +3,34 @@ package cluster
 import (
 	"repro/internal/metadata"
 	"repro/internal/semtree"
-	"repro/internal/version"
 )
+
+// ChangeKind classifies one metadata change a Replicas model records.
+type ChangeKind int
+
+// The change kinds §4.4 labels versions with.
+const (
+	Insert ChangeKind = iota
+	Delete
+	Modify
+)
+
+// Replicas is a lazy replica model (§3.4, §4.4): it sees every change
+// to a first-level group and decides what queries read of the groups'
+// replicated snapshots. The paper's experiments set one; the serving
+// deployment runs without, so acknowledged writes answer at once.
+type Replicas interface {
+	// Record notes a change to f in group g and returns the replica
+	// messages it sent.
+	Record(g *semtree.Node, kind ChangeKind, f *metadata.File) int64
+	// Filter rewrites group g's range or top-k ids to what its replica
+	// state shows; match reports whether a file it recovers answers the
+	// query. It returns the ids and the version entries it examined.
+	Filter(g *semtree.Node, ids []uint64, match func(*metadata.File) bool) ([]uint64, int)
+	// FilterPoint rewrites a point answer for name the same way and
+	// returns the ids and the entries it examined.
+	FilterPoint(name string, ids []uint64) ([]uint64, int)
+}
 
 // InsertFile routes a new file's metadata into the cluster (§3.2):
 // the semantic tree places it in the most-correlated storage unit and
@@ -16,7 +42,7 @@ func (c *Cluster) InsertFile(f *metadata.File) Result {
 	}
 	leaf := c.Tree.InsertFile(f)
 	res.Latency, res.Messages = updateCost(defaultCost)
-	res.Messages += c.recordChange(c.Tree.GroupOf(leaf), version.Insert, f)
+	res.Messages += c.recordChange(leaf, Insert, f)
 	return res
 }
 
@@ -31,7 +57,7 @@ func (c *Cluster) ModifyFile(f *metadata.File) (Result, bool) {
 		return res, false
 	}
 	res.Latency, res.Messages = updateCost(defaultCost)
-	res.Messages += c.recordChange(c.Tree.GroupOf(leaf), version.Modify, existing)
+	res.Messages += c.recordChange(leaf, Modify, existing)
 	return res, true
 }
 
@@ -48,47 +74,16 @@ func (c *Cluster) DeleteFile(id uint64) (Result, bool) {
 		delete(c.byID, id)
 	}
 	res.Latency, res.Messages = updateCost(defaultCost)
-	res.Messages += c.recordChange(c.Tree.GroupOf(leaf), version.Delete, target)
+	res.Messages += c.recordChange(leaf, Delete, target)
 	return res, true
 }
 
-// recordChange applies the lazy replica model of §3.4/§4.4 to one
-// change in group g and returns the replica messages it sent. Without a
-// lazy-update threshold every change is visible at once and sends
-// nothing. With one, the change joins the group's pending set and
-// version chain — invisible to queries against the replicated snapshot
-// unless versioning is enabled, which is the staleness/recall trade-off
-// Tables 5–6 measure — until the group's accumulated changes reach the
-// threshold fraction of its population and the index unit multicasts
-// fresh replicas.
-func (c *Cluster) recordChange(g *semtree.Node, kind version.Kind, f *metadata.File) int64 {
-	if c.pending == nil {
+// recordChange hands one change under leaf to the replica model and
+// returns the replica messages it sent. Without a model every change is
+// visible at once and sends nothing.
+func (c *Cluster) recordChange(leaf *semtree.Node, kind ChangeKind, f *metadata.File) int64 {
+	if c.Cfg.Replicas == nil {
 		return 0
 	}
-	if kind == version.Delete {
-		delete(c.pending[g], f.ID)
-		c.deleted[g][f.ID] = true
-	} else {
-		c.pending[g][f.ID] = f
-	}
-	c.chains[g].Record(version.Change{Kind: kind, File: f})
-	changes, size := len(c.pending[g])+len(c.deleted[g]), c.GroupSize(g)
-	if size > 0 && float64(changes) < c.Cfg.LazyUpdateThreshold*float64(size) {
-		return 0
-	}
-	return c.propagate(g)
-}
-
-// propagate applies a group's accumulated changes to the snapshot and
-// multicasts fresh replicas to every storage unit (§4.4's version
-// removal: apply locally, then multicast to remote replica holders). It
-// returns the number of messages sent.
-func (c *Cluster) propagate(g *semtree.Node) int64 {
-	c.chains[g].Compact()
-	c.pending[g] = make(map[uint64]*metadata.File)
-	c.deleted[g] = make(map[uint64]bool)
-	c.ReplicaMulticasts++
-	// Replica multicast: the group's host sends its refreshed vector +
-	// MBR (and the change log) to every other storage unit.
-	return int64(len(c.Tree.Leaves()) - 1)
+	return c.Cfg.Replicas.Record(c.Tree.GroupOf(leaf), kind, f)
 }

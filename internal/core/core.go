@@ -34,7 +34,8 @@ type Options struct {
 	// Attrs is the grouping predicate. Nil selects the default query
 	// attributes.
 	Attrs []metadata.Attr
-	// Versioning, VersionRatio and LazyThreshold configure §4.4/§3.4.
+	// Versioning, VersionRatio and LazyThreshold configure §4.4/§3.4:
+	// a positive LazyThreshold deploys the LazyReplicas model.
 	Versioning    bool
 	VersionRatio  int
 	LazyThreshold float64
@@ -48,6 +49,9 @@ type Instance struct {
 	Set     *trace.Set
 	Tree    *semtree.Tree
 	Cluster *cluster.Cluster
+	// Replicas is the deployment's lazy replica model; nil without a
+	// LazyThreshold.
+	Replicas *LazyReplicas
 	// VirtualScale is the sample→virtual population multiplier used by
 	// the cost model.
 	VirtualScale float64
@@ -85,14 +89,14 @@ func NewInstance(opt Options) *Instance {
 
 	units := semtree.PlaceSemantic(set.Files, opt.Units, set.Norm, opt.Attrs)
 	tree := semtree.Build(units, set.Norm, semtree.Config{Attrs: opt.Attrs})
-	cl := cluster.New(tree, cluster.Config{
-		Versioning:          opt.Versioning,
-		VersionRatio:        opt.VersionRatio,
-		LazyUpdateThreshold: opt.LazyThreshold,
-		Seed:                opt.Seed,
-		VirtualScale:        scale,
-	})
-	return &Instance{Opt: opt, Set: set, Tree: tree, Cluster: cl, VirtualScale: scale}
+	in := &Instance{Opt: opt, Set: set, Tree: tree, VirtualScale: scale}
+	cfg := cluster.Config{Seed: opt.Seed, VirtualScale: scale}
+	if opt.LazyThreshold > 0 {
+		in.Replicas = newLazyReplicas(tree, opt)
+		cfg.Replicas = in.Replicas
+	}
+	in.Cluster = cluster.New(tree, cfg)
+	return in
 }
 
 // WrapDeployment wraps an externally built tree (over the given

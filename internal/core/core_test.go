@@ -23,6 +23,9 @@ func TestNewInstanceDefaults(t *testing.T) {
 	if err := in.Tree.Validate(); err != nil {
 		t.Fatalf("deployed tree invalid: %v", err)
 	}
+	if in.Replicas != nil || in.Cluster.Cfg.Replicas != nil {
+		t.Fatal("a replica model deployed without a lazy threshold")
+	}
 }
 
 func TestNewInstancePanicsWithoutSpec(t *testing.T) {

@@ -15,13 +15,9 @@ func foldFirstThenMerge(children []Report, contributing int) Report {
 		if c.Latency > out.Latency {
 			out.Latency = c.Latency
 		}
-		if c.VersionLatency > out.VersionLatency {
-			out.VersionLatency = c.VersionLatency
-		}
 		out.Messages += c.Messages
 		out.Hops += c.Hops
 		out.UnitsSearched += c.UnitsSearched
-		out.VersionChecked += c.VersionChecked
 	}
 	if contributing > 1 {
 		out.Hops += contributing - 1
@@ -30,9 +26,9 @@ func foldFirstThenMerge(children []Report, contributing int) Report {
 }
 
 func TestCompose(t *testing.T) {
-	a := Report{Latency: 0.25, Messages: 12, Hops: 1, UnitsSearched: 4, VersionChecked: 2, VersionLatency: 0.125}
+	a := Report{Latency: 0.25, Messages: 12, Hops: 1, UnitsSearched: 4}
 	b := Report{Latency: 0.75, Messages: 3, Hops: 0, UnitsSearched: 1}
-	c := Report{Latency: 0.5, Messages: 7, Hops: 2, UnitsSearched: 2, VersionChecked: 1, VersionLatency: 0.5}
+	c := Report{Latency: 0.5, Messages: 7, Hops: 2, UnitsSearched: 2}
 	for _, tc := range []struct {
 		name         string
 		children     []Report
@@ -43,11 +39,11 @@ func TestCompose(t *testing.T) {
 		{"one child is itself", []Report{a}, 1, a},
 		{"one silent child", []Report{b}, 0, b},
 		{"slowest wall time, summed work, a hop per extra contributor", []Report{a, b, c}, 3,
-			Report{Latency: 0.75, Messages: 22, Hops: 5, UnitsSearched: 7, VersionChecked: 3, VersionLatency: 0.5}},
+			Report{Latency: 0.75, Messages: 22, Hops: 5, UnitsSearched: 7}},
 		{"children that returned nothing add work but no hop", []Report{a, b, c}, 1,
-			Report{Latency: 0.75, Messages: 22, Hops: 3, UnitsSearched: 7, VersionChecked: 3, VersionLatency: 0.5}},
+			Report{Latency: 0.75, Messages: 22, Hops: 3, UnitsSearched: 7}},
 		{"an insert batch charges no hop", []Report{a, c}, 0,
-			Report{Latency: 0.5, Messages: 19, Hops: 3, UnitsSearched: 6, VersionChecked: 3, VersionLatency: 0.5}},
+			Report{Latency: 0.5, Messages: 19, Hops: 3, UnitsSearched: 6}},
 	} {
 		got := Compose(tc.children, tc.contributing)
 		if got != tc.want {

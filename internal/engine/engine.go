@@ -63,8 +63,8 @@ type Config struct {
 	// Attrs field is ignored (Config.Attrs wins).
 	Tree semtree.Config
 	// Cluster carries the deployment seed; the serving engine leaves its
-	// lazy-update threshold at zero, so every acknowledged mutation
-	// answers the next query. Shard 0 uses Cluster.Seed verbatim; later
+	// Replicas hook nil, so every acknowledged mutation answers the next
+	// query. Shard 0 uses Cluster.Seed verbatim; later
 	// shards derive distinct deterministic seeds from it.
 	Cluster cluster.Config
 	// OfflineGroupBudget overrides the off-line search breadth: each

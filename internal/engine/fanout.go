@@ -13,26 +13,22 @@ import (
 // Report carries the accounting of one operation in the same units as
 // cluster.Result (seconds of virtual time, message counts): virtual
 // latency, network messages, routing hops (groups beyond the first) and
-// version-chain work. It is the one report type from the engine to the
+// storage units searched. It is the one report type from the engine to the
 // wire — the root facade's QueryReport and the wire format's Report are
 // aliases — so the JSON names below are the §5 wire contract.
 type Report struct {
-	Latency        float64 `json:"latency_sec"`                   // simulated latency, seconds
-	Messages       int64   `json:"messages"`                      // simulated network messages
-	Hops           int     `json:"hops"`                          // semantic R-tree routing hops
-	UnitsSearched  int     `json:"units_searched"`                // storage units probed
-	VersionChecked int     `json:"version_checked,omitempty"`     // §4.4 version chains consulted
-	VersionLatency float64 `json:"version_latency_sec,omitempty"` // latency share of version checks
+	Latency       float64 `json:"latency_sec"`    // simulated latency, seconds
+	Messages      int64   `json:"messages"`       // simulated network messages
+	Hops          int     `json:"hops"`           // semantic R-tree routing hops
+	UnitsSearched int     `json:"units_searched"` // storage units probed
 }
 
 func reportFrom(r cluster.Result) Report {
 	return Report{
-		Latency:        float64(r.Latency),
-		Messages:       r.Messages,
-		Hops:           r.Hops,
-		UnitsSearched:  r.UnitsSearched,
-		VersionChecked: r.VersionChecked,
-		VersionLatency: float64(r.VersionLatency),
+		Latency:       float64(r.Latency),
+		Messages:      r.Messages,
+		Hops:          r.Hops,
+		UnitsSearched: r.UnitsSearched,
 	}
 }
 
@@ -50,13 +46,9 @@ func Compose(children []Report, contributing int) Report {
 		if c.Latency > out.Latency {
 			out.Latency = c.Latency
 		}
-		if c.VersionLatency > out.VersionLatency {
-			out.VersionLatency = c.VersionLatency
-		}
 		out.Messages += c.Messages
 		out.Hops += c.Hops
 		out.UnitsSearched += c.UnitsSearched
-		out.VersionChecked += c.VersionChecked
 	}
 	if contributing > 1 {
 		out.Hops += contributing - 1

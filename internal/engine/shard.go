@@ -295,8 +295,6 @@ func (s *Shard) insertFilesLocked(files []*metadata.File) cluster.Result {
 		total.Hops += res.Hops
 		total.UnitsSearched += res.UnitsSearched
 		total.RecordsScanned += res.RecordsScanned
-		total.VersionChecked += res.VersionChecked
-		total.VersionLatency += res.VersionLatency
 	}
 	return total
 }

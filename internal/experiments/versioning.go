@@ -72,9 +72,8 @@ func VersioningOverheadNumbers(spec *trace.Spec, ratio int, p Params) (space, ex
 		lat.Add(float64(res.Latency))
 		vlat.Add(float64(res.VersionLatency))
 	}
-	chains := in.Cluster.Chains()
 	var sum stats.Summary
-	for _, ch := range chains {
+	for _, ch := range in.Replicas.Chains {
 		sum.Add(float64(ch.SizeBytes()))
 	}
 	if lat.Sum() == 0 {

@@ -44,10 +44,12 @@ func (d parityDigest) Write(p []byte) (int, error) {
 }
 
 func (d parityDigest) report(r server.Report) {
-	fmt.Fprintf(d.raw, "rep %x %d %d %d %d %x\n", math.Float64bits(r.Latency), r.Messages, r.Hops,
-		r.UnitsSearched, r.VersionChecked, math.Float64bits(r.VersionLatency))
-	fmt.Fprintf(d.rounded, "rep %.11e %d %d %d %d %x\n", r.Latency, r.Messages, r.Hops,
-		r.UnitsSearched, r.VersionChecked, math.Float64bits(r.VersionLatency))
+	// The two zeros stand where the report's version-chain fields were:
+	// always 0 when serving, they keep the recorded digests' text.
+	fmt.Fprintf(d.raw, "rep %x %d %d %d 0 0\n", math.Float64bits(r.Latency), r.Messages, r.Hops,
+		r.UnitsSearched)
+	fmt.Fprintf(d.rounded, "rep %.11e %d %d %d 0 0\n", r.Latency, r.Messages, r.Hops,
+		r.UnitsSearched)
 }
 
 // TestGatewayFanInParity replays a fixed 200-query stream (plus ten

@@ -96,7 +96,7 @@ func TestSearchGroupTopKMatchesSort(t *testing.T) {
 	}
 
 	for _, g := range tree.FirstLevelIndexUnits() {
-		size := tree.groupFileCount(g)
+		size := g.FileCount()
 		for _, q := range queries {
 			for _, k := range []int{1, 8, size, size + 5} {
 				q.K = k
@@ -144,7 +144,7 @@ func TestSearchGroupTopKAllocs(t *testing.T) {
 	for _, g := range tree.FirstLevelIndexUnits() {
 		allocs := testing.AllocsPerRun(5, func() { tree.SearchGroupTopK(g, q) })
 		if allocs > 8 {
-			t.Errorf("group %d (%d files): %.0f allocations per search, want at most 8", g.ID, tree.groupFileCount(g), allocs)
+			t.Errorf("group %d (%d files): %.0f allocations per search, want at most 8", g.ID, g.FileCount(), allocs)
 		}
 	}
 }
@@ -174,5 +174,26 @@ func BenchmarkSearchGroupTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := searches[i%len(searches)]
 		sinkIDs, _ = tree.SearchGroupTopK(s.g, s.q)
+	}
+}
+
+// TestFileCount checks the subtree walk against the leaves each group
+// spans, and that it allocates nothing.
+func TestFileCount(t *testing.T) {
+	tree, set := buildTestTree(t, 2000, 24, 3)
+	if got := tree.Root.FileCount(); got != len(set.Files) {
+		t.Fatalf("root counts %d files, want %d", got, len(set.Files))
+	}
+	for _, g := range tree.FirstLevelIndexUnits() {
+		want := 0
+		for _, l := range g.Leaves(nil) {
+			want += l.Unit.Len()
+		}
+		if got := g.FileCount(); got != want {
+			t.Errorf("group %d counts %d files, its leaves hold %d", g.ID, got, want)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { g.FileCount() }); allocs != 0 {
+			t.Errorf("group %d: %.0f allocations per count, want 0", g.ID, allocs)
+		}
 	}
 }

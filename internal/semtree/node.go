@@ -37,6 +37,19 @@ func (n *Node) Leaves(dst []*Node) []*Node {
 	return dst
 }
 
+// FileCount returns the number of files in the storage units under n,
+// walking the subtree without collecting its leaves.
+func (n *Node) FileCount() int {
+	if n.IsLeaf() {
+		return n.Unit.Len()
+	}
+	total := 0
+	for _, c := range n.Children {
+		total += c.FileCount()
+	}
+	return total
+}
+
 // refresh recomputes the node's summaries from its children (or unit):
 // MBR union, Bloom union, and centroid vector. It does not recurse.
 func (n *Node) refresh(norm *metadata.Normalizer, attrs []metadata.Attr) {

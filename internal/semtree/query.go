@@ -253,7 +253,7 @@ func (t *Tree) expectedMass(g *Node, q query.Range) float64 {
 	if !g.HasMBR {
 		return 0
 	}
-	mass := float64(t.groupFileCount(g))
+	mass := float64(g.FileCount())
 	for i, a := range q.Attrs {
 		qlo := t.Norm.Value(a, q.Lo[i])
 		qhi := t.Norm.Value(a, q.Hi[i])
@@ -275,18 +275,6 @@ func (t *Tree) expectedMass(g *Node, q query.Range) float64 {
 		mass *= frac
 	}
 	return mass
-}
-
-// groupFileCount returns the number of files under group g (part of the
-// replicated index-unit summary).
-func (t *Tree) groupFileCount(g *Node) int {
-	var leaves []*Node
-	leaves = g.Leaves(leaves)
-	n := 0
-	for _, l := range leaves {
-		n += l.Unit.Len()
-	}
-	return n
 }
 
 // RouteTopKGroups returns up to maxGroups candidate groups for a top-k
@@ -319,7 +307,7 @@ func (t *Tree) RouteTopKGroups(q query.TopK, maxGroups int) []*Node {
 				}
 				vol *= w
 			}
-			density = float64(t.groupFileCount(g)) / vol
+			density = float64(g.FileCount()) / vol
 		}
 		cands = append(cands, scored{g, md, density})
 	}

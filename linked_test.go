@@ -94,16 +94,17 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 
 // TestDependencyFences keeps the service and the paper's reproduction
 // apart: the serving daemons depend on none of the reproduction-only
-// packages (the paper-era baselines and experiment drivers), and
-// smartbench, the paper's tables-and-figures runner, depends on none of
-// the serving stack — the service is measured by bench/.
+// packages (the paper-era baselines, the experiment drivers and the
+// §4.4 version chains), and smartbench, the paper's tables-and-figures
+// runner, depends on none of the serving stack — the service is
+// measured by bench/.
 func TestDependencyFences(t *testing.T) {
 	fences := []struct {
 		programs []string
 		banned   *regexp.Regexp
 	}{
 		{[]string{"./cmd/smartstored", "./cmd/smartgate"},
-			regexp.MustCompile(`^repro/internal/(baseline|btree|kmeans|core|experiments|eval)$`)},
+			regexp.MustCompile(`^repro/internal/(baseline|btree|kmeans|core|experiments|eval|version)$`)},
 		{[]string{"./cmd/smartbench"},
 			regexp.MustCompile(`^repro(/internal/(server|client|gateway|wire|wal|repl|engine))?$`)},
 	}
